@@ -78,8 +78,7 @@ def nfa_run(nfa: Nfa, word) -> bool:
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  Only accessible subsets are materialized; the
-    empty subset is the explicit dead state when reachable.  The resulting
-    DFA carries the subset behind each state in ``subset_labels``.
+    empty subset is the explicit dead state when reachable.
     """
     k = len(nfa.symbols)
     start = tuple(sorted(nfa.initial))
@@ -99,9 +98,7 @@ def determinize(nfa: Nfa) -> Dfa:
             row.append(index[tgt])
         rows.append(row)
     accept = {i for i, sub in enumerate(order) if set(sub) & nfa.accept}
-    dfa = Dfa(rows, accept, nfa.symbols, initial=0)
-    dfa.subset_labels = order
-    return dfa
+    return Dfa(rows, accept, nfa.symbols, initial=0)
 
 
 def accessible_states(dfa: Dfa):

@@ -417,7 +417,7 @@ def cmd_fftp_automaton(args):
     ball = build_ball(rp.base, radius)
     h = neg_electric_height(rp) if rp.families else neg_length_height(
         rp.base.alphabet)
-    dfa = build_fftp_automaton(ball, args.delta, h, threads=args.threads)
+    dfa = build_fftp_automaton(ball, args.delta, h)
     small = minimize(dfa)
     live = live_states(small)
     results = {
@@ -704,8 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         if budget is not None:
             p.add_argument("--budget", type=int, default=budget,
                            help=f"work cap (default {budget})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (current computations are serial)")
 
     def cusp_flags(p):
         p.add_argument("--psi", type=float, default=3.0,
@@ -828,7 +826,6 @@ def main(argv=None) -> int:
     except (ValueError, OracleBudgetError, RuntimeError) as e:
         print(f"relhyp: error: {e}", file=sys.stderr)
         return 1
-    inputs["threads"] = args.threads
     report = {
         "command": args.command,
         "version": __version__,

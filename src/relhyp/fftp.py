@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import add
 
 from .automata import Dfa
 from .cayley import OUT_OF_BALL, GroupBall, distance
@@ -133,28 +133,34 @@ def _ball_around(ball: GroupBall, center: int, delta: int):
     return set(dist)
 
 
-def _sup_additive(ball, allowed, weights, src, dst):
-    """Best (greatest) additive height of a path src -> dst inside
-    ``allowed``.  Letter heights must be nonpositive: any cycle then only
-    lowers the total, so the optimum over arbitrary words equals the
-    optimum over simple paths and Dijkstra with weights -value applies.
-    Returns None when dst is unreachable."""
+def _path_costs(ball, allowed, weights, src):
+    """Least cost of a path from src to every vertex it reaches inside
+    ``allowed``, where a path costs the sum of -weights[sym] over its
+    letters.  Letter weights must be nonpositive: any cycle then only adds
+    cost, so the optimum over arbitrary words equals the optimum over
+    simple paths and Dijkstra applies.  Unreachable vertices are absent."""
+    moves = [(sym, -weights[sym]) for sym in ball.symbol_moves()]
+    edges = ball.edges
     best = {src: 0}
     heap = [(0, src)]
     while heap:
         d, v = heappop(heap)
-        if d > best.get(v, math.inf):
+        if d > best[v]:
             continue
-        if v == dst:
-            return -d
-        for sym, t in ball.neighbours(v):
-            if t not in allowed:
-                continue
-            nd = d + (-weights[sym])
-            if nd < best.get(t, math.inf):
-                best[t] = nd
-                heappush(heap, (nd, t))
-    return -best[dst] if dst in best else None
+        row = edges[v]
+        for sym, c in moves:
+            t = row[sym]
+            if t in allowed:
+                nd = d + c
+                if nd < best.get(t, math.inf):
+                    best[t] = nd
+                    heappush(heap, (nd, t))
+    return best
+
+
+def _nonpositive_additive(h: HeightFunction) -> bool:
+    return (h.additive and h.letter_values is not None
+            and all(val <= 0 for val in h.letter_values.values()))
 
 
 def _inf_simple_paths(ball, allowed, src, dst, score, step_cap):
@@ -179,14 +185,19 @@ def _inf_simple_paths(ball, allowed, src, dst, score, step_cap):
     return best
 
 
-def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction,
-                      threads: int = 1) -> dict:
+def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     """Per-letter table T[x][g][h] of best competitor continuations.
 
     T[x][g][h] is the least value of H(x) - H(z_g^-1 w z_h) + H(z_g z_g^-1)
     over injective connecting paths w from g^-1 to x.h^-1 inside the union
     of the delta-balls at 1 and at x; +inf (math.inf) when no path exists.
     Indices follow sorted(delta-ball vertices).
+
+    Cost: for an additive height with nonpositive letter values, and for
+    an element function (reachability only), one shortest-path run per
+    (letter x, g) over the union of the two delta-balls fills the whole
+    row T[x][g].  Any other height enumerates the simple paths of every
+    entry, which is exponential in delta.
     """
     if not h.strongly_translation_invariant:
         raise ValueError("kernel needs a strongly translation invariant height")
@@ -199,73 +210,78 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction,
     inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
     n = len(bdelta)
     symbols = range(len(ball.presentation.alphabet.symbols))
+    fast = _nonpositive_additive(h)
+    if fast:
+        heights = [h(zwords[v]) for v in bdelta]
+    elif h.element_function:
+        zero = dict.fromkeys(symbols, 0)
+        reached = h(())
+    around_1 = _ball_around(ball, 0, delta)
 
-    fast = (h.additive and h.letter_values is not None
-            and all(val <= 0 for val in h.letter_values.values()))
-
-    def column(x):
-        xv = ball.edges[0][x]
-        allowed = _ball_around(ball, 0, delta) | _ball_around(ball, xv, delta)
-        table = [[math.inf] * n for _ in range(n)]
+    tables = {}
+    for x in symbols:
+        allowed = around_1 | _ball_around(ball, ball.edges[0][x], delta)
+        dsts = [ball.evaluate((x,) + word_inverse(zwords[v])) for v in bdelta]
+        table = []
         for gi, g in enumerate(bdelta):
             src = inv_vertex[g]
-            zg = zwords[g]
-            for hi, hv in enumerate(bdelta):
-                zh = zwords[hv]
-                dst = ball.evaluate((x,) + word_inverse(zh))
-                if fast:
-                    sup = _sup_additive(ball, allowed, h.letter_values, src, dst)
-                    if sup is None:
-                        continue
-                    table[gi][hi] = (h((x,)) + h(zg) - h(zh) - sup)
-                elif h.element_function:
-                    if _sup_additive(ball, allowed,
-                                     {s: 0 for s in symbols}, src, dst) is None:
-                        continue
-                    table[gi][hi] = h(())
-                else:
-                    pre = word_inverse(zg)
-                    post = zh
+            if fast:
+                cost = _path_costs(ball, allowed, h.letter_values, src)
+                base = h((x,)) + heights[gi]
+                table.append([base - hh + cost[dst] if dst in cost
+                              else math.inf
+                              for hh, dst in zip(heights, dsts)])
+            elif h.element_function:
+                cost = _path_costs(ball, allowed, zero, src)
+                table.append([reached if dst in cost else math.inf
+                              for dst in dsts])
+            else:
+                zg = zwords[g]
+                pre = word_inverse(zg)
+                row = [math.inf] * n
+                for hi, hv in enumerate(bdelta):
+                    post = zwords[hv]
                     val = _inf_simple_paths(
-                        ball, allowed, src, dst,
+                        ball, allowed, src, dsts[hi],
                         lambda w: h((x,)) - h(pre + w + post) + h(zg + pre),
                         step_cap=(2 * delta + 1) * max(1, n) * 4000)
                     if val is not None:
-                        table[gi][hi] = val
-        return x, table
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(column, symbols))
-    else:
-        results = dict(column(x) for x in symbols)
-    return {"order": bdelta, "table": results}
+                        row[hi] = val
+                table.append(row)
+        tables[x] = table
+    return {"order": bdelta, "table": tables}
 
 
 def _initial_state(ball, delta, h, bdelta, zwords, inv_vertex):
     """Deficit vector of the empty word: competitors are the words that
-    stay inside the delta-ball."""
+    stay inside the delta-ball.  None marks an unreachable coordinate."""
     allowed = _ball_around(ball, 0, delta)
-    state = []
-    for g in bdelta:
-        dst = inv_vertex[g]
-        if h.additive and h.letter_values is not None \
-                and all(val <= 0 for val in h.letter_values.values()):
-            sup = _sup_additive(ball, allowed, h.letter_values, 0, dst)
-            val = None if sup is None else h(()) - sup - h(zwords[g])
-        elif h.element_function:
-            val = 0
-        else:
-            val = _inf_simple_paths(
-                ball, allowed, 0, dst,
-                lambda w: h(()) - h(w + zwords[g]),
-                step_cap=len(allowed) * 4000)
-        state.append(val)
-    return state
+    if _nonpositive_additive(h):
+        cost = _path_costs(ball, allowed, h.letter_values, 0)
+        return [h(()) + cost[inv_vertex[g]] - h(zwords[g])
+                if inv_vertex[g] in cost else None for g in bdelta]
+    if h.element_function:
+        return [0] * len(bdelta)
+    return [_inf_simple_paths(ball, allowed, 0, inv_vertex[g],
+                              lambda w: h(()) - h(w + zwords[g]),
+                              step_cap=len(allowed) * 4000)
+            for g in bdelta]
+
+
+def _min_plus_step(cur, columns, top):
+    """Next deficit vector, coordinate hi being min over gi of cur[gi] +
+    T[gi][hi] clamped at top; None once a coordinate drops below zero."""
+    nxt = []
+    for col in columns:
+        best = min(map(add, cur, col))
+        if best < 0:
+            return None
+        nxt.append(top if best >= top else int(best))
+    return tuple(nxt)
 
 
 def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
-                         state_cap: int = 20000, threads: int = 1) -> Dfa:
+                         state_cap: int = 20000) -> Dfa:
     """DFA accepting exactly the maximizing words of the height.
 
     States are clamped deficit vectors over the delta-ball plus one
@@ -276,14 +292,15 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     """
     if not h.right_order_preserving:
         raise ValueError("acceptor construction needs right order-preservation")
-    kern = transition_kernel(ball, delta, h, threads=threads)
+    kern = transition_kernel(ball, delta, h)
     bdelta = kern["order"]
-    table = kern["table"]
     zwords = {v: ball.words[v] for v in bdelta}
     inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
     top = 2 * h.K * delta
-    n = len(bdelta)
     symbols = range(len(ball.presentation.alphabet.symbols))
+    # columns[x][hi] lists T[x][gi][hi] over gi, so that each coordinate of
+    # the next state is one min over map(add, cur, column)
+    columns = [list(zip(*kern["table"][x])) for x in symbols]
 
     raw = _initial_state(ball, delta, h, bdelta, zwords, inv_vertex)
     init = tuple(top if v is None else min(v, top) for v in raw)
@@ -293,29 +310,15 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     states = {init: 0}
     order = [init]
     rows = []
-    fail_row_of = {}
     q = deque([init])
     while q:
         cur = q.popleft()
         row = []
-        for x in symbols:
-            t = table[x]
-            nxt = []
-            dead = False
-            for hi in range(n):
-                best = math.inf
-                for gi in range(n):
-                    v = cur[gi] + t[gi][hi]
-                    if v < best:
-                        best = v
-                if best < 0:
-                    dead = True
-                    break
-                nxt.append(top if best is math.inf else min(int(best), top))
-            if dead:
+        for cols in columns:
+            key = _min_plus_step(cur, cols, top)
+            if key is None:
                 row.append(-1)  # patched to the fail state below
                 continue
-            key = tuple(nxt)
             if key not in states:
                 if len(states) >= state_cap:
                     raise RuntimeError(
@@ -331,7 +334,6 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     accept = frozenset(range(fail))
     dfa = Dfa(rows, accept, ball.presentation.alphabet.symbols)
     dfa.state_vectors = tuple(order) + ("fail",)
-    dfa.bdelta_order = tuple(bdelta)
     return dfa
 
 

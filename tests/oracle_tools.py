@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from heapq import heappop, heappush
 
 # ---------------------------------------------------------------------------
 # lattice / tree models.  Letters: a=+x, A=-x, b=+y, B=-y.
@@ -155,6 +156,102 @@ def z_kernel_entry(delta, x, g, h):
     if d is None:
         return None
     return d + abs(h) - abs(g) - 1
+
+
+# ---------------------------------------------------------------------------
+# FFTP kernel reference for any ball: one Dijkstra per (x, g, h) entry, as
+# the kernel was first written.  Covers additive heights with nonpositive
+# letter values and, with zero weights (reachability only), element
+# functions.  Words are symbol tuples; a symbol's inverse is sym ^ 1.
+
+def _inverse(word):
+    return tuple(s ^ 1 for s in reversed(word))
+
+
+def _vertices_around(ball, center, delta):
+    dist = {center: 0}
+    q = deque([center])
+    while q:
+        v = q.popleft()
+        if dist[v] < delta:
+            for _, t in ball.neighbours(v):
+                if t not in dist:
+                    dist[t] = dist[v] + 1
+                    q.append(t)
+    return set(dist)
+
+
+def _best_additive(ball, allowed, weights, src, dst):
+    # greatest additive height of a path src -> dst inside allowed, or None
+    best = {src: 0}
+    heap = [(0, src)]
+    while heap:
+        d, v = heappop(heap)
+        if d > best.get(v, math.inf):
+            continue
+        if v == dst:
+            return -d
+        for sym, t in ball.neighbours(v):
+            if t in allowed:
+                nd = d - weights[sym]
+                if nd < best.get(t, math.inf):
+                    best[t] = nd
+                    heappush(heap, (nd, t))
+    return None
+
+
+def _additive(h):
+    return h.additive and h.letter_values is not None \
+        and all(v <= 0 for v in h.letter_values.values())
+
+
+def reference_kernel(ball, delta, h):
+    """{"order", "table"} with table[x][gi][hi] as transition_kernel
+    defines it, one search per entry."""
+    nsym = len(ball.presentation.alphabet.symbols)
+    additive = _additive(h)
+    assert additive or h.element_function
+    weights = h.letter_values if additive else {s: 0 for s in range(nsym)}
+    order = sorted(v for v in range(len(ball)) if ball.length_of(v) <= delta)
+    tables = {}
+    for x in range(nsym):
+        allowed = (_vertices_around(ball, 0, delta)
+                   | _vertices_around(ball, ball.edges[0][x], delta))
+        table = []
+        for g in order:
+            zg = ball.words[g]
+            src = ball.evaluate(_inverse(zg))
+            row = []
+            for hv in order:
+                zh = ball.words[hv]
+                dst = ball.evaluate((x,) + _inverse(zh))
+                sup = _best_additive(ball, allowed, weights, src, dst)
+                if sup is None:
+                    row.append(math.inf)
+                elif additive:
+                    row.append(h((x,)) + h(zg) - h(zh) - sup)
+                else:
+                    row.append(h(()))
+            table.append(row)
+        tables[x] = table
+    return {"order": order, "table": tables}
+
+
+def reference_initial_state(ball, delta, h):
+    """Deficit vector of the empty word, unclamped; None where the
+    coordinate has no competitor inside the delta-ball."""
+    order = sorted(v for v in range(len(ball)) if ball.length_of(v) <= delta)
+    if not _additive(h):
+        assert h.element_function
+        return [0] * len(order)
+    allowed = _vertices_around(ball, 0, delta)
+    out = []
+    for g in order:
+        zg = ball.words[g]
+        sup = _best_additive(ball, allowed, h.letter_values, 0,
+                             ball.evaluate(_inverse(zg)))
+        out.append(None if sup is None else h(()) - sup - h(zg))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,6 @@ def test_report_shape_and_echo(zz, capsys):
     assert code == 0
     assert set(rep) == {"command", "version", "seed", "inputs", "results"}
     assert rep["inputs"]["radius"] == 2
-    assert rep["inputs"]["threads"] == 1
     assert parse_presentation(rep["inputs"]["presentation"]).base.relators \
         == ((0, 2, 1, 3),)
 

@@ -21,6 +21,8 @@ from relhyp.fftp import (
 )
 from relhyp.words import Alphabet, Presentation
 
+from oracle_tools import reference_initial_state, reference_kernel
+
 
 @pytest.fixture(scope="module")
 def ball_z4(pres_z):
@@ -86,10 +88,46 @@ def test_kernel_preconditions(ball_z4, pres_z):
         transition_kernel(ball_z4, 1, bad)
 
 
-def test_kernel_threads_agree(ball_z2_6, pres_z2):
-    h = neg_length_height(pres_z2.alphabet)
-    assert transition_kernel(ball_z2_6, 1, h) == \
-        transition_kernel(ball_z2_6, 1, h, threads=3)
+def _element_height():
+    # depends only on the evaluated element: every word is maximizing
+    return HeightFunction(evaluator=lambda w: 0, K=1,
+                          right_order_preserving=True,
+                          left_order_preserving=True,
+                          strongly_translation_invariant=True,
+                          element_function=True)
+
+
+def test_kernel_matches_pairwise_reference():
+    # (generators, relators, parabolic letters, height, delta)
+    cases = [
+        ("a", (), "", "length", 3),
+        ("ab", ("abAB",), "", "length", 2),
+        ("abc", ("abAB", "acAC", "bcBC"), "", "length", 2),
+        ("ab", (), "", "length", 3),
+        ("ab", (), "b", "electric", 2),
+        ("ab", ("abAB",), "b", "electric", 3),
+        ("ab", ("abAB",), "", "element", 2),
+    ]
+    for gens, relators, parabolic, height, delta in cases:
+        alpha = Alphabet(list(gens))
+        pres = Presentation(alpha, tuple(alpha.parse(r) for r in relators))
+        if height == "length":
+            h = neg_length_height(alpha)
+        elif height == "electric":
+            family = ParabolicFamily(
+                "P", tuple(alpha.index(c) for c in parabolic))
+            h = neg_electric_height(RelativePresentation(pres, (family,)))
+        else:
+            h = _element_height()
+        ball = build_ball(pres, delta + 1)
+        case = (gens, relators, height, delta)
+        assert transition_kernel(ball, delta, h) == \
+            reference_kernel(ball, delta, h), case
+        top = 2 * h.K * delta
+        init = tuple(top if v is None else min(v, top)
+                     for v in reference_initial_state(ball, delta, h))
+        assert build_fftp_automaton(ball, delta, h).state_vectors[0] == init, \
+            case
 
 
 def test_automaton_z_frozen_trace(ball_z4, pres_z):
@@ -118,12 +156,21 @@ def _freely_reduced_dfa(symbols):
 
 def test_automaton_f2_is_free_reduction(ball_f2_3, pres_f2):
     h = neg_length_height(pres_f2.alphabet)
-    dfa = build_fftp_automaton(ball_f2_3, 2, h)
-    same, witness = language_equal(minimize(dfa),
-                                   _freely_reduced_dfa(pres_f2.alphabet.symbols))
+    for ball, delta in ((ball_f2_3, 2), (build_ball(pres_f2, 5), 4)):
+        dfa = build_fftp_automaton(ball, delta, h)
+        same, witness = language_equal(
+            minimize(dfa), _freely_reduced_dfa(pres_f2.alphabet.symbols))
+        assert same, (delta, witness)
+        assert len(live_states(minimize(dfa))) == 5
+        assert prefix_closed(dfa)
+
+
+def test_automaton_z2_delta6_matches_delta4(pres_z2):
+    h = neg_length_height(pres_z2.alphabet)
+    small = [minimize(build_fftp_automaton(build_ball(pres_z2, d + 1), d, h))
+             for d in (4, 6)]
+    same, witness = language_equal(*small)
     assert same, witness
-    assert len(live_states(minimize(dfa))) == 5
-    assert prefix_closed(dfa)
 
 
 def test_automaton_z2_matches_geodesics(ball_z2_6, pres_z2):
@@ -156,13 +203,7 @@ def test_automaton_subword_closure(ball_z2_6, pres_z2):
 
 
 def test_automaton_element_height_accepts_everything(ball_z4, pres_z):
-    # a height depending only on the element makes every word maximizing
-    h = HeightFunction(evaluator=lambda w: 0, K=1,
-                       right_order_preserving=True,
-                       left_order_preserving=True,
-                       strongly_translation_invariant=True,
-                       element_function=True)
-    dfa = build_fftp_automaton(ball_z4, 1, h)
+    dfa = build_fftp_automaton(ball_z4, 1, _element_height())
     alpha = pres_z.alphabet
     for text in ["", "a", "aA", "AaaA"]:
         assert dfa_run(dfa, alpha.parse(text))
