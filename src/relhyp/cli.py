@@ -47,7 +47,7 @@ from .hyp2 import (
 )
 from .homology import (
     Filling, LinkingMatrix, filling_matrix, filling_nullity_certificate,
-    h1_presentation, kernel_rank_report,
+    h1_presentation, kernel_rank,
 )
 from .extension import (
     CocycleTable, cocycle_check, is_coboundary_table, weakly_bounded_report,
@@ -642,7 +642,7 @@ def cmd_dehn_fill(args):
         h1 = {
             "rank_lower_bound": rank_bound,
             "torsion": list(torsion),
-            "kernel_rank": kernel_rank_report(k, filled),
+            "kernel_rank": kernel_rank(rank_bound, k.n - len(filled)),
             "presentation_shape": [pres.rows, pres.cols],
         }
     results = {

@@ -43,28 +43,42 @@ class CocycleTable:
         return self.table.get((g, h))
 
 
+def _product_table(ball: GroupBall):
+    """prod[g][h] == mul(ball, g, h) for all ball vertices g, h.  Shortlex
+    words are prefix-closed: word_of(h) is its parent p's word plus one
+    letter s, so g*h is one s-edge from g*p, filled parents first."""
+    words, edges = ball.words, ball.edges
+    steps = []
+    for h in range(1, len(ball)):
+        s = words[h][-1]
+        p = edges[h][s ^ 1]
+        assert p is not None and words[p] == words[h][:-1], \
+            f"word of vertex {h} does not extend its parent's"
+        steps.append((p, s))
+    prod = []
+    for g in range(len(ball)):
+        row = [g]
+        for p, s in steps:
+            v = row[p]
+            row.append(None if v is None else edges[v][s])
+        prod.append(row)
+    return prod
+
+
 def cocycle_check(sigma, ball: GroupBall):
     """Exhaustive cocycle identity scan: returns (True, None) or
     (False, first failing (g, h, k) triple)."""
+    prod = _product_table(ball)
     n = len(ball)
-    prod = {}
-
-    def p(a, b):
-        if (a, b) not in prod:
-            prod[a, b] = mul(ball, a, b)
-        return prod[a, b]
-
     for g in range(n):
-        for h in range(n):
-            gh = p(g, h)
+        for h, gh in enumerate(prod[g]):
             if gh is None:
                 continue
             s_gh = sigma(g, h)
             if s_gh is None:
                 continue
-            for k in range(n):
-                hk = p(h, k)
-                if hk is None or p(gh, k) is None:
+            for k, (hk, ghk) in enumerate(zip(prod[h], prod[gh])):
+                if hk is None or ghk is None:
                     continue
                 left = sigma(gh, k)
                 right1 = sigma(g, hk)
@@ -84,15 +98,11 @@ def section_to_cocycle(rho, ball: GroupBall) -> CocycleTable:
         raise ValueError("section must vanish at the identity")
     n = len(ball)
     table = {}
-    total = 0
-    for g in range(n):
-        for h in range(n):
-            total += 1
-            gh = mul(ball, g, h)
-            if gh is None:
-                continue
-            table[g, h] = rho(g) + rho(h) - rho(gh)
-    return CocycleTable(table, coverage=len(table) / total)
+    for g, row in enumerate(_product_table(ball)):
+        for h, gh in enumerate(row):
+            if gh is not None:
+                table[g, h] = rho(g) + rho(h) - rho(gh)
+    return CocycleTable(table, coverage=len(table) / (n * n))
 
 
 def canonical_section(sigma, ball: GroupBall):
@@ -117,35 +127,61 @@ def is_coboundary_table(tau, ball: GroupBall):
     """Decide whether tau(g,h) = f(g) + f(h) - f(gh) is solvable on the
     ball; returns (True, f table) or (False, None).
 
-    One exact linear system over the rationals, one unknown per vertex;
-    inconsistency anywhere refutes solvability on this ball.
+    Along the shortlex tree, v = p*x gives f(v) = f(p) + f(x) - tau(p, x),
+    so each f(v) is an integer affine form in a few unknowns: f of each
+    letter, f(identity) if tau(1, 1) is undefined, and f(v) if tau(p, x)
+    is.  Every defined equation is then an exact check row in those
+    unknowns, reduced against an echelon basis; inconsistency anywhere
+    refutes solvability on this ball.  Free unknowns are 0; f is rational.
     """
-    from .homology import _rref
-    n = len(ball)
-    eqs = []
-    for g in range(n):
-        for h in range(n):
-            gh = mul(ball, g, h)
-            if gh is None:
-                continue
-            t = tau(g, h)
+    prod = _product_table(ball)
+    RHS = -1  # unknowns are named by their vertices
+
+    def combine(rhs, *terms):
+        row = {RHS: rhs}
+        for scale, other in terms:
+            for u, c in other.items():
+                row[u] = row.get(u, 0) + scale * c
+        return row
+
+    # a row states sum(c * f(u) for unknowns u) = row[RHS], and
+    # forms[v] = row means f(v) = sum(c * f(u)) - row[RHS]
+    t = tau(0, 0)
+    forms = [{0: 1} if t is None else {RHS: -t}]
+    for v in range(1, len(ball)):
+        s = ball.words[v][-1]
+        p, x = ball.edges[v][s ^ 1], ball.edges[0][s]
+        t = tau(p, x) if p else None
+        forms.append({v: 1} if t is None else
+                     combine(t, (1, forms[p]), (1, forms[x])))
+
+    basis = {}  # pivot -> row with coefficient 1 there, 0 at other pivots
+    for g, form in enumerate(forms):
+        for h, gh in enumerate(prod[g]):
+            t = None if gh is None else tau(g, h)
             if t is None:
                 continue
-            row = [Fraction(0)] * (n + 1)
-            row[g] += 1
-            row[h] += 1
-            row[gh] -= 1
-            row[n] = Fraction(t)
-            eqs.append(row)
-    if not eqs:
-        return (True, {v: Fraction(0) for v in range(n)})
-    reduced, pivots = _rref(eqs)
-    if n in pivots:  # a row reduced to 0 = nonzero
-        return (False, None)
-    f = [Fraction(0)] * n
-    for prow, pcol in enumerate(pivots):
-        f[pcol] = reduced[prow][n]
-    return (True, {v: f[v] for v in range(n)})
+            row = combine(t, (1, form), (1, forms[h]), (-1, forms[gh]))
+            row = combine(0, (1, row), *[(-row[u], basis[u])
+                                         for u in row if u in basis])
+            row = {u: c for u, c in row.items() if c}
+            if not row:
+                continue
+            pivot = max(row)
+            if pivot == RHS:  # 0 = nonzero
+                return (False, None)
+            if row[pivot] != 1:
+                pc = Fraction(row[pivot])
+                row = {u: c / pc for u, c in row.items()}
+            for q, brow in basis.items():
+                if brow.get(pivot):
+                    basis[q] = combine(0, (1, brow), (-brow[pivot], row))
+            basis[pivot] = row
+    value = {u: row.get(RHS, 0) for u, row in basis.items()}
+    value[RHS] = -1
+    return (True, {v: Fraction(sum(c * value.get(u, 0)
+                                   for u, c in form.items()))
+                   for v, form in enumerate(forms)})
 
 
 @dataclass
@@ -163,6 +199,7 @@ def weakly_bounded_report(sigma, ball: GroupBall,
     x, the largest |sigma(g,x)| and |sigma(x,g)| seen.  With a declared
     constant, also reports whether every spread stays within it."""
     letter = {s: ball.evaluate((s,)) for s in ball.symbol_moves()}
+    prod = _product_table(ball)
     right = {}
     left = {}
     for s, lv in letter.items():
@@ -170,10 +207,10 @@ def weakly_bounded_report(sigma, ball: GroupBall,
         l_best = 0
         for g in range(len(ball)):
             val = sigma(g, lv)
-            if val is not None and mul(ball, g, lv) is not None:
+            if val is not None and prod[g][lv] is not None:
                 r_best = max(r_best, abs(val))
             val = sigma(lv, g)
-            if val is not None and mul(ball, lv, g) is not None:
+            if val is not None and prod[lv][g] is not None:
                 l_best = max(l_best, abs(val))
         right[s] = r_best
         left[s] = l_best

@@ -526,10 +526,13 @@ def h1_presentation(k: LinkingMatrix, fillings):
     return (pres, rank_bound, torsion)
 
 
-def kernel_rank_report(k: LinkingMatrix, fillings) -> int:
+def kernel_rank(rank_bound: int, unfilled: int) -> int:
     """Lower bound for the rank of the kernel of restriction to the
     boundary in second cohomology: H_1 free rank bound minus the count
     of surviving boundary tori, floored at zero."""
-    m = k.n - len(fillings)
-    _, rank_bound, _ = h1_presentation(k, fillings)
-    return max(0, rank_bound - m)
+    return max(0, rank_bound - unfilled)
+
+
+def kernel_rank_report(k: LinkingMatrix, fillings) -> int:
+    """kernel_rank of the filled manifold, from its h1_presentation."""
+    return kernel_rank(h1_presentation(k, fillings)[1], k.n - len(fillings))

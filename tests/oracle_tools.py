@@ -255,6 +255,70 @@ def reference_initial_state(ball, delta, h):
 
 
 # ---------------------------------------------------------------------------
+# Coboundary reference for any ball: the dense exact solve the library first
+# used, one Fraction row per defined product pair and one unknown per vertex.
+
+def ball_product(ball, g, h):
+    """g*h by walking the word of h from g; None when it leaves the ball."""
+    v = g
+    for s in ball.words[h]:
+        v = ball.edges[v][s]
+        if v is None:
+            return None
+    return v
+
+
+def _rref(rows):
+    mat = [list(r) for r in rows]
+    pivots = []
+    lead = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        sel = next((r for r in range(lead, len(mat)) if mat[r][col] != 0),
+                   None)
+        if sel is None:
+            continue
+        mat[lead], mat[sel] = mat[sel], mat[lead]
+        inv = 1 / mat[lead][col]
+        mat[lead] = [x * inv for x in mat[lead]]
+        for r in range(len(mat)):
+            if r != lead and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(mat):
+            break
+    return mat, pivots
+
+
+def reference_is_coboundary(tau, ball):
+    """(True, {v: Fraction}) when tau(g,h) = f(g) + f(h) - f(gh) is
+    solvable over every defined in-ball pair, else (False, None)."""
+    n = len(ball)
+    eqs = []
+    for g in range(n):
+        for h in range(n):
+            gh = ball_product(ball, g, h)
+            t = None if gh is None else tau(g, h)
+            if t is None:
+                continue
+            row = [Fraction(0)] * (n + 1)
+            row[g] += 1
+            row[h] += 1
+            row[gh] -= 1
+            row[n] = Fraction(t)
+            eqs.append(row)
+    reduced, pivots = _rref(eqs)
+    if n in pivots:  # a row reduced to 0 = nonzero
+        return (False, None)
+    f = [Fraction(0)] * n
+    for prow, pcol in enumerate(pivots):
+        f[pcol] = reduced[prow][n]
+    return (True, dict(enumerate(f)))
+
+
+# ---------------------------------------------------------------------------
 # synchronous / asynchronous fellow-traveling on the lattice.
 
 def z2_dist(p, q):

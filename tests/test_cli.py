@@ -348,6 +348,27 @@ def test_cocycle_check_finds_violation(tmp_path, zline, capsys):
     assert r["violation"] == ["a", "a", "a"]
 
 
+def test_cocycle_check_heisenberg_radius_8(tmp_path, zz, capsys):
+    radius = 8
+
+    def word(x, y):
+        w = ("a" if x > 0 else "A") * abs(x) + ("b" if y > 0 else "B") * abs(y)
+        return w or "1"
+
+    pts = [(x, y) for x in range(-radius, radius + 1)
+           for y in range(-radius, radius + 1) if abs(x) + abs(y) <= radius]
+    c = tmp_path / "heis.txt"
+    c.write_text("".join(f"{word(*g)} {word(*h)} {g[0] * h[1]}\n"
+                         for g in pts for h in pts))
+    code, rep, _ = run_cli(
+        ["cocycle-check", zz, str(c), "--radius", str(radius)], capsys)
+    assert code == 0
+    r = rep["results"]
+    assert r["cocycle_identity"] is True
+    assert r["coboundary"] is False
+    assert r["spread_constant"] == 7
+
+
 def test_cocycle_file_errors(tmp_path, zline, capsys):
     c = tmp_path / "c.txt"
     c.write_text("a a 1\na a 2\n")

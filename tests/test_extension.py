@@ -14,11 +14,15 @@ from relhyp.electric import (
     ParabolicFamily, RelativePresentation, electric_distances_from,
 )
 from relhyp.extension import (
-    CocycleTable, canonical_section, cocycle_check, is_coboundary_table,
-    isoperimetric_estimate, lambda_bound, maximizing_section,
-    maximizing_words_nonbacktracking_check, mul, relator_twist_bound,
-    section_to_cocycle, spread_trend, weakly_bounded_report,
+    CocycleTable, _product_table, canonical_section, cocycle_check,
+    is_coboundary_table, isoperimetric_estimate, lambda_bound,
+    maximizing_section, maximizing_words_nonbacktracking_check, mul,
+    relator_twist_bound, section_to_cocycle, spread_trend,
+    weakly_bounded_report,
 )
+from relhyp.words import Alphabet, Presentation
+
+from oracle_tools import ball_product, reference_is_coboundary
 
 
 def _zero(g, h):
@@ -261,3 +265,76 @@ def test_cocycle_table_call():
     assert t(0, 1) == 5
     assert t(1, 0) is None
     assert t.coverage == 0.5
+
+
+def _pres(gens, relators):
+    alpha = Alphabet(list(gens))
+    return Presentation(alpha, tuple(alpha.parse(r) for r in relators))
+
+
+Z3 = ("abc", ("abAB", "acAC", "bcBC"))
+
+
+def _exponents(ball, v):
+    """Exponent sum of each generator in the word of v."""
+    vec = [0] * len(ball.generators)
+    for s in ball.word_of(v):
+        vec[s >> 1] += -1 if s & 1 else 1
+    return vec
+
+
+@pytest.mark.parametrize("gens, relators, radius", [
+    ("a", (), 3), ("ab", ("abAB",), 2), (*Z3, 2), ("ab", (), 2),
+])
+def test_coboundary_matches_dense_reference(gens, relators, radius):
+    ball = build_ball(_pres(gens, relators), radius)
+    n = len(ball)
+    rng = random.Random(f"{gens}:{radius}")
+    pairs = [(g, h, ball_product(ball, g, h))
+             for g in range(n) for h in range(n)]
+    pairs = [(g, h, gh) for g, h, gh in pairs if gh is not None]
+    exps = [_exponents(ball, v) for v in range(n)]
+    y = 1 if len(gens) > 1 else 0
+
+    def section():
+        # the coboundary of any rho, so tau(1, h) = rho(1) may be nonzero
+        rho = [rng.randint(-3, 3) for _ in range(n)]
+        return {(g, h): rho[g] + rho[h] - rho[gh] for g, h, gh in pairs}
+
+    # Heisenberg charge x(g) * y(h); on Z it is x(g) * x(h), the
+    # coboundary of -x^2 / 2, which needs a rational f
+    heis = {(g, h): exps[g][0] * exps[h][y] for g, h, _ in pairs}
+    tables = [heis, section(), section()]
+    for keep, base in ((0.8, heis), (0.8, section()), (0.5, section())):
+        # deleted pairs leave some tree pairs undefined
+        tables.append({k: v for k, v in base.items() if rng.random() < keep})
+    tables[-1].pop((0, 0), None)  # f(identity) becomes an unknown
+    for _ in range(3):
+        bumped = section()
+        key = rng.choice(sorted(bumped))
+        bumped[key] += rng.choice((-1, 1))
+        tables.append(bumped)
+    verdicts = set()
+    for i, table in enumerate(tables):
+        tau = CocycleTable(table)
+        ok, f = is_coboundary_table(tau, ball)
+        assert ok == reference_is_coboundary(tau, ball)[0], i
+        verdicts.add(ok)
+        if ok:
+            for g, h, gh in pairs:
+                if (g, h) in table:
+                    assert f[g] + f[h] - f[gh] == table[g, h], (i, g, h)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("gens, relators, radius", [
+    ("ab", ("abAB",), 4), (*Z3, 2), ("ab", (), 3), ("a", (), 6),
+])
+def test_product_table_matches_mul(gens, relators, radius):
+    ball = build_ball(_pres(gens, relators), radius)
+    prod = _product_table(ball)
+    n = len(ball)
+    assert [len(row) for row in prod] == [n] * n
+    for g in range(n):
+        for h in range(n):
+            assert prod[g][h] == mul(ball, g, h), (g, h)
