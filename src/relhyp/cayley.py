@@ -222,10 +222,6 @@ class WordProblemOracle:
                             reason=f"insertion closure exhausted under length cap {cap}")
 
 
-def word_problem(oracle: WordProblemOracle, word: Word) -> OracleResult:
-    return oracle.decide(word)
-
-
 class GroupBall:
     """Ball of a given radius in a Cayley graph.
 
@@ -428,12 +424,12 @@ def ball_to_json(ball: GroupBall) -> str:
             for sym, t in sorted
             ((s, t) for s, t in enumerate(ball.edges[v]) if t is not None)
         ],
-        "sphere_sizes": _sphere_sizes(ball),
+        "sphere_sizes": sphere_sizes(ball),
     }
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _sphere_sizes(ball: GroupBall):
+def sphere_sizes(ball: GroupBall):
     sizes = [0] * (ball.radius + 1)
     for v in range(len(ball)):
         sizes[ball.length_of(v)] += 1

@@ -27,7 +27,9 @@ from fractions import Fraction
 
 from . import __version__
 from .words import Alphabet, Presentation, free_reduce
-from .cayley import OracleBudgetError, OUT_OF_BALL, build_ball, geodesic_words
+from .cayley import (
+    OracleBudgetError, OUT_OF_BALL, build_ball, geodesic_words, sphere_sizes,
+)
 from .electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
     electric_area_upper, electric_distances_from, electric_geodesic,
@@ -36,10 +38,9 @@ from .electric import (
 from .automata import live_states, minimize, prefix_closed
 from .fftp import build_fftp_automaton, neg_electric_height, neg_length_height
 from .cusp import (
-    CuspParams, _dijkstra, _geodesic_path, build_cusp_complex,
-    build_cusped_cayley, clip, deepen_replace, delta_constant,
-    geodesic_length_closed_form, level_bound, measure_thinness, optimal_depth,
-    path_hausdorff,
+    CuspParams, build_cusp_complex, build_cusped_cayley, clip, deepen_replace,
+    delta_constant, geodesic_length_closed_form, geodesic_path, level_bound,
+    measure_thinness, optimal_depth, path_hausdorff,
 )
 from .hyp2 import (
     ideal_isosceles_angle, ideal_midpoint_check, right_triangle_gap,
@@ -366,12 +367,9 @@ def cmd_ball(args):
     rp = _rp_from_args(args)
     ball = build_ball(rp.base, args.radius)
     ab = rp.base.alphabet
-    sphere = [0] * (ball.radius + 1)
-    for v in range(len(ball)):
-        sphere[ball.length_of(v)] += 1
     results = {
         "vertices": len(ball),
-        "sphere_sizes": sphere,
+        "sphere_sizes": sphere_sizes(ball),
         "edge_count": sum(1 for v in range(len(ball))
                           for t in ball.edges[v] if t is not None) // 2,
         "words": [ab.to_str(ball.words[v]) for v in range(len(ball))],
@@ -545,13 +543,12 @@ def cmd_clip_track(args):
     pairs = 0
     for _ in range(args.budget):
         a, b = rng.sample(range(len(gn)), 2)
-        dist_n = _dijkstra(gn.adj, a)
-        if dist_n[b] is None:
+        path_n = geodesic_path(gn.adj, a, b)
+        if path_n is None:
             continue
-        beta = [back[v] for v in _geodesic_path(gn.adj, dist_n, a, b)]
+        beta = [back[v] for v in path_n]
         gamma = deepen_replace(cx, beta, n)
-        dist_full = _dijkstra(cx.adj, back[a])
-        alpha = _geodesic_path(cx.adj, dist_full, back[a], back[b])
+        alpha = geodesic_path(cx.adj, back[a], back[b])
         h = path_hausdorff(cx, gamma, alpha)
         worst = max(worst, h)
         total += h

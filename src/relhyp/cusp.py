@@ -195,6 +195,18 @@ def _dijkstra(adj, src, stop_at=None):
     return dist
 
 
+def geodesic_path(adj, src, dst):
+    """Tie-broken shortest vertex path from src to dst; None when dst is
+    unreachable.  The search stops once dst settles.  That gives the path
+    of a full search while every edge is longer than the 1e-9 tightness
+    tolerance: each tight predecessor is then strictly closer than dst
+    and so already settled."""
+    dist = _dijkstra(adj, src, stop_at=dst)
+    if dist[dst] is None:
+        return None
+    return _geodesic_path(adj, dist, src, dst)
+
+
 def _geodesic_path(adj, dist, src, dst):
     """Walk back from dst along tight edges, smallest vertex id first."""
     path = [dst]
@@ -372,8 +384,7 @@ def deepen_replace(cx: CuspComplex, beta, n: int):
         while j < len(beta) and cx.depth[beta[j]] == n:
             j += 1
         first, last = beta[idx], beta[j - 1]
-        dist = _dijkstra(cx.adj, first)
-        seg = _geodesic_path(cx.adj, dist, first, last)
+        seg = geodesic_path(cx.adj, first, last)
         gamma.extend(seg if not gamma or gamma[-1] != seg[0] else seg[1:])
         idx = j
     return gamma

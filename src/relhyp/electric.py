@@ -18,10 +18,9 @@ import random
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate, groupby
 
-from .cayley import (
-    OUT_OF_BALL, GroupBall, WordProblemOracle, build_ball, distance,
-)
+from .cayley import OUT_OF_BALL, GroupBall, build_ball, distance
 from .words import Presentation, Word, free_reduce, relator_forms, word_inverse
 
 
@@ -163,21 +162,29 @@ def _family_ball(rp: RelativePresentation, fi: int, radius: int) -> GroupBall:
     return build_ball(pres, radius, generators=fam.generators)
 
 
-def _parabolic_runs(rp: RelativePresentation, word: Word):
-    """(family, start, stop) for maximal single-family runs."""
-    runs = []
-    i = 0
-    while i < len(word):
-        fi = rp.family_of_symbol(word[i])
-        if fi is None:
-            i += 1
-            continue
-        j = i
-        while j < len(word) and rp.family_of_symbol(word[j]) == fi:
-            j += 1
-        runs.append((fi, i, j))
-        i = j
-    return runs
+def _reduce_runs(rp: RelativePresentation, word: Word, cache):
+    """Replace each maximal single-family run by its shortlex word in the
+    family ball (cached per family in ``cache``).
+
+    Returns (reduced word, changed); changed lists (start, stop,
+    replacement) for every run whose word changed, with start and stop
+    taken after the replacements to their left, so that applying the
+    list in order turns the word into the reduced word.
+    """
+    out = []
+    changed = []
+    for fi, run in groupby(word, rp.family_of_symbol):
+        seg = tuple(run)
+        if fi is not None:
+            fb = cache.get(fi)
+            if fb is None or fb.radius < len(seg):
+                fb = cache[fi] = _family_ball(rp, fi, len(seg))
+            rep = fb.words[fb.evaluate(seg)]
+            if rep != seg:
+                changed.append((len(out), len(out) + len(seg), rep))
+                seg = rep
+        out.extend(seg)
+    return tuple(out), changed
 
 
 def coset_reduce(ball, rp: RelativePresentation, word: Word,
@@ -189,22 +196,7 @@ def coset_reduce(ball, rp: RelativePresentation, word: Word,
     reduction happens across run boundaries).
     """
     cache = _family_balls if _family_balls is not None else {}
-    out = []
-    last = 0
-    for fi, i, j in _parabolic_runs(rp, word):
-        out.extend(word[last:i])
-        seg = tuple(word[i:j])
-        need = len(seg)
-        fb = cache.get(fi)
-        if fb is None or fb.radius < need:
-            fb = _family_ball(rp, fi, need)
-            cache[fi] = fb
-        v = fb.evaluate(seg)
-        assert v is not OUT_OF_BALL
-        out.extend(fb.words[v])
-        last = j
-    out.extend(word[last:])
-    return tuple(out)
+    return _reduce_runs(rp, word, cache)[0]
 
 
 def _edge_weight(rp: RelativePresentation, sym: int) -> int:
@@ -264,32 +256,21 @@ def is_k_local_electric_geodesic(ball, rp: RelativePresentation, word: Word,
                                  k: int) -> bool:
     """Every subword of electric length <= k realizes the electric distance
     between its endpoint vertices (distances measured inside the ball)."""
-    verts = _prefix_vertices(ball, word)
-    n = len(word)
-    for i in range(n):
-        dist = None
-        run_el = 0
-        for j in range(i + 1, n + 1):
-            run_el += _edge_weight(rp, word[j - 1])
-            if run_el > k:
-                break
-            if dist is None:
-                dist = electric_distances_from(ball, rp, verts[i])
-            if dist[verts[j]] != run_el:
-                return False
-    return True
+    return _first_nongeodesic_segment(ball, rp, word, k) is None
 
 
 def _first_nongeodesic_segment(ball, rp, word, k):
     """Smallest window (then leftmost) with el <= k that fails to be an
     electric geodesic; None when the word is k-locally geodesic."""
     verts = _prefix_vertices(ball, word)
+    prefix_el = list(accumulate((_edge_weight(rp, sym) for sym in word),
+                                initial=0))
     n = len(word)
     dist_cache = {}
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            el = electric_length(rp, word[i:j])
+            el = prefix_el[j] - prefix_el[i]
             if el > k:
                 continue
             if verts[i] not in dist_cache:
@@ -307,24 +288,8 @@ def _canonicalize(rp: RelativePresentation, word: Word, cache) -> Word:
     free letters: free reduction alternated with parabolic run reduction."""
     cur = free_reduce(tuple(word))
     while True:
-        nxt = []
-        last = 0
-        changed = False
-        for fi, i, j in _parabolic_runs(rp, cur):
-            nxt.extend(cur[last:i])
-            seg = tuple(cur[i:j])
-            fb = cache.get(fi)
-            if fb is None or fb.radius < len(seg):
-                fb = _family_ball(rp, fi, len(seg))
-                cache[fi] = fb
-            rep = fb.words[fb.evaluate(seg)]
-            if rep != seg:
-                changed = True
-            nxt.extend(rep)
-            last = j
-        nxt.extend(cur[last:])
-        nxt = free_reduce(tuple(nxt))
-        if nxt == cur and not changed:
+        nxt = free_reduce(_reduce_runs(rp, cur, cache)[0])
+        if nxt == cur:
             return cur
         cur = nxt
 
@@ -410,29 +375,9 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
     moves = []
     total = 0
     while True:
-        reduced = []
-        last = 0
-        for fi, i, j in _parabolic_runs(rp, cur):
-            seg = tuple(cur[i:j])
-            fb = cache.get(fi)
-            if fb is None or fb.radius < len(seg):
-                fb = _family_ball(rp, fi, len(seg))
-                cache[fi] = fb
-            rep = fb.words[fb.evaluate(seg)]
-            if rep != seg:
-                moves.append({"op": "coset-reduce", "start": i, "stop": j,
-                              "replacement": rep})
-            reduced.append((i, j, rep))
-            last = j
-        if reduced:
-            out = []
-            pos = 0
-            for i, j, rep in reduced:
-                out.extend(cur[pos:i])
-                out.extend(rep)
-                pos = j
-            out.extend(cur[pos:])
-            cur = tuple(out)
+        cur, changed = _reduce_runs(rp, cur, cache)
+        moves.extend({"op": "coset-reduce", "start": i, "stop": j,
+                      "replacement": rep} for i, j, rep in changed)
         if not cur:
             break
         seg = _first_nongeodesic_segment(ball, rp, cur, k)
@@ -459,18 +404,16 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
 
 
 def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
-             lam: float = 1.0, eps: float = 0.0, max_radius: int | None = None,
-             identical: bool = False):
+             max_radius: int | None = None, identical: bool = False):
     """Empirical bounded-coset-penetration constants.
 
-    Samples pairs of electric geodesic words (which are (lam, eps)
-    electric quasi-geodesics for any lam >= 1, eps >= 0) whose endpoints
-    are at distance <= 1, and reports the worst gap between first-entry
-    vertices and last-exit vertices over shared cosets, and the worst
-    in-coset travel over cosets only one of the two penetrates.  With
-    ``identical`` the second word of each pair is the first (control row).
+    Samples pairs of electric geodesic words (the (1, 0) case of the
+    paper's electric quasi-geodesics) whose endpoints are at distance
+    <= 1, and reports the worst gap between first-entry vertices and
+    last-exit vertices over shared cosets, and the worst in-coset travel
+    over cosets only one of the two penetrates.  With ``identical`` the
+    second word of each pair is the first (control row).
     """
-    del lam, eps  # interface parameters; sampling stays on true geodesics
     rng = random.Random(seed)
     if max_radius is None:
         max_radius = max(0, ball.radius - 2)

@@ -319,6 +319,29 @@ def reference_is_coboundary(tau, ball):
 
 
 # ---------------------------------------------------------------------------
+# k-local electric geodesic reference for any ball: every window, start-major,
+# one electric distance map per start, as the check was first written.
+
+def reference_is_k_local(ball, rp, word, k):
+    """True when every window of electric length <= k realizes the in-ball
+    electric distance between its endpoints."""
+    from relhyp.electric import electric_distances_from
+    verts = [0]
+    for sym in word:
+        verts.append(ball.edges[verts[-1]][sym])
+    for i in range(len(word)):
+        dist = electric_distances_from(ball, rp, verts[i])
+        el = 0
+        for j in range(i + 1, len(word) + 1):
+            el += rp.family_of_symbol(word[j - 1]) is None
+            if el > k:
+                break
+            if dist[verts[j]] != el:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # synchronous / asynchronous fellow-traveling on the lattice.
 
 def z2_dist(p, q):

@@ -5,7 +5,6 @@ import pytest
 from relhyp.cayley import (
     OUT_OF_BALL, OracleBudgetError, WordProblemOracle, ball_to_json,
     build_ball, distance, geodesic_words, is_geodesic, replay_certificate,
-    word_problem,
 )
 from relhyp.words import Presentation, free_reduce
 
@@ -39,6 +38,7 @@ def test_oracle_free_abelian_certificates(pres_z2):
         assert replay_certificate(w, r.certificate) == ()
     r = o.decide(ab.parse("ab"))
     assert r.is_nontrivial and "abelianization" in r.reason
+    assert o.decide(pres_z2.parse("abAB")).is_trivial
 
 
 def test_oracle_bounded_search():
@@ -57,11 +57,6 @@ def test_oracle_bounded_search():
     assert r.is_nontrivial and "closure" in r.reason
     tiny = WordProblemOracle(p, budget=5)
     assert tiny.decide(alpha.parse("abAB")).status == "unknown"
-
-
-def test_word_problem_wrapper(pres_z2):
-    o = WordProblemOracle(pres_z2)
-    assert word_problem(o, pres_z2.parse("abAB")).is_trivial
 
 
 def test_ball_counts_z2(pres_z2):

@@ -182,14 +182,17 @@ def test_dijkstra_matches_closed_form(ball_z12):
 
 def test_geodesics_decompose_and_level_is_short(ball_z12):
     import random
-    from relhyp.cusp import _dijkstra, _geodesic_path
+    from relhyp.cusp import _dijkstra, _geodesic_path, geodesic_path
     params = CuspParams(3.0, depth_cap=4)
     cx = build_cusp_complex(ball_z12, params)
     rng = random.Random(9)
+    assert geodesic_path([[], []], 0, 1) is None
     for _ in range(60):
         s, t = rng.randrange(len(cx)), rng.randrange(len(cx))
         dist = _dijkstra(cx.adj, s)
         path = _geodesic_path(cx.adj, dist, s, t)
+        # the search that stops at t walks back along the same path
+        assert geodesic_path(cx.adj, s, t) == path
         depths = [cx.depth[v] for v in path]
         dec = decompose_geodesic(depths)
         assert dec is not NOT_DECOMPOSABLE

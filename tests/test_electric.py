@@ -4,6 +4,8 @@ Expected numbers were computed independently in oracle_tools.py (lattice
 coset runs, shoelace areas) before this module existed, then frozen here.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from relhyp.electric import (
     electric_distances_from, electric_geodesic, electric_length,
     is_k_local_electric_geodesic, penetrations,
 )
-from relhyp.words import Presentation, free_reduce, word_inverse
+from relhyp.words import Alphabet, Presentation, free_reduce, word_inverse
+
+from oracle_tools import reference_is_k_local
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +32,22 @@ def rp_z2(pres_z2):
 def rp_f2(pres_f2):
     b_index = pres_f2.alphabet.index("b")
     return RelativePresentation(pres_f2, (ParabolicFamily("P", (b_index,)),))
+
+
+@pytest.fixture(scope="module")
+def rp_z3():
+    # Z^3 relative to <b> and <c>: two parabolic families
+    alpha = Alphabet(["a", "b", "c"])
+    pres = Presentation(alpha, tuple(alpha.parse(t)
+                                     for t in ("abAB", "acAC", "bcBC")))
+    return RelativePresentation(pres, (
+        ParabolicFamily("P", (alpha.index("b"),)),
+        ParabolicFamily("Q", (alpha.index("c"),))))
+
+
+@pytest.fixture(scope="module")
+def ball_z3_6(rp_z3):
+    return build_ball(rp_z3.base, 6)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +187,22 @@ def test_k_local_electric_geodesic(ball_z2_6, rp_z2):
     assert is_k_local_electric_geodesic(ball_z2_6, rp_z2, alpha.parse("abbbA"), 1)
 
 
+def test_k_local_matches_every_window(ball_z2_8_shared, rp_z2_shared,
+                                      ball_z3_6, rp_z3):
+    rng = random.Random(11)
+    verdicts = set()
+    for ball, rp in ((ball_z2_8_shared, rp_z2_shared), (ball_z3_6, rp_z3)):
+        nsym = len(rp.base.alphabet.symbols)
+        for _ in range(40):
+            w = tuple(rng.randrange(nsym)
+                      for _ in range(rng.randint(0, ball.radius)))
+            for k in (1, 2, 3):
+                got = is_k_local_electric_geodesic(ball, rp, w, k)
+                assert got == reference_is_k_local(ball, rp, w, k), (w, k)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def _commutator(alpha, n):
     a = alpha.parse("a")
     b = alpha.parse("b") * n
@@ -241,6 +277,26 @@ def test_electric_area_upper_certificate_replays(ball_z2_6, rp_z2):
         assert got is not None
         bound, moves = got
         _replay(ball_z2_6, rp_z2, w, bound, moves)
+
+
+def test_electric_area_upper_replays_two_family_loops(ball_z3_6, rp_z3):
+    alpha = rp_z3.base.alphabet
+    rng = random.Random(5)
+    ops = set()
+    for _ in range(12):
+        # a loop of length 6 that uses both parabolic letters
+        half = [alpha.index("b"), alpha.index("c"), rng.randrange(6)]
+        w = half + [s ^ 1 for s in half]
+        rng.shuffle(w)
+        w = tuple(w)
+        got = electric_area_upper(ball_z3_6, rp_z3, w, k=2)
+        assert got is not None
+        bound, moves = got
+        _replay(ball_z3_6, rp_z3, w, bound, moves)
+        exact = electric_area_exact(rp_z3, w, bound)
+        assert exact is not None and exact <= bound
+        ops.update(m["op"] for m in moves)
+    assert ops == {"coset-reduce", "length-reduce", "terminal-loop"}
 
 
 def test_electric_area_upper_rejects_nonloops(ball_z2_6, rp_z2):

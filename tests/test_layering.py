@@ -1,0 +1,23 @@
+"""No module of the package imports another module's private names."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "relhyp"
+
+
+def _private_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield (f"{path.name}:{node.lineno}: "
+                           f"from .{node.module} import {alias.name}")
+
+
+def test_no_private_name_imported_across_modules():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in _private_imports(path)]
+    assert found == []
