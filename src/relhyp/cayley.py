@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import (
-    Alphabet, Presentation, Word, abelianization, free_reduce, relator_forms,
+    Presentation, Word, abelianization, free_reduce, relator_forms,
     word_inverse,
 )
 
@@ -267,6 +267,17 @@ class GroupBall:
                 return OUT_OF_BALL
         return v
 
+    def prefix_vertices(self, word: Word) -> list:
+        """Vertices of every prefix of the word, from the identity on;
+        ValueError when a prefix leaves the ball."""
+        verts = [0]
+        for sym in word:
+            v = self.edges[verts[-1]][sym]
+            if v is None:
+                raise ValueError("word leaves the ball; grow the radius")
+            verts.append(v)
+        return verts
+
     def neighbours(self, v: int):
         for sym in self.symbol_moves():
             t = self.edges[v][sym]
@@ -309,7 +320,10 @@ def build_ball(presentation: Presentation, radius: int,
         hi = min(len(levels) - 1, parent_level + 1)
         for lvl in range(lo, hi + 1):
             for v in levels[lvl]:
-                if abelianization(ab, ball.words[v]) != vec:
+                # equal elements may differ in exponents by any lattice vector
+                diff = [x - y for x, y in
+                        zip(vec, abelianization(ab, ball.words[v]))]
+                if not _lattice_member(oracle.rel_ab, diff):
                     continue
                 ans = oracle.decide_equal(candidate, ball.words[v])
                 if ans.status == "unknown":

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -68,6 +69,9 @@ class PresentationParseError(UsageError):
 
 # ---------------------------------------------------------------- files
 
+_TOKEN = re.compile(r"\S+")   # a whitespace-separated token, as str.split
+
+
 def parse_presentation(text: str) -> RelativePresentation:
     """Parse the sectioned presentation format; symbol order = file order."""
     gens: list = []
@@ -110,11 +114,8 @@ def parse_presentation(text: str) -> RelativePresentation:
             col = len(line) - len(line.lstrip()) + 1
             raise PresentationParseError("content before any section header",
                                          ln, col)
-        # tokenize the remainder with column positions
-        pos = len(line) - len(rest)
-        for tok in rest.split():
-            col = line.index(tok, pos) + 1
-            pos = col - 1 + len(tok)
+        for m in _TOKEN.finditer(line, len(line) - len(rest)):
+            tok, col = m.group(), m.start() + 1
             if section == "generators":
                 if not (tok.isalpha() and tok.islower() and len(tok) == 1):
                     raise PresentationParseError(
@@ -213,12 +214,8 @@ def parse_matrix_file(text: str):
         line = lines[ln].split("#", 1)[0]
         if not line.strip():
             continue
-        row = []
-        pos = 0
-        for tok in line.split():
-            col = line.index(tok, pos) + 1
-            pos = col - 1 + len(tok)
-            row.append(_parse_entry(tok, ln + 1, col))
+        row = [_parse_entry(m.group(), ln + 1, m.start() + 1)
+               for m in _TOKEN.finditer(line)]
         if len(row) != ncols:
             raise UsageError(
                 f"line {ln + 1}: expected {ncols} entries, got {len(row)}")
@@ -331,8 +328,12 @@ def _load(path: str) -> str:
         raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _rp_from_args(args) -> RelativePresentation:
-    return parse_presentation(_load(args.presentation))
+def _rp_from_args(args, families=False) -> RelativePresentation:
+    """The parsed presentation; families=True requires a parabolic family."""
+    rp = parse_presentation(_load(args.presentation))
+    if families and not rp.families:
+        raise UsageError(f"{args.command} needs at least one parabolic family")
+    return rp
 
 
 def _parse_word(rp: RelativePresentation, text: str):
@@ -344,18 +345,26 @@ def _parse_word(rp: RelativePresentation, text: str):
         raise UsageError(str(e)) from None
 
 
-def _cusp_params(args, need_cap=None) -> CuspParams:
-    cap = args.depth_cap
-    if cap is None:
-        cap = 4 if need_cap is None else need_cap
+def _ball(rp: RelativePresentation, radius, derived=None):
+    """The presentation's ball at radius, or at derived when radius is None."""
+    return build_ball(rp.base, derived if radius is None else radius)
+
+
+def _inputs(rp: RelativePresentation, radius: int, **extra) -> dict:
+    """The report's echo of the presentation and radius, plus extra keys."""
+    return {"presentation": serialize_presentation(rp), "radius": radius,
+            **extra}
+
+
+def _cusp_params(args) -> CuspParams:
+    cap = 4 if args.depth_cap is None else args.depth_cap
     return CuspParams(args.psi, args.omega, depth_cap=cap)
 
 
-def _build_complex(rp: RelativePresentation, radius: int, params: CuspParams):
-    ball = build_ball(rp.base, radius)
+def _cusp_complex(rp: RelativePresentation, radius: int, params: CuspParams):
     if rp.families:
-        return ball, build_cusped_cayley(ball, rp, params)
-    return ball, build_cusp_complex(ball, params)
+        return build_cusped_cayley(_ball(rp, radius), rp, params)
+    return build_cusp_complex(_ball(rp, radius), params)
 
 
 def _params_echo(params: CuspParams) -> dict:
@@ -365,7 +374,7 @@ def _params_echo(params: CuspParams) -> dict:
 
 def cmd_ball(args):
     rp = _rp_from_args(args)
-    ball = build_ball(rp.base, args.radius)
+    ball = _ball(rp, args.radius)
     ab = rp.base.alphabet
     results = {
         "vertices": len(ball),
@@ -374,20 +383,17 @@ def cmd_ball(args):
                           for t in ball.edges[v] if t is not None) // 2,
         "words": [ab.to_str(ball.words[v]) for v in range(len(ball))],
     }
-    inputs = {"presentation": serialize_presentation(rp),
-              "radius": args.radius}
-    return results, inputs, (f"ball: {len(ball)} vertices at radius "
-                             f"{args.radius}")
+    return results, _inputs(rp, args.radius), (
+        f"ball: {len(ball)} vertices at radius {args.radius}")
 
 
 def cmd_geodesics(args):
     rp = _rp_from_args(args)
     word = _parse_word(rp, args.word)
-    radius = args.radius if args.radius is not None else len(word)
-    ball = build_ball(rp.base, radius)
+    ball = _ball(rp, args.radius, len(word))
     v = ball.evaluate(word)
     if v is OUT_OF_BALL:
-        raise ValueError(f"word leaves the radius-{radius} ball; "
+        raise ValueError(f"word leaves the radius-{ball.radius} ball; "
                          f"raise --radius")
     ab = rp.base.alphabet
     words = geodesic_words(ball, v)
@@ -403,16 +409,14 @@ def cmd_geodesics(args):
         results["electric_length"] = electric_length(rp, word)
         results["electric_distance"] = electric_distances_from(ball, rp, 0)[v]
         results["electric_geodesic"] = ab.to_str(electric_geodesic(ball, rp, v))
-    inputs = {"presentation": serialize_presentation(rp), "word": args.word,
-              "radius": radius, "budget": args.budget}
+    inputs = _inputs(rp, ball.radius, word=args.word, budget=args.budget)
     return results, inputs, (f"geodesics: {len(words)} words of length "
                              f"{ball.length_of(v)} for {args.word!r}")
 
 
 def cmd_fftp_automaton(args):
     rp = _rp_from_args(args)
-    radius = args.radius if args.radius is not None else args.delta + 1
-    ball = build_ball(rp.base, radius)
+    ball = _ball(rp, args.radius, args.delta + 1)
     h = neg_electric_height(rp) if rp.families else neg_length_height(
         rp.base.alphabet)
     dfa = build_fftp_automaton(ball, args.delta, h)
@@ -430,19 +434,15 @@ def cmd_fftp_automaton(args):
         "accept": sorted(small.accept),
         "transitions": [list(row) for row in small.transitions],
     }
-    inputs = {"presentation": serialize_presentation(rp),
-              "delta": args.delta, "radius": radius}
+    inputs = _inputs(rp, ball.radius, delta=args.delta)
     return results, inputs, (f"fftp-automaton: {small.n} states minimized "
                              f"({len(live)} live), delta={args.delta}")
 
 
 def cmd_electric_area(args):
-    rp = _rp_from_args(args)
-    if not rp.families:
-        raise UsageError("electric-area needs at least one parabolic family")
+    rp = _rp_from_args(args, families=True)
     word = _parse_word(rp, args.word)
-    radius = args.radius if args.radius is not None else max(len(word), 4)
-    ball = build_ball(rp.base, radius)
+    ball = _ball(rp, args.radius, max(len(word), 4))
     exact = electric_area_exact(rp, word, args.budget)
     upper = electric_area_upper(ball, rp, word, k=2)
     bound, moves = (upper if upper is not None else (None, None))
@@ -454,17 +454,14 @@ def cmd_electric_area(args):
         "upper_moves": len(moves) if moves is not None else None,
         "insertion_budget": args.budget,
     }
-    inputs = {"presentation": serialize_presentation(rp), "word": args.word,
-              "radius": radius, "budget": args.budget}
+    inputs = _inputs(rp, ball.radius, word=args.word, budget=args.budget)
     return results, inputs, (f"electric-area: exact={exact} upper={bound} "
                              f"for {args.word!r}")
 
 
 def cmd_bcp_scan(args):
-    rp = _rp_from_args(args)
-    if not rp.families:
-        raise UsageError("bcp-scan needs at least one parabolic family")
-    ball = build_ball(rp.base, args.radius)
+    rp = _rp_from_args(args, families=True)
+    ball = _ball(rp, args.radius)
     scan = bcp_scan(ball, rp, args.budget, args.seed,
                     identical=args.identical)
     constant = max(scan["max_entry_gap"], scan["max_exit_gap"],
@@ -472,8 +469,7 @@ def cmd_bcp_scan(args):
     results = dict(scan)
     results["constant"] = constant
     results["identical_control"] = args.identical
-    inputs = {"presentation": serialize_presentation(rp),
-              "radius": args.radius, "samples": args.budget}
+    inputs = _inputs(rp, args.radius, samples=args.budget)
     return results, inputs, (f"bcp-scan: constant {constant} over "
                              f"{scan['pairs']} pairs ({scan['skipped']} skipped)")
 
@@ -509,7 +505,7 @@ def cmd_cusp_distance(args):
 def cmd_thinness(args):
     rp = _rp_from_args(args)
     params = _cusp_params(args)
-    ball, cx = _build_complex(rp, args.radius, params)
+    cx = _cusp_complex(rp, args.radius, params)
     delta_hat = measure_thinness(cx.adj, args.budget, args.seed)
     bound = delta_constant(params)
     results = {
@@ -521,9 +517,8 @@ def cmd_thinness(args):
         "samples": args.budget,
         "cusped_cayley": bool(rp.families),
     }
-    inputs = {"presentation": serialize_presentation(rp),
-              "radius": args.radius, "samples": args.budget,
-              **_params_echo(params)}
+    inputs = _inputs(rp, args.radius, samples=args.budget,
+                     **_params_echo(params))
     return results, inputs, (f"thinness: delta-hat {delta_hat:.4g} vs bound "
                              f"{bound:.4g} over {args.budget} triples")
 
@@ -534,7 +529,7 @@ def cmd_clip_track(args):
     n = args.clip_depth
     if n < 0 or n > params.depth_cap:
         raise UsageError(f"clip depth must lie in [0, {params.depth_cap}]")
-    ball, cx = _build_complex(rp, args.radius, params)
+    cx = _cusp_complex(rp, args.radius, params)
     gn = clip(cx, n)
     back = {v: cx.ids[gn.keys[v]] for v in range(len(gn))}
     rng = random.Random(args.seed)
@@ -561,9 +556,8 @@ def cmd_clip_track(args):
         "clipped_vertices": len(gn),
         "full_vertices": len(cx),
     }
-    inputs = {"presentation": serialize_presentation(rp),
-              "radius": args.radius, "clip_depth": n, "pairs": args.budget,
-              **_params_echo(params)}
+    inputs = _inputs(rp, args.radius, clip_depth=n, pairs=args.budget,
+                     **_params_echo(params))
     return results, inputs, (f"clip-track: max Hausdorff {worst:.4g} over "
                              f"{pairs} pairs at clip depth {n}")
 
@@ -660,7 +654,7 @@ def cmd_dehn_fill(args):
 
 def cmd_cocycle_check(args):
     rp = _rp_from_args(args)
-    ball = build_ball(rp.base, args.radius)
+    ball = _ball(rp, args.radius)
     table = parse_cocycle_file(_load(args.cocycle), rp, ball)
     n = len(ball)
     sigma = CocycleTable(table, coverage=len(table) / (n * n) if n else 0.0)
@@ -678,8 +672,7 @@ def cmd_cocycle_check(args):
         "spread_right": {ab.symbols[s]: m for s, m in sorted(spread.right.items())},
         "spread_left": {ab.symbols[s]: m for s, m in sorted(spread.left.items())},
     }
-    inputs = {"presentation": serialize_presentation(rp),
-              "radius": args.radius, "pairs": len(table)}
+    inputs = _inputs(rp, args.radius, pairs=len(table))
     verdict = "identity holds" if ok else "identity FAILS"
     cb = "coboundary" if coboundary else "not a coboundary"
     return results, inputs, (f"cocycle-check: {verdict}, {cb}, "
@@ -688,123 +681,89 @@ def cmd_cocycle_check(args):
 
 # ----------------------------------------------------------------- main
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="relhyp",
-        description="Discrete machinery for relatively hyperbolic groups.")
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
+                budget=None):
+    """Add the subcommand that cmd_<name> runs, with its shared flags.
 
-    def common(p, seed=False, budget=None):
-        p.add_argument("--seed", type=int, default=0 if seed else None,
-                       help="RNG seed; same seed, same bytes out")
-        if budget is not None:
-            p.add_argument("--budget", type=int, default=budget,
-                           help=f"work cap (default {budget})")
-
-    def cusp_flags(p):
+    A radius (an int default, or a str saying how the command derives
+    it) brings the presentation positional and --radius; cusp brings
+    --psi, --omega and --depth-cap; seed is the --seed default; a budget
+    brings --budget with that default.
+    """
+    p = sub.add_parser(name, help=summary)
+    # looked up on every call, so that a rebound cli.cmd_<name> is the one run
+    p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+    if radius is not None:
+        p.add_argument("presentation",
+                       help="presentation file (format in README)")
+        derived = isinstance(radius, str)
+        p.add_argument("--radius", type=int,
+                       default=None if derived else radius,
+                       help=(f"ball radius (default: {radius})" if derived
+                             else f"ball radius (default {radius})"))
+    if cusp:
         p.add_argument("--psi", type=float, default=3.0,
                        help="horizontal shrink factor per depth (default 3)")
         p.add_argument("--omega", type=float, default=None,
                        help="vertical scale (default 1/psi)")
         p.add_argument("--depth-cap", type=int, default=None,
                        help="maximum depth of the complex")
+    p.add_argument("--seed", type=int, default=seed,
+                   help="RNG seed; same seed, same bytes out")
+    if budget is not None:
+        p.add_argument("--budget", type=int, default=budget,
+                       help=f"work cap (default {budget})")
+    return p
 
-    p = sub.add_parser("ball", help="enumerate a Cayley ball")
-    p.add_argument("presentation", help="presentation file (format in README)")
-    p.add_argument("--radius", type=int, default=3,
-                   help="ball radius (default 3)")
-    common(p)
-    p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("geodesics", help="all geodesic words of an element")
-    p.add_argument("presentation", help="presentation file (format in README)")
-    p.add_argument("word", help="word in the generators, or 1 for the identity")
-    p.add_argument("--radius", type=int, default=None,
-                   help="ball radius (default: word length)")
-    common(p, budget=1000)
-    p.set_defaults(func=cmd_geodesics)
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="relhyp",
+        description="Discrete machinery for relatively hyperbolic groups.")
+    top.add_argument("--version", action="version", version=__version__)
+    sub = top.add_subparsers(dest="command", required=True)
+    word_help = "word in the generators, or 1 for the identity"
 
-    p = sub.add_parser("fftp-automaton",
-                       help="build the fellow-traveler word acceptor")
-    p.add_argument("presentation", help="presentation file (format in README)")
+    _subcommand(sub, "ball", "enumerate a Cayley ball", radius=3)
+    p = _subcommand(sub, "geodesics", "all geodesic words of an element",
+                    radius="word length", budget=1000)
+    p.add_argument("word", help=word_help)
+    p = _subcommand(sub, "fftp-automaton",
+                    "build the fellow-traveler word acceptor",
+                    radius="delta + 1")
     p.add_argument("--delta", type=int, default=2,
                    help="fellow-traveler distance bound (default 2)")
-    p.add_argument("--radius", type=int, default=None,
-                   help="ball radius (default: delta + 1)")
-    common(p)
-    p.set_defaults(func=cmd_fftp_automaton)
-
-    p = sub.add_parser("electric-area",
-                       help="exact and certified-upper electric area of a loop")
-    p.add_argument("presentation", help="presentation file (format in README)")
-    p.add_argument("word", help="word in the generators, or 1 for the identity")
-    p.add_argument("--radius", type=int, default=None,
-                   help="ball radius (default: word length)")
-    common(p, budget=8)
-    p.set_defaults(func=cmd_electric_area)
-
-    p = sub.add_parser("bcp-scan",
-                       help="empirical bounded-coset-penetration constants")
-    p.add_argument("presentation", help="presentation file (format in README)")
-    p.add_argument("--radius", type=int, default=6,
-                   help="ball radius (default 6)")
+    p = _subcommand(sub, "electric-area",
+                    "exact and certified-upper electric area of a loop",
+                    radius="word length", budget=8)
+    p.add_argument("word", help=word_help)
+    p = _subcommand(sub, "bcp-scan",
+                    "empirical bounded-coset-penetration constants",
+                    radius=6, seed=0, budget=200)
     p.add_argument("--identical", action="store_true",
                    help="control run: compare each geodesic with itself")
-    common(p, seed=True, budget=200)
-    p.set_defaults(func=cmd_bcp_scan)
-
-    p = sub.add_parser("cusp-distance",
-                       help="closed-form cusp geodesic length")
+    p = _subcommand(sub, "cusp-distance", "closed-form cusp geodesic length",
+                    cusp=True)
     p.add_argument("shadow_length", type=float,
                    help="horizontal separation measured at depth 0")
     p.add_argument("depth_i", type=int, help="depth of the first endpoint")
     p.add_argument("depth_k", type=int, help="depth of the second endpoint")
-    cusp_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_cusp_distance)
-
-    p = sub.add_parser("thinness",
-                       help="measure thin-triangle delta on a cusp complex")
-    p.add_argument("presentation", help="presentation file (format in README)")
-    p.add_argument("--radius", type=int, default=6,
-                   help="ball radius (default 6)")
-    cusp_flags(p)
-    common(p, seed=True, budget=300)
-    p.set_defaults(func=cmd_thinness)
-
-    p = sub.add_parser("clip-track",
-                       help="clipped-geodesic tracking against full geodesics")
-    p.add_argument("presentation", help="presentation file (format in README)")
+    _subcommand(sub, "thinness", "measure thin-triangle delta on a cusp complex",
+                radius=6, cusp=True, seed=0, budget=300)
+    p = _subcommand(sub, "clip-track",
+                    "clipped-geodesic tracking against full geodesics",
+                    radius=6, cusp=True, seed=0, budget=20)
     p.add_argument("clip_depth", type=int,
                    help="keep vertices at depth <= this")
-    p.add_argument("--radius", type=int, default=6,
-                   help="ball radius (default 6)")
-    cusp_flags(p)
-    common(p, seed=True, budget=20)
-    p.set_defaults(func=cmd_clip_track)
-
-    p = sub.add_parser("hyp2-check",
-                       help="run the half-plane inequality sweeps")
-    common(p)
-    p.set_defaults(func=cmd_hyp2_check)
-
-    p = sub.add_parser("dehn-fill",
-                       help="filling matrix, nullity certificate, H1 bounds")
+    _subcommand(sub, "hyp2-check", "run the half-plane inequality sweeps")
+    p = _subcommand(sub, "dehn-fill",
+                    "filling matrix, nullity certificate, H1 bounds")
     p.add_argument("linking_matrix", help='matrix file: "rows cols" header')
     p.add_argument("slopes", help='slope file: "u/v", "u" or "*" per line')
-    common(p)
-    p.set_defaults(func=cmd_dehn_fill)
-
-    p = sub.add_parser("cocycle-check",
-                       help="cocycle identity, coboundary test, spread report")
-    p.add_argument("presentation", help="presentation file (format in README)")
+    p = _subcommand(sub, "cocycle-check",
+                    "cocycle identity, coboundary test, spread report",
+                    radius=4)
     p.add_argument("cocycle", help='triples file: "g-word h-word value"')
-    p.add_argument("--radius", type=int, default=4,
-                   help="ball radius (default 4)")
-    common(p)
-    p.set_defaults(func=cmd_cocycle_check)
-
     return top
 
 
@@ -826,7 +785,7 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "version": __version__,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "inputs": inputs,
         "results": results,
     }

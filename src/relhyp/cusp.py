@@ -198,9 +198,9 @@ def _dijkstra(adj, src, stop_at=None):
 def geodesic_path(adj, src, dst):
     """Tie-broken shortest vertex path from src to dst; None when dst is
     unreachable.  The search stops once dst settles.  That gives the path
-    of a full search while every edge is longer than the 1e-9 tightness
-    tolerance: each tight predecessor is then strictly closer than dst
-    and so already settled."""
+    of a full search while every edge is longer than twice the 1e-9
+    tightness tolerance: each tight predecessor is then strictly closer
+    than dst and so already settled."""
     dist = _dijkstra(adj, src, stop_at=dst)
     if dist[dst] is None:
         return None
@@ -208,13 +208,15 @@ def geodesic_path(adj, src, dst):
 
 
 def _geodesic_path(adj, dist, src, dst):
-    """Walk back from dst along tight edges, smallest vertex id first."""
+    """Walk back from dst along tight edges, smallest vertex id first.
+    Each step must strictly lower dist, so near-zero edges cannot cycle."""
     path = [dst]
     cur = dst
     while cur != src:
         best = None
         for y, w in adj[cur]:
-            if dist[y] is not None and abs(dist[y] + w - dist[cur]) < 1e-9:
+            if (dist[y] is not None and dist[y] < dist[cur]
+                    and abs(dist[y] + w - dist[cur]) < 1e-9):
                 if best is None or y < best:
                     best = y
         if best is None:

@@ -109,17 +109,6 @@ def coset_table(ball: GroupBall, rp: RelativePresentation):
 Penetration = namedtuple("Penetration", "family coset enter leave")
 
 
-def _prefix_vertices(ball: GroupBall, word: Word):
-    verts = [0]
-    v = 0
-    for sym in word:
-        v = ball.edges[v][sym]
-        if v is None:
-            raise ValueError("word leaves the ball; grow the radius")
-        verts.append(v)
-    return verts
-
-
 def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
                  table=None) -> list:
     """Maximal coset visits along the prefix path, per family, in time order.
@@ -130,7 +119,7 @@ def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
     """
     if table is None:
         table = coset_table(ball, rp)
-    verts = _prefix_vertices(ball, word)
+    verts = ball.prefix_vertices(word)
     out = []
     for fi in range(len(rp.families)):
         runs = []
@@ -262,7 +251,7 @@ def is_k_local_electric_geodesic(ball, rp: RelativePresentation, word: Word,
 def _first_nongeodesic_segment(ball, rp, word, k):
     """Smallest window (then leftmost) with el <= k that fails to be an
     electric geodesic; None when the word is k-locally geodesic."""
-    verts = _prefix_vertices(ball, word)
+    verts = ball.prefix_vertices(word)
     prefix_el = list(accumulate((_edge_weight(rp, sym) for sym in word),
                                 initial=0))
     n = len(word)
@@ -389,7 +378,7 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
             moves.append({"op": "terminal-loop", "word": cur, "cost": cost})
             break
         i, j = seg
-        verts = _prefix_vertices(ball, cur)
+        verts = ball.prefix_vertices(cur)
         tree = electric_geodesic_tree(ball, rp, verts[i])
         xi = tree[verts[j]][1]
         loop = free_reduce(tuple(cur[i:j]) + word_inverse(xi))
@@ -434,8 +423,8 @@ def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
         w1, w2 = tree[g][1], tree[h][1]
         pens1 = penetrations(ball, rp, w1, table)
         pens2 = penetrations(ball, rp, w2, table)
-        verts1 = _prefix_vertices(ball, w1)
-        verts2 = _prefix_vertices(ball, w2)
+        verts1 = ball.prefix_vertices(w1)
+        verts2 = ball.prefix_vertices(w2)
         by1 = {}
         for p in pens1:
             by1.setdefault((p.family, p.coset), []).append(p)

@@ -32,7 +32,7 @@ class HeightFunction:
     """Integer-valued word score with the structural flags the acceptor
     construction relies on.
 
-    letter_values drives the fast kernel path for additive heights;
+    letter_values drives the kernel for additive heights;
     element_function marks a score that only depends on the evaluated
     group element (every word is then maximizing).  K is a strict bound
     on |H(w) - H(wx)|.
@@ -41,7 +41,6 @@ class HeightFunction:
     K: int
     additive: bool = False
     right_order_preserving: bool = False
-    left_order_preserving: bool = False
     strongly_translation_invariant: bool = False
     element_function: bool = False
     letter_values: dict | None = None
@@ -57,7 +56,6 @@ def neg_length_height(alphabet) -> HeightFunction:
         K=2,
         additive=True,
         right_order_preserving=True,
-        left_order_preserving=True,
         strongly_translation_invariant=True,
         letter_values={s: -1 for s in range(len(alphabet.symbols))},
     )
@@ -73,7 +71,6 @@ def neg_electric_height(rp, scale: int = 1) -> HeightFunction:
         K=scale + 1,
         additive=True,
         right_order_preserving=True,
-        left_order_preserving=True,
         strongly_translation_invariant=True,
         letter_values=values,
     )
@@ -163,28 +160,6 @@ def _nonpositive_additive(h: HeightFunction) -> bool:
             and all(val <= 0 for val in h.letter_values.values()))
 
 
-def _inf_simple_paths(ball, allowed, src, dst, score, step_cap):
-    """Exact inf of ``score(word)`` over injective paths src -> dst in
-    ``allowed``.  Exponential; meant for small delta-balls only."""
-    best = None
-    steps = 0
-    stack = [(src, (), {src})]
-    while stack:
-        v, word, seen = stack.pop()
-        steps += 1
-        if steps > step_cap:
-            raise RuntimeError(
-                f"simple-path enumeration exceeded {step_cap} steps")
-        if v == dst:
-            val = score(word)
-            if best is None or val < best:
-                best = val
-        for sym, t in ball.neighbours(v):
-            if t in allowed and t not in seen:
-                stack.append((t, word + (sym,), seen | {t}))
-    return best
-
-
 def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     """Per-letter table T[x][g][h] of best competitor continuations.
 
@@ -193,14 +168,18 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     of the delta-balls at 1 and at x; +inf (math.inf) when no path exists.
     Indices follow sorted(delta-ball vertices).
 
-    Cost: for an additive height with nonpositive letter values, and for
-    an element function (reachability only), one shortest-path run per
-    (letter x, g) over the union of the two delta-balls fills the whole
-    row T[x][g].  Any other height enumerates the simple paths of every
-    entry, which is exponential in delta.
+    The height must be additive with nonpositive ``letter_values`` or an
+    element function (reachability only); any other raises ValueError.
+
+    Cost: one shortest-path run per (letter x, g) over the union of the
+    two delta-balls fills the whole row T[x][g].
     """
     if not h.strongly_translation_invariant:
         raise ValueError("kernel needs a strongly translation invariant height")
+    additive = _nonpositive_additive(h)
+    if not (additive or h.element_function):
+        raise ValueError("kernel needs an additive height with nonpositive "
+                         "letter_values, or an element function")
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if ball.radius < delta + 1:
@@ -208,12 +187,10 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     bdelta = sorted(ball_b_delta(ball, delta))
     zwords = {v: ball.words[v] for v in bdelta}
     inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
-    n = len(bdelta)
     symbols = range(len(ball.presentation.alphabet.symbols))
-    fast = _nonpositive_additive(h)
-    if fast:
+    if additive:
         heights = [h(zwords[v]) for v in bdelta]
-    elif h.element_function:
+    else:
         zero = dict.fromkeys(symbols, 0)
         reached = h(())
     around_1 = _ball_around(ball, 0, delta)
@@ -225,47 +202,30 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
         table = []
         for gi, g in enumerate(bdelta):
             src = inv_vertex[g]
-            if fast:
+            if additive:
                 cost = _path_costs(ball, allowed, h.letter_values, src)
                 base = h((x,)) + heights[gi]
                 table.append([base - hh + cost[dst] if dst in cost
                               else math.inf
                               for hh, dst in zip(heights, dsts)])
-            elif h.element_function:
+            else:
                 cost = _path_costs(ball, allowed, zero, src)
                 table.append([reached if dst in cost else math.inf
                               for dst in dsts])
-            else:
-                zg = zwords[g]
-                pre = word_inverse(zg)
-                row = [math.inf] * n
-                for hi, hv in enumerate(bdelta):
-                    post = zwords[hv]
-                    val = _inf_simple_paths(
-                        ball, allowed, src, dsts[hi],
-                        lambda w: h((x,)) - h(pre + w + post) + h(zg + pre),
-                        step_cap=(2 * delta + 1) * max(1, n) * 4000)
-                    if val is not None:
-                        row[hi] = val
-                table.append(row)
         tables[x] = table
     return {"order": bdelta, "table": tables}
 
 
 def _initial_state(ball, delta, h, bdelta, zwords, inv_vertex):
     """Deficit vector of the empty word: competitors are the words that
-    stay inside the delta-ball.  None marks an unreachable coordinate."""
+    stay inside the delta-ball.  None marks an unreachable coordinate.
+    Heights are those ``transition_kernel`` accepts."""
+    if not _nonpositive_additive(h):
+        return [0] * len(bdelta)  # element function
     allowed = _ball_around(ball, 0, delta)
-    if _nonpositive_additive(h):
-        cost = _path_costs(ball, allowed, h.letter_values, 0)
-        return [h(()) + cost[inv_vertex[g]] - h(zwords[g])
-                if inv_vertex[g] in cost else None for g in bdelta]
-    if h.element_function:
-        return [0] * len(bdelta)
-    return [_inf_simple_paths(ball, allowed, 0, inv_vertex[g],
-                              lambda w: h(()) - h(w + zwords[g]),
-                              step_cap=len(allowed) * 4000)
-            for g in bdelta]
+    cost = _path_costs(ball, allowed, h.letter_values, 0)
+    return [h(()) + cost[inv_vertex[g]] - h(zwords[g])
+            if inv_vertex[g] in cost else None for g in bdelta]
 
 
 def _min_plus_step(cur, columns, top):
@@ -393,18 +353,8 @@ def fellow_travel_check(ball: GroupBall, w1: Word, w2: Word,
     matched-prefix distance, by bottleneck dynamic programming on the
     prefix grid.
     """
-    verts1 = [0]
-    for s in w1:
-        v = ball.edges[verts1[-1]][s]
-        if v is None:
-            raise ValueError("first word leaves the ball")
-        verts1.append(v)
-    verts2 = [0]
-    for s in w2:
-        v = ball.edges[verts2[-1]][s]
-        if v is None:
-            raise ValueError("second word leaves the ball")
-        verts2.append(v)
+    verts1 = ball.prefix_vertices(w1)
+    verts2 = ball.prefix_vertices(w2)
     dtab = _pair_distances(ball, verts1, verts2)
     if mode == "sync":
         worst = 0

@@ -8,7 +8,7 @@ words is (length, symbol index sequence) with that symbol order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Word = tuple[int, ...]
 

@@ -81,6 +81,46 @@ def f2_is_geodesic(word):
 
 
 # ---------------------------------------------------------------------------
+# groups with torsion, by explicit normal forms.  Z/3 x Z = <a,b | a^3, [a,b]>
+# is the pair (a-exponent mod 3, b-exponent); Z/2 * Z/3 = <a,b | a^2, b^3> is
+# its alternating syllable sequence, each syllable (letter, exponent mod order).
+
+def z3xz_eval(word):
+    i = sum(1 if c == "a" else -1 for c in word if c in "aA") % 3
+    j = sum(1 if c == "b" else -1 for c in word if c in "bB")
+    return i, j
+
+
+def z2freez3_eval(word):
+    order = {"a": 2, "b": 3}
+    out = []
+    for c in word:
+        gen = c.lower()
+        step = 1 if c == gen else -1
+        if out and out[-1][0] == gen:
+            e = (out[-1][1] + step) % order[gen]
+            if e:
+                out[-1] = (gen, e)
+            else:
+                out.pop()
+        else:
+            out.append((gen, step % order[gen]))
+    return tuple(out)
+
+
+def lengths_by_enumeration(evaluate, radius, letters="aAbB"):
+    """Word length of every element of length <= radius, by evaluating
+    all words up to that length (no reduction, no library code)."""
+    length = {evaluate(""): 0}
+    frontier = [""]
+    for n in range(1, radius + 1):
+        frontier = [w + c for w in frontier for c in letters]
+        for w in frontier:
+            length.setdefault(evaluate(w), n)
+    return length
+
+
+# ---------------------------------------------------------------------------
 # penetrations in the lattice model, parabolic family <b>: coset id is the
 # x-coordinate.  A visit is a maximal run of prefixes with one coset id.
 
@@ -480,6 +520,10 @@ def hstar_bruteforce(target, C, cap):
     return best, best_word
 
 
+def _sphere_sizes(length, radius):
+    return [sum(1 for n in length.values() if n == r) for r in range(radius + 1)]
+
+
 def main():
     print("== ball counts ==")
     for R in (2, 3, 5, 6, 7):
@@ -487,6 +531,11 @@ def main():
     for R in (2, 5, 7):
         print(f"f2 B({R}) = {f2_ball_count(R)}")
     print(f"z B(7) = {z_ball_count(7)}")
+    for R in (2, 3):
+        print(f"z3xz spheres B({R}) =",
+              _sphere_sizes(lengths_by_enumeration(z3xz_eval, R), R))
+    print("z2freez3 spheres B(2) =",
+          _sphere_sizes(lengths_by_enumeration(z2freez3_eval, 2), 2))
 
     print("\n== penetrations ==")
     print("z2 rel<b> babA runs:", z2_coset_runs("babA"))

@@ -5,8 +5,11 @@ import pytest
 from relhyp.cayley import (
     OUT_OF_BALL, OracleBudgetError, WordProblemOracle, ball_to_json,
     build_ball, distance, geodesic_words, is_geodesic, replay_certificate,
+    sphere_sizes,
 )
-from relhyp.words import Presentation, free_reduce
+from relhyp.words import Alphabet, Presentation, free_reduce
+
+from oracle_tools import lengths_by_enumeration, z2freez3_eval, z3xz_eval
 
 # frozen by tests/oracle_tools.py (independent lattice / reduced-word BFS)
 Z2_COUNTS = {2: 13, 3: 25, 5: 61, 6: 85}
@@ -43,7 +46,6 @@ def test_oracle_free_abelian_certificates(pres_z2):
 
 def test_oracle_bounded_search():
     # Z/3 * Z/3: zero exponent sums do not force triviality
-    from relhyp.words import Alphabet
     alpha = Alphabet(["a", "b"])
     p = Presentation(alpha, (alpha.parse("aaa"), alpha.parse("bbb")))
     o = WordProblemOracle(p)
@@ -71,6 +73,32 @@ def test_ball_counts_f2(pres_f2):
 
 def test_ball_counts_z(pres_z):
     assert len(build_ball(pres_z, 7)) == 15
+
+
+@pytest.mark.parametrize("relators, evaluate, radius, spheres", [
+    (("aaa", "abAB"), z3xz_eval, 2, [1, 4, 6]),
+    (("aaa", "abAB"), z3xz_eval, 3, [1, 4, 6, 6]),
+    (("aa", "bbb"), z2freez3_eval, 2, [1, 3, 4]),
+])
+def test_ball_with_torsion_matches_normal_forms(relators, evaluate, radius,
+                                                spheres):
+    # relators with nonzero exponent sums: equal elements can have
+    # different exponent vectors, so the level scan must not split them
+    alpha = Alphabet(["a", "b"])
+    ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, relators))),
+                      radius)
+    length = lengths_by_enumeration(evaluate, radius)
+    elements = [evaluate(alpha.to_str(w)) for w in ball.words]
+    assert len(set(elements)) == len(ball)          # pairwise distinct
+    assert set(elements) == set(length)            # every element covered
+    assert [ball.length_of(v) for v in range(len(ball))] == \
+        [length[g] for g in elements]
+    assert sphere_sizes(ball) == spheres
+    index = {g: v for v, g in enumerate(elements)}
+    for v, row in enumerate(ball.edges):   # every in-ball edge, no other
+        for sym in ball.symbol_moves():
+            g = evaluate(alpha.to_str(ball.words[v] + (sym,)))
+            assert row[sym] == index.get(g)
 
 
 def test_ball_zero_radius(pres_z2):

@@ -203,6 +203,40 @@ def test_geodesics_decompose_and_level_is_short(ball_z12):
             assert level_len <= level_bound(params) + slack
 
 
+def test_geodesic_path_descends_past_near_zero_edges(pres_z):
+    # psi=1e4 at depth 4 gives horizontal edges of 1e-16, far below the
+    # 1e-9 tightness tolerance; the walk-back must still reach src
+    import random
+    import signal
+    from relhyp.cusp import geodesic_path
+
+    def too_slow(signum, frame):
+        raise TimeoutError
+
+    params = CuspParams(1e4, depth_cap=4)
+    cx = build_cusp_complex(build_ball(pres_z, 6), params)
+    rng = random.Random(3)
+    hung = []
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for _ in range(130):
+            s, t = rng.sample(range(len(cx)), 2)
+            try:   # a walk takes microseconds; a cycling one never ends
+                signal.setitimer(signal.ITIMER_REAL, 0.2)
+                path = geodesic_path(cx.adj, s, t)
+            except TimeoutError:
+                hung.append((s, t))
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert path[0] == s and path[-1] == t
+            assert path_length(cx, path) == pytest.approx(
+                dijkstra_distance(cx, s, t), abs=1e-8)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert hung == []
+
+
 def test_decompose_unit():
     assert decompose_geodesic([0, 1, 2, 2, 2, 1]) == (2, 2, 1)
     assert decompose_geodesic([1, 1, 1]) == (0, 2, 0)

@@ -88,11 +88,21 @@ def test_kernel_preconditions(ball_z4, pres_z):
         transition_kernel(ball_z4, 1, bad)
 
 
+def test_kernel_rejects_other_heights(ball_z4):
+    # translation invariant, but neither nonpositive additive nor an
+    # element function: the kernel has no path for it
+    for extra in ({}, {"additive": True},
+                  {"additive": True, "letter_values": {0: 1, 1: -1}}):
+        other = HeightFunction(evaluator=lambda w: -len(w), K=2,
+                               strongly_translation_invariant=True, **extra)
+        with pytest.raises(ValueError, match="nonpositive"):
+            transition_kernel(ball_z4, 1, other)
+
+
 def _element_height():
     # depends only on the evaluated element: every word is maximizing
     return HeightFunction(evaluator=lambda w: 0, K=1,
                           right_order_preserving=True,
-                          left_order_preserving=True,
                           strongly_translation_invariant=True,
                           element_function=True)
 
