@@ -1,18 +1,13 @@
 """Cayley balls built through a word-problem oracle.
 
 The ball stores, per element, the shortlex-minimal geodesic word and the
-full edge table between in-ball elements.  Identification of elements goes
-through :class:`WordProblemOracle`, which answers Trivial with a replayable
-certificate (a list of relator insertions), NonTrivial with a reason, or
-Unknown when the search budget runs out.  Ball construction aborts on
-Unknown rather than guessing.
-
-Two presentations get complete fast paths: free presentations (free
-reduction is a canonical form) and visibly free abelian ones, where the
-relators are exactly the commutators of every generator pair (the exponent
-vector is a canonical form, and Trivial certificates are emitted as
-explicit adjacent-transposition insertions).  Everything else runs the
-budgeted breadth-first search over relator insertions.
+full edge table between in-ball elements.  Elements are identified by
+:class:`WordProblemOracle`, a shortlex Knuth–Bendix completion of the
+presentation in the alphabet's symbol order (a A b B ...).  A complete
+system rewrites every word to the shortlex-least word for its element,
+which is the word the breadth-first ball keeps, so that normal form is
+the element's key.  When completion does not finish within its rule
+budget, ball construction aborts rather than guessing.
 """
 
 from __future__ import annotations
@@ -21,10 +16,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .words import (
-    Presentation, Word, abelianization, free_reduce, relator_forms,
-    word_inverse,
-)
+from .words import Presentation, Word, abelianization
 
 
 class OracleBudgetError(RuntimeError):
@@ -47,7 +39,7 @@ OUT_OF_BALL = _OutOfBall()
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # "trivial" | "nontrivial" | "unknown"
-    certificate: tuple = ()  # (position, inserted form) pairs for "trivial"
+    certificate: tuple = ()  # (rule table, rewrite chain) for "trivial"
     reason: str = ""
 
     @property
@@ -59,14 +51,46 @@ class OracleResult:
         return self.status == "nontrivial"
 
 
-def replay_certificate(word: Word, certificate) -> Word:
-    """Apply the recorded insertions with interleaved free reduction."""
-    w = free_reduce(tuple(word))
-    for pos, form in certificate:
-        if not 0 <= pos <= len(w):
-            raise ValueError(f"certificate position {pos} out of range")
-        w = free_reduce(w[:pos] + tuple(form) + w[pos:])
-    return w
+def _enc(word: Word) -> str:
+    # the engine's word: one character per symbol, so str order is shortlex
+    # order within a length and substring search runs in C
+    return "".join(map(chr, word))
+
+
+def _apply(rules, word: str, steps, limit: int) -> str:
+    for pos, rid in steps:
+        if not 0 <= rid < limit:
+            raise ValueError(f"step uses rule {rid}, not an earlier rule")
+        lhs, rhs, _ = rules[rid]
+        if pos < 0 or word[pos:pos + len(lhs)] != lhs:
+            raise ValueError(f"rule {rid} does not apply at position {pos}")
+        word = word[:pos] + rhs + word[pos + len(lhs):]
+    return word
+
+
+def replay_certificate(presentation: Presentation, word: Word,
+                       certificate) -> Word:
+    """Check a "trivial" certificate and return where its chain takes word.
+
+    Every axiom must be s s^-1 -> ε or one of the presentation's relators
+    -> ε, every other rule's peak must reach its two sides using earlier
+    rules only, and the chain is then replayed on word.  ValueError on any
+    step that does not hold.
+    """
+    rules, chain = certificate
+    nsyms = len(presentation.alphabet.symbols)
+    axioms = {_enc((s, s ^ 1)) for s in range(nsyms)}
+    axioms.update(map(_enc, presentation.relators))
+    for rid, (lhs, rhs, proof) in enumerate(rules):
+        if proof is None:
+            if rhs or lhs not in axioms:
+                raise ValueError(f"rule {rid} is not an axiom of the presentation")
+            continue
+        w, left, right = proof
+        if (_apply(rules, w, left, rid) != lhs
+                or _apply(rules, w, right, rid) != rhs):
+            raise ValueError(f"the peak of rule {rid} does not reach its sides")
+    return tuple(map(ord, _apply(rules, _enc(word), chain, len(rules))))
 
 
 def _lattice_member(vectors, target) -> bool:
@@ -74,7 +98,6 @@ def _lattice_member(vectors, target) -> bool:
     vecs = [list(v) for v in vectors if any(v)]
     t = list(target)
     n = len(t)
-    row = 0
     for col in range(n):
         # gcd-reduce the column below the current row
         while True:
@@ -100,126 +123,141 @@ def _lattice_member(vectors, target) -> bool:
 
 
 class WordProblemOracle:
-    """Three-valued word problem for a finite presentation.
+    """Three-valued word problem by shortlex Knuth–Bendix completion.
 
-    strategy is chosen at construction: "free", "free-abelian" or
-    "bounded-search".  The first two are complete; the search carries a
-    budget (relator insertions explored) and an intermediate length cap.
+    Completion runs once, at construction, and gives up rather than take
+    the rule table past ``budget`` rules (Epstein et al., *Word Processing
+    in Groups*, ch. 2; Sims, *Computation with Finitely Presented Groups*,
+    ch. 2).  ``complete`` says whether it finished.  ``rules``
+    holds every rule ever made as (lhs, rhs, proof), indexed by its id;
+    ids are never reused.  The axioms s s^-1 -> ε and relator -> ε have
+    proof None.  Every other rule's proof is a peak (w, left steps, right
+    steps), each step (position, earlier rule id), whose left steps take
+    w to the lhs and right steps to the rhs.  Words in rules are str, one
+    character chr(symbol) per symbol.
+
+    decide answers "trivial" when the word rewrites to ε, with the rule
+    table and the rewrite chain as certificate; "nontrivial" when its
+    abelianization lies outside the relator lattice or the system is
+    complete; "unknown" otherwise.
     """
 
-    def __init__(self, presentation: Presentation, budget: int = 100_000,
-                 length_cap: int | None = None, force_search: bool = False):
+    def __init__(self, presentation: Presentation, budget: int = 500):
         self.presentation = presentation
         self.budget = budget
-        self.length_cap = length_cap
-        self.forms = relator_forms(presentation.relators)
         self.rel_ab = [abelianization(presentation.alphabet, r)
                        for r in presentation.relators]
-        if force_search:
-            self.strategy = "bounded-search"
-        elif not presentation.relators:
-            self.strategy = "free"
-        elif self._is_visibly_free_abelian():
-            self.strategy = "free-abelian"
-        else:
-            self.strategy = "bounded-search"
+        self.rules: list = []
+        self._lhs: dict = {}   # active lhs -> rule id
+        self._lens: list = []  # lengths of the active lhs, ascending
+        self.complete = self._complete()
+        self.rules = tuple(self.rules)
 
-    def _is_visibly_free_abelian(self):
-        alphabet = self.presentation.alphabet
-        k = len(alphabet.generators)
-        need = {frozenset((i, j)) for i in range(k) for j in range(i + 1, k)}
-        got = set()
-        for r in self.presentation.relators:
-            if len(r) != 4:
-                return False
-            gens = {sym >> 1 for sym in r}
-            if len(gens) != 2:
-                return False
-            # commutator shape p q p^-1 q^-1 up to rotation/inversion
-            if free_reduce((r[0], r[1], r[0] ^ 1, r[1] ^ 1)) != r:
-                return False
-            got.add(frozenset(gens))
-        return got == need and k >= 2
-
-    # -- canonical forms (fast paths only) --------------------------------
-
-    def canonical_key(self, word: Word):
-        """Hashable complete invariant, or None when unavailable."""
-        if self.strategy == "free":
-            return free_reduce(word)
-        if self.strategy == "free-abelian":
-            return abelianization(self.presentation.alphabet, word)
-        return None
-
-    # -- decision ----------------------------------------------------------
-
-    def decide(self, word: Word, length_cap: int | None = None) -> OracleResult:
-        w = free_reduce(tuple(word))
-        if not w:
-            return OracleResult("trivial", ())
-        if self.strategy == "free":
-            return OracleResult("nontrivial", reason="freely reduced and nonempty")
-        vec = abelianization(self.presentation.alphabet, w)
-        if not _lattice_member(self.rel_ab, vec):
-            return OracleResult("nontrivial", reason="abelianization outside relator lattice")
-        if self.strategy == "free-abelian":
-            return OracleResult("trivial", self._abelian_certificate(w))
-        return self._bounded_search(w, length_cap or self.length_cap)
-
-    def decide_equal(self, u: Word, v: Word, length_cap: int | None = None) -> OracleResult:
-        return self.decide(tuple(u) + word_inverse(tuple(v)), length_cap)
-
-    def _abelian_certificate(self, w: Word):
-        # sort letters by generator via adjacent transpositions; each swap of
-        # letters u,v is the insertion of the commutator form (v,u,V,U)
-        moves = []
-        cur = free_reduce(w)
-        guard = 0
-        while True:
-            for i in range(len(cur) - 1):
-                if (cur[i] >> 1) > (cur[i + 1] >> 1):
-                    u, v = cur[i], cur[i + 1]
-                    form = (v, u, v ^ 1, u ^ 1)
-                    moves.append((i, form))
-                    cur = free_reduce(cur[:i] + form + cur[i:])
-                    break
+    def _complete(self) -> bool:
+        # pending equations: (w, u, steps w -> u, v, steps w -> v)
+        pending = deque()
+        nsyms = len(self.presentation.alphabet.symbols)
+        axioms = {(s, s ^ 1) for s in range(nsyms)}
+        axioms.update(self.presentation.relators)
+        for word in sorted(axioms, key=lambda w: (len(w), w)):
+            lhs = _enc(word)
+            self.rules.append((lhs, "", None))
+            rid = len(self.rules) - 1
+            if self._rewrite(lhs)[0] == lhs:
+                self._activate(rid, pending)
             else:
-                break
-            guard += 1
-            if guard > 4 * len(w) * len(w) + 16:
-                raise AssertionError("transposition sort failed to terminate")
-        if cur:
-            raise AssertionError("abelian certificate construction reached a nonzero word")
-        return tuple(moves)
+                pending.append((lhs, lhs, [], "", [(0, rid)]))
+        # each rule, once its turn comes and if still active, overlaps
+        # with every active rule of smaller or equal id
+        i = 0
+        while True:
+            while pending:
+                if not self._settle(pending, *pending.popleft()):
+                    return False
+            if i == len(self.rules):
+                return True
+            if self._lhs.get(self.rules[i][0]) == i:
+                for j in sorted(self._lhs.values()):
+                    if j <= i:
+                        self._overlaps(i, j, pending)
+                        self._overlaps(j, i, pending)
+            i += 1
 
-    def _bounded_search(self, w: Word, length_cap: int | None) -> OracleResult:
-        cap = length_cap if length_cap is not None else (
-            2 * len(w) + 2 * self.presentation.max_relator_length())
-        spent = 0
-        seen = {w: None}
-        q = deque([w])
-        while q:
-            cur = q.popleft()
-            for pos in range(len(cur) + 1):
-                for form in self.forms:
-                    spent += 1
-                    if spent > self.budget:
-                        return OracleResult("unknown", reason="budget exhausted")
-                    nxt = free_reduce(cur[:pos] + form + cur[pos:])
-                    if len(nxt) > cap or nxt in seen:
-                        continue
-                    seen[nxt] = (cur, pos, form)
-                    if not nxt:
-                        cert = []
-                        node = nxt
-                        while seen[node] is not None:
-                            prev, p, f = seen[node]
-                            cert.append((p, f))
-                            node = prev
-                        return OracleResult("trivial", tuple(reversed(cert)))
-                    q.append(nxt)
-        return OracleResult("nontrivial",
-                            reason=f"insertion closure exhausted under length cap {cap}")
+    def _overlaps(self, i, j, pending):
+        # a proper suffix of lhs i equals a proper prefix of lhs j
+        l1, r1, _ = self.rules[i]
+        l2, r2, _ = self.rules[j]
+        for k in range(1, min(len(l1), len(l2))):
+            if l1.endswith(l2[:k]):
+                p = len(l1) - k
+                pending.append((l1 + l2[k:], r1 + l2[k:], [(0, i)],
+                                l1[:p] + r2, [(p, j)]))
+
+    def _settle(self, pending, w, u, left, v, right) -> bool:
+        """Turn one equation into a rule unless both sides rewrite to the
+        same word; False when that would exceed the budget."""
+        u, su = self._rewrite(u)
+        v, sv = self._rewrite(v)
+        if u == v:
+            return True
+        if (len(u), u) < (len(v), v):
+            u, v, left, right, su, sv = v, u, right, left, sv, su
+        if len(self.rules) >= self.budget:
+            return False
+        self.rules.append((u, v, (w, tuple(left + su), tuple(right + sv))))
+        self._activate(len(self.rules) - 1, pending)
+        return True
+
+    def _activate(self, rid, pending):
+        # retire every rule the new lhs rewrites; its equation comes back
+        lhs = self.rules[rid][0]
+        for other, oid in list(self._lhs.items()):
+            rhs = self.rules[oid][1]
+            if lhs in other or lhs in rhs:
+                del self._lhs[other]
+                pending.append((other, other, [], rhs, [(0, oid)]))
+        self._lhs[lhs] = rid
+        self._lens = sorted({len(x) for x in self._lhs})
+
+    def _rewrite(self, word: str, out: str = ""):
+        """Normal form of out + word under the active rules, with the
+        steps taken; out must already be irreducible.
+
+        Every redex of an irreducible word plus one symbol ends at that
+        symbol, so only the suffixes of out are looked up.
+        """
+        lhs, lens = self._lhs, self._lens
+        steps = []
+        while word:
+            out += word[0]
+            word = word[1:]
+            n = len(out)
+            for k in lens:
+                if k > n:
+                    break
+                rid = lhs.get(out[n - k:])
+                if rid is not None:
+                    steps.append((n - k, rid))
+                    word = self.rules[rid][1] + word
+                    out = out[:n - k]
+                    break
+        return out, steps
+
+    def decide(self, word: Word) -> OracleResult:
+        nf, steps = self._rewrite(_enc(word))
+        if not nf:
+            return OracleResult("trivial", (self.rules, tuple(steps)))
+        alphabet = self.presentation.alphabet
+        shown = alphabet.to_str(tuple(map(ord, nf)))
+        if not _lattice_member(self.rel_ab, abelianization(alphabet, word)):
+            return OracleResult("nontrivial", reason=(
+                f"abelianization outside relator lattice (reduced form {shown})"))
+        if self.complete:
+            return OracleResult("nontrivial", reason=(
+                f"complete rewriting system; reduced form {shown} is nonempty"))
+        return OracleResult("unknown", reason=(
+            f"reduced form {shown} is nonempty, and completion stopped at "
+            f"its budget of {self.budget} rules"))
 
 
 class GroupBall:
@@ -238,7 +276,6 @@ class GroupBall:
             else presentation.alphabet.generator_indices()
         self.words: list = []
         self.edges: list = []
-        self._key_index: dict = {}
         moves = set()
         for g in self.generators:
             moves.add(g)
@@ -288,75 +325,47 @@ class GroupBall:
 def build_ball(presentation: Presentation, radius: int,
                oracle: WordProblemOracle | None = None,
                generators=None) -> GroupBall:
-    """Breadth-first ball construction with oracle identification.
+    """Breadth-first ball construction keyed by the oracle's normal forms.
 
-    Raises OracleBudgetError when identification hits Unknown; the spec for
-    that case is to abort loudly instead of returning a wrong ball.
+    Raises OracleBudgetError, before building anything, when the oracle's
+    completion did not finish: without a complete system, two words for
+    one element could rewrite to different keys, and a wrong ball is worse
+    than none.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if oracle is None:
-        cap = 2 * radius + 2 * presentation.max_relator_length()
-        oracle = WordProblemOracle(presentation, length_cap=cap)
+        oracle = WordProblemOracle(presentation)
+    if not oracle.complete:
+        raise OracleBudgetError(
+            f"Knuth-Bendix completion did not finish within its budget of "
+            f"{oracle.budget} rules ({len(oracle._lhs)} active)")
     ball = GroupBall(presentation, radius, generators)
     nsyms = len(presentation.alphabet.symbols)
     moves = ball.symbol_moves()
-
-    fast = oracle.canonical_key(()) is not None
     ball.words.append(())
     ball.edges.append([None] * nsyms)
-    if fast:
-        ball._key_index[oracle.canonical_key(())] = 0
-    levels = [[0]]
-
-    ab = presentation.alphabet
-
-    def identify(candidate: Word, parent_level: int):
-        # return existing vertex id or None (new / outside)
-        if fast:
-            return ball._key_index.get(oracle.canonical_key(candidate))
-        vec = abelianization(ab, candidate)
-        lo = max(0, parent_level - 1)
-        hi = min(len(levels) - 1, parent_level + 1)
-        for lvl in range(lo, hi + 1):
-            for v in levels[lvl]:
-                # equal elements may differ in exponents by any lattice vector
-                diff = [x - y for x, y in
-                        zip(vec, abelianization(ab, ball.words[v]))]
-                if not _lattice_member(oracle.rel_ab, diff):
-                    continue
-                ans = oracle.decide_equal(candidate, ball.words[v])
-                if ans.status == "unknown":
-                    raise OracleBudgetError(
-                        f"oracle budget exhausted identifying {ab.to_str(candidate)}")
-                if ans.is_trivial:
-                    return v
-        return None
-
-    for level in range(radius + 1):
-        if level >= len(levels):
-            break
-        new_level: list = []
-        for u in levels[level]:
-            wu = ball.words[u]
-            for sym in moves:
-                if ball.edges[u][sym] is not None:
-                    continue
-                candidate = free_reduce(wu + (sym,))
-                target = identify(candidate, level)
-                if target is None and level < radius:
-                    # fresh element one step further out
-                    target = len(ball.words)
-                    ball.words.append(candidate)
-                    ball.edges.append([None] * nsyms)
-                    if fast:
-                        ball._key_index[oracle.canonical_key(candidate)] = target
-                    if level + 1 >= len(levels):
-                        levels.append([])
-                    levels[level + 1].append(target)
-                if target is not None:
-                    ball.edges[u][sym] = target
-                    ball.edges[target][sym ^ 1] = u
+    keys = [""]  # normal form of each vertex, in the oracle's encoding
+    index = {"": 0}
+    u = 0
+    while u < len(ball.words):
+        wu, ku, row = ball.words[u], keys[u], ball.edges[u]
+        for sym in moves:
+            if row[sym] is not None:
+                continue
+            key = oracle._rewrite(chr(sym), ku)[0]
+            target = index.get(key)
+            if target is None and len(wu) < radius:
+                # fresh element one step further out
+                target = len(ball.words)
+                ball.words.append(wu + (sym,))
+                ball.edges.append([None] * nsyms)
+                keys.append(key)
+                index[key] = target
+            if target is not None:
+                row[sym] = target
+                ball.edges[target][sym ^ 1] = u
+        u += 1
     return ball
 
 

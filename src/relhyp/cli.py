@@ -735,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fellow-traveler distance bound (default 2)")
     p = _subcommand(sub, "electric-area",
                     "exact and certified-upper electric area of a loop",
-                    radius="word length", budget=8)
+                    radius="word length, at least 4", budget=8)
     p.add_argument("word", help=word_help)
     p = _subcommand(sub, "bcp-scan",
                     "empirical bounded-coset-penetration constants",

@@ -284,7 +284,6 @@ def _canonicalize(rp: RelativePresentation, word: Word, cache) -> Word:
 
 
 def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
-                        length_cap: int | None = None,
                         node_budget: int = 500_000):
     """Least number of non-parabolic relator insertions contracting the loop.
 
@@ -292,11 +291,11 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     inside the canonicalization step.  Inserting a relator form is an
     undirected move (the forms are closed under inversion), so the search
     runs bidirectionally, from the loop and from the empty word, meeting in
-    the middle.  Intermediate words are capped at ``length_cap`` (default
-    len(w) + 2 * max non-parabolic relator length), which is the honest
-    approximation boundary: derivations needing longer intermediates are
-    not found.  Returns the area, or None when nothing is found within
-    n_max insertions and the node budget.
+    the middle.  Intermediate words are capped at len(w) + 2 * max
+    non-parabolic relator length, which is the honest approximation
+    boundary: derivations needing longer intermediates are not found.
+    Returns the area, or None when nothing is found within n_max
+    insertions and the node budget.
     """
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
@@ -305,8 +304,7 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     start = _canonicalize(rp, word, cache)
     if not start:
         return 0
-    if length_cap is None:
-        length_cap = len(start) + 2 * max(len(f) for f in forms)
+    cap = len(start) + 2 * max(len(f) for f in forms)
     dist = [{start: 0}, {(): 0}]
     frontier = [[start], [()]]
     depth = [0, 0]
@@ -332,7 +330,7 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                     if nodes > node_budget:
                         return best
                     cand = _canonicalize(rp, cur[:pos] + form + cur[pos:], cache)
-                    if len(cand) > length_cap or cand in dist[side]:
+                    if len(cand) > cap or cand in dist[side]:
                         continue
                     dist[side][cand] = depth[side]
                     nxt.append(cand)

@@ -72,7 +72,7 @@ def free_reduce(word: Word) -> Word:
     """Delete adjacent inverse pairs until none remain (leftmost-first).
 
     The result is independent of the deletion order; the scan with a stack
-    realizes the leftmost strategy in one pass.
+    deletes leftmost-first in one pass.
     """
     out = []
     for sym in word:
@@ -98,33 +98,6 @@ def cyclic_permute(word: Word, t: int) -> Word:
 def is_cyclically_reduced(word: Word) -> bool:
     w = free_reduce(word)
     return w == word and not (len(w) >= 2 and w[0] == (w[-1] ^ 1))
-
-
-def shortlex_key(word: Word):
-    return (len(word), word)
-
-
-def admissible(alphabet: Alphabet, word: Word, edges: dict) -> bool:
-    """Groupoid admissibility against a generating graph.
-
-    ``edges`` maps generator name to an (origin, terminus) pair of vertex
-    labels; an inverse letter traverses its edge backwards.  A word is
-    admissible when consecutive letters compose, so the terminus of each
-    step equals the origin of the next.  The empty word is admissible.
-    """
-    for g in alphabet.generators:
-        if g not in edges:
-            raise ValueError(f"generating graph missing edge for generator {g!r}")
-    here = None
-    for sym in word:
-        gen = alphabet.symbols[sym & ~1]
-        src, dst = edges[gen]
-        if sym & 1:
-            src, dst = dst, src
-        if here is not None and here != src:
-            return False
-        here = dst
-    return True
 
 
 @dataclass(frozen=True)

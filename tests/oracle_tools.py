@@ -81,9 +81,12 @@ def f2_is_geodesic(word):
 
 
 # ---------------------------------------------------------------------------
-# groups with torsion, by explicit normal forms.  Z/3 x Z = <a,b | a^3, [a,b]>
-# is the pair (a-exponent mod 3, b-exponent); Z/2 * Z/3 = <a,b | a^2, b^3> is
-# its alternating syllable sequence, each syllable (letter, exponent mod order).
+# groups with torsion and free products, by explicit normal forms.
+# Z/3 x Z = <a,b | a^3, [a,b]> is the pair (a-exponent mod 3, b-exponent);
+# Z/2 * Z/3 = <a,b | a^2, b^3> and Z/3 * Z/3 = <a,b | a^3, b^3> are their
+# alternating syllable sequences, each syllable (letter, exponent mod order);
+# S3 = <a,b | a^2, b^3, (ab)^2> is a permutation of {0,1,2}; Z * Z^2 =
+# <a,b,c | [b,c]> is its alternating sequence of a-powers and Z^2 vectors.
 
 def z3xz_eval(word):
     i = sum(1 if c == "a" else -1 for c in word if c in "aA") % 3
@@ -92,7 +95,14 @@ def z3xz_eval(word):
 
 
 def z2freez3_eval(word):
-    order = {"a": 2, "b": 3}
+    return _cyclic_free_product(word, {"a": 2, "b": 3})
+
+
+def z3freez3_eval(word):
+    return _cyclic_free_product(word, {"a": 3, "b": 3})
+
+
+def _cyclic_free_product(word, order):
     out = []
     for c in word:
         gen = c.lower()
@@ -105,6 +115,37 @@ def z2freez3_eval(word):
                 out.pop()
         else:
             out.append((gen, step % order[gen]))
+    return tuple(out)
+
+
+S3_GENS = {"a": (1, 0, 2), "b": (1, 2, 0)}  # a transposition, a 3-cycle
+
+
+def s3_eval(word):
+    # image of 0, 1, 2 under the letters applied left to right
+    perm = (0, 1, 2)
+    for c in word:
+        g = S3_GENS[c.lower()]
+        if c.isupper():
+            g = tuple(g.index(i) for i in range(3))
+        perm = tuple(g[i] for i in perm)
+    return perm
+
+
+def zfreez2_eval(word):
+    step = {"a": (1,), "A": (-1,), "b": (1, 0), "B": (-1, 0),
+            "c": (0, 1), "C": (0, -1)}
+    out = []
+    for c in word:
+        v = step[c]
+        if out and len(out[-1]) == len(v):
+            s = tuple(x + y for x, y in zip(out[-1], v))
+            if any(s):
+                out[-1] = s
+            else:
+                out.pop()
+        else:
+            out.append(v)
     return tuple(out)
 
 
@@ -536,6 +577,12 @@ def main():
               _sphere_sizes(lengths_by_enumeration(z3xz_eval, R), R))
     print("z2freez3 spheres B(2) =",
           _sphere_sizes(lengths_by_enumeration(z2freez3_eval, 2), 2))
+    for name, evaluate in (("z3xz", z3xz_eval), ("z2freez3", z2freez3_eval),
+                           ("z3freez3", z3freez3_eval), ("s3", s3_eval)):
+        print(f"{name} spheres B(8) =",
+              _sphere_sizes(lengths_by_enumeration(evaluate, 8), 8))
+    print("zfreez2 spheres B(6) =", _sphere_sizes(
+        lengths_by_enumeration(zfreez2_eval, 6, letters="aAbBcC"), 6))
 
     print("\n== penetrations ==")
     print("z2 rel<b> babA runs:", z2_coset_runs("babA"))

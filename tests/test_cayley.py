@@ -1,4 +1,6 @@
+import inspect
 import json
+import time
 
 import pytest
 
@@ -9,7 +11,10 @@ from relhyp.cayley import (
 )
 from relhyp.words import Alphabet, Presentation, free_reduce
 
-from oracle_tools import lengths_by_enumeration, z2freez3_eval, z3xz_eval
+from oracle_tools import (
+    lengths_by_enumeration, s3_eval, z2freez3_eval, z3freez3_eval, z3xz_eval,
+    zfreez2_eval,
+)
 
 # frozen by tests/oracle_tools.py (independent lattice / reduced-word BFS)
 Z2_COUNTS = {2: 13, 3: 25, 5: 61, 6: 85}
@@ -17,10 +22,17 @@ F2_COUNTS = {2: 17, 5: 485}
 
 
 def test_oracle_strategies(pres_z, pres_f2, pres_z2):
-    assert WordProblemOracle(pres_z).strategy == "free"
-    assert WordProblemOracle(pres_f2).strategy == "free"
-    assert WordProblemOracle(pres_z2).strategy == "free-abelian"
-    assert WordProblemOracle(pres_z2, force_search=True).strategy == "bounded-search"
+    # one engine, whose only setting is its rule budget
+    params = inspect.signature(WordProblemOracle.__init__).parameters
+    assert list(params) == ["self", "presentation", "budget"]
+    # free groups need only the inverse-pair axioms; Z^2 adds its relator
+    # and the rules completion derives from it
+    for pres, axioms in ((pres_z, 2), (pres_f2, 4), (pres_z2, 5)):
+        o = WordProblemOracle(pres)
+        assert o.complete
+        assert [proof for _, _, proof in o.rules[:axioms]] == [None] * axioms
+        assert None not in [proof for _, _, proof in o.rules[axioms:]]
+    assert len(WordProblemOracle(pres_f2).rules) == 4
 
 
 def test_oracle_free(pres_f2):
@@ -38,7 +50,7 @@ def test_oracle_free_abelian_certificates(pres_z2):
         w = ab.parse(text)
         r = o.decide(w)
         assert r.is_trivial, text
-        assert replay_certificate(w, r.certificate) == ()
+        assert replay_certificate(pres_z2, w, r.certificate) == ()
     r = o.decide(ab.parse("ab"))
     assert r.is_nontrivial and "abelianization" in r.reason
     assert o.decide(pres_z2.parse("abAB")).is_trivial
@@ -49,14 +61,14 @@ def test_oracle_bounded_search():
     alpha = Alphabet(["a", "b"])
     p = Presentation(alpha, (alpha.parse("aaa"), alpha.parse("bbb")))
     o = WordProblemOracle(p)
-    assert o.strategy == "bounded-search"
     assert o.decide(alpha.parse("aaa")).is_trivial
     r = o.decide(alpha.parse("aaabbb"))
     assert r.is_trivial
-    assert replay_certificate(alpha.parse("aaabbb"), r.certificate) == ()
-    # under a tight cap the insertion closure is finite and exhausts
-    r = o.decide(alpha.parse("abAB"), length_cap=6)
-    assert r.is_nontrivial and "closure" in r.reason
+    assert replay_certificate(p, alpha.parse("aaabbb"), r.certificate) == ()
+    # abAB is nonempty in the normal form of a complete system
+    r = o.decide(alpha.parse("abAB"))
+    assert r.is_nontrivial and "complete" in r.reason
+    # five rules do not even hold the six axioms
     tiny = WordProblemOracle(p, budget=5)
     assert tiny.decide(alpha.parse("abAB")).status == "unknown"
 
@@ -79,15 +91,23 @@ def test_ball_counts_z(pres_z):
     (("aaa", "abAB"), z3xz_eval, 2, [1, 4, 6]),
     (("aaa", "abAB"), z3xz_eval, 3, [1, 4, 6, 6]),
     (("aa", "bbb"), z2freez3_eval, 2, [1, 3, 4]),
+    (("aaa", "abAB"), z3xz_eval, 8, [1, 4, 6, 6, 6, 6, 6, 6, 6]),
+    (("aa", "bbb"), z2freez3_eval, 8, [1, 3, 4, 6, 8, 12, 16, 24, 32]),
+    (("aaa", "bbb"), z3freez3_eval, 8, [1, 4, 8, 16, 32, 64, 128, 256, 512]),
+    (("aa", "bbb", "abab"), s3_eval, 8, [1, 3, 2, 0, 0, 0, 0, 0, 0]),
+    # Z * Z^2, the paper's first example; radius 8 is about 196k elements
+    (("bcBC",), zfreez2_eval, 6, [1, 6, 26, 110, 466, 1974, 8362]),
 ])
 def test_ball_with_torsion_matches_normal_forms(relators, evaluate, radius,
                                                 spheres):
-    # relators with nonzero exponent sums: equal elements can have
-    # different exponent vectors, so the level scan must not split them
-    alpha = Alphabet(["a", "b"])
+    # torsion and free products: equal elements can have different
+    # exponent vectors, and zero exponent sums do not make a word trivial
+    gens = sorted({c.lower() for r in relators for c in r} | {"a", "b"})
+    alpha = Alphabet(gens)
     ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, relators))),
                       radius)
-    length = lengths_by_enumeration(evaluate, radius)
+    letters = "".join(g + g.upper() for g in gens)
+    length = lengths_by_enumeration(evaluate, radius, letters)
     elements = [evaluate(alpha.to_str(w)) for w in ball.words]
     assert len(set(elements)) == len(ball)          # pairwise distinct
     assert set(elements) == set(length)            # every element covered
@@ -106,17 +126,45 @@ def test_ball_zero_radius(pres_z2):
     assert len(b) == 1 and b.words[0] == ()
 
 
-def test_forced_search_matches_fast_path(pres_z2):
-    fast = build_ball(pres_z2, 2)
-    slow = build_ball(pres_z2, 2, oracle=WordProblemOracle(pres_z2, force_search=True))
-    assert len(fast) == len(slow) == 13
-    assert sorted(map(len, fast.words)) == sorted(map(len, slow.words))
-
-
 def test_oracle_abort_surfaces(pres_z2):
-    starved = WordProblemOracle(pres_z2, budget=2, force_search=True)
+    starved = WordProblemOracle(pres_z2, budget=2)
     with pytest.raises(OracleBudgetError):
         build_ball(pres_z2, 2, oracle=starved)
+
+
+def test_heisenberg_aborts_naming_the_budget():
+    # no finite complete shortlex system: completion runs into its budget
+    alpha = Alphabet(["a", "b", "c"])
+    heis = Presentation(alpha, tuple(map(alpha.parse,
+                                         ("abABC", "acAC", "bcBC"))))
+    start = time.perf_counter()
+    with pytest.raises(OracleBudgetError, match="budget of 500 rules"):
+        build_ball(heis, 1)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_trivial_group_certificate_replays():
+    # <a,b | a^-1 b^2 a b^-3, b^-1 a^2 b a^-3> presents the trivial group
+    alpha = Alphabet(["a", "b"])
+    pres = Presentation(alpha, (alpha.parse("AbbaBBB"), alpha.parse("BaabAAA")))
+    a = alpha.parse("a")
+    r = WordProblemOracle(pres).decide(a)
+    assert r.is_trivial
+    assert replay_certificate(pres, a, r.certificate) == ()
+    assert build_ball(pres, 3).words == [()]
+    # the axioms are checked against the presentation the replay is given
+    half = Presentation(alpha, pres.relators[:1])
+    with pytest.raises(ValueError, match="not an axiom"):
+        replay_certificate(half, a, r.certificate)
+    # every derived rule must follow from its peak
+    rules, chain = r.certificate
+    rid = next(i for i, (_, rhs, proof) in enumerate(rules) if proof and rhs)
+    forged = rules[:rid] + ((rules[rid][0], "", rules[rid][2]),) + rules[rid + 1:]
+    with pytest.raises(ValueError, match="peak"):
+        replay_certificate(pres, a, (forged, chain))
+    # and the chain must apply to the word it is replayed on
+    with pytest.raises(ValueError):
+        replay_certificate(pres, alpha.parse("b"), r.certificate)
 
 
 def test_canonical_words_shortlex(pres_z2):

@@ -162,6 +162,22 @@ def test_ball_z2_radius_3(zz, capsys):
     assert "25 vertices" in err
 
 
+def test_paper_first_example_runs(tmp_path, capsys):
+    # Z * Z^2 relative to Z^2 = <b, c>
+    p = tmp_path / "zfreez2.pres"
+    p.write_text("[generators] a b c\n[relators] bcBC\n[parabolic P] b c\n")
+    code, rep, _ = run_cli(["ball", "--radius", "3", str(p)], capsys)
+    assert code == 0
+    assert rep["results"]["sphere_sizes"] == [1, 6, 26, 110]
+    for argv in (["bcp-scan", str(p), "--radius", "3", "--budget", "50"],
+                 ["thinness", str(p), "--radius", "2", "--depth-cap", "2",
+                  "--budget", "50"],
+                 ["fftp-automaton", str(p)]):
+        code, rep, err = run_cli(argv, capsys)
+        assert code == 0, err
+    assert rep["results"]["height"] == "neg-electric"
+
+
 def test_geodesics_command(zzp, capsys):
     code, rep, _ = run_cli(["geodesics", zzp, "abb"], capsys)
     assert code == 0
@@ -197,6 +213,12 @@ def test_electric_area_command(zzp, capsys):
     assert r["area_exact"] == 2
     assert r["area_upper"] >= 2
     assert r["electric_length"] == 2
+
+
+def test_electric_area_help_names_radius_default(capsys):
+    assert main(["electric-area", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "ball radius (default: word length, at least 4)" in out
 
 
 def test_electric_area_needs_family(zz, capsys):

@@ -1,10 +1,15 @@
 """Import hygiene of the package: no module imports another module's
-private names, and every imported name is used."""
+private names, every imported name is used, and every public function
+and class is named somewhere."""
 
+import argparse
 import ast
 from pathlib import Path
 
+from relhyp.cli import build_parser
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "relhyp"
+TESTS = Path(__file__).resolve().parent
 
 
 def _private_imports(path):
@@ -43,3 +48,42 @@ def test_every_imported_name_is_used():
     assert modules
     found = [hit for path in modules for hit in _unused_imports(path)]
     assert found == []
+
+
+def _names_outside_own_definition(path):
+    """Identifiers a module names, except a top-level definition's own
+    name inside its body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_every_public_definition_is_named():
+    modules = sorted(SRC.glob("*.py"))
+    used = set()
+    for path in modules + sorted(TESTS.glob("*.py")):
+        used |= _names_outside_own_definition(path)
+    # the parser binds each subcommand's cmd_<name> by its string name
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            used |= {sub.get_default("func").__name__
+                     for sub in action.choices.values()}
+    dead = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        dead += [f"{path.name}: {stmt.name}" for stmt in tree.body
+                 if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                 and not stmt.name.startswith("_") and stmt.name not in used]
+    assert dead == []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relhyp.words import (
-    Alphabet, Presentation, abelianization, admissible, cyclic_permute,
+    Alphabet, Presentation, abelianization, cyclic_permute,
     free_reduce, is_cyclically_reduced, relator_forms, word_inverse,
 )
 
@@ -76,31 +76,6 @@ def test_is_cyclically_reduced():
     assert is_cyclically_reduced(AB.parse("abAB"))
     assert not is_cyclically_reduced(AB.parse("abA"))
     assert is_cyclically_reduced(())
-
-
-def test_admissible_basic():
-    # two-object groupoid: a is a loop at 0, b runs 0 -> 1
-    edges = {"a": (0, 0), "b": (0, 1)}
-    assert admissible(AB, AB.parse("ab"), edges)
-    assert not admissible(AB, AB.parse("ba"), edges)
-    assert admissible(AB, AB.parse("abB"), edges)
-    assert not admissible(AB, AB.parse("aBb"), edges)
-    assert admissible(AB, (), edges)
-    with pytest.raises(ValueError):
-        admissible(AB, (), {"a": (0, 0)})
-
-
-@given(words_st)
-def test_admissible_free_reduction_invariant(w):
-    edges = {"a": (0, 0), "b": (0, 1)}
-    r = free_reduce(w)
-    # reduction can only remove obstructions, never add them, and for words
-    # whose reduction is admissible the original is admissible iff the
-    # cancelled pairs also composed; the invariant required is one-way on
-    # loops based where the word starts, so check the two-sided form on
-    # fully reduced inputs and the one-way form in general
-    if admissible(AB, w, edges):
-        assert admissible(AB, r, edges)
 
 
 def test_presentation_validation():
