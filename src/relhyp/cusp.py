@@ -17,6 +17,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from .cayley import GroupBall
 from .electric import RelativePresentation, coset_table
@@ -180,7 +181,14 @@ def dijkstra_distance(cx: CuspComplex, u: int, v: int) -> float:
 
 
 def _dijkstra(adj, src, stop_at=None):
+    """Distances from src, None where unreached; stops once stop_at
+    settles.  A candidate is pushed only when it beats the best one so
+    far; each vertex still settles at the minimum of its candidate sums,
+    in (distance, id) order, so rows and stop_at prefixes do not depend
+    on which candidates were skipped."""
     dist = [None] * len(adj)
+    best = [math.inf] * len(adj)
+    best[src] = 0.0
     heap = [(0.0, src)]
     while heap:
         d, x = heappop(heap)
@@ -190,8 +198,10 @@ def _dijkstra(adj, src, stop_at=None):
         if x == stop_at:
             break
         for y, w in adj[x]:
-            if dist[y] is None:
-                heappush(heap, (d + w, y))
+            nd = d + w
+            if nd < best[y]:
+                best[y] = nd
+                heappush(heap, (nd, y))
     return dist
 
 
@@ -317,6 +327,16 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
     of the other two; returns the worst value seen.  When the triple count
     is at most ``samples`` the scan is exhaustive, otherwise it draws
     distinct random triples.  Always a lower bound on the true constant.
+
+    Two skips leave the result exact.  A side vertex u that lies on one of
+    the other two sides has gap 0, and the worst value is never below 0.
+    Both endpoints x, y of a side lie on the other two sides, so the gap of
+    u is at most d(u, x) and d(u, y); once either is at most the worst
+    value, u cannot raise it.
+
+    Distance rows are never symmetrised: d(u, v) is read from u's own row
+    because floating-point sums along different search orders can differ
+    from d(v, u) in the last bits, and the result must not depend on that.
     """
     n = len(adj)
     rng = random.Random(seed)
@@ -330,25 +350,30 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
             t = tuple(sorted(rng.sample(range(n), 3)))
             chosen.add(t)
         triples = sorted(chosen)
-    dist_cache: dict = {}
-
-    def dist_from(v):
-        if v not in dist_cache:
-            dist_cache[v] = _dijkstra(adj, v)
-        return dist_cache[v]
-
+    rows = [None] * n  # rows[v]: distances from v, filled on first use
     worst = 0.0
     for a, b, c in triples:
-        paths = []
-        for src, dst in ((a, b), (b, c), (a, c)):
-            d = dist_from(src)
-            paths.append(_geodesic_path(adj, d, src, dst))
+        for src in (a, b):
+            if rows[src] is None:
+                rows[src] = _dijkstra(adj, src)
+        paths = [_geodesic_path(adj, rows[src], src, dst)
+                 for src, dst in ((a, b), (b, c), (a, c))]
         for side in range(3):
+            path = paths[side]
+            x, y = path[0], path[-1]
             other = set(paths[(side + 1) % 3]) | set(paths[(side + 2) % 3])
-            for u in paths[side]:
-                du = dist_from(u)
-                gap = min(du[v] for v in other)
-                worst = max(worst, gap)
+            # a lies on the other two sides of every side, so pick always
+            # returns a tuple
+            pick = itemgetter(*other, a)
+            for u in path:
+                if u in other:
+                    continue
+                du = rows[u]
+                if du is None:
+                    du = rows[u] = _dijkstra(adj, u)
+                if du[x] <= worst or du[y] <= worst:
+                    continue
+                worst = max(worst, min(pick(du)))
     return worst
 
 
@@ -397,9 +422,10 @@ def path_hausdorff(cx: CuspComplex, path_a, path_b) -> float:
     worst = 0.0
     for one, two in ((path_a, path_b), (path_b, path_a)):
         targets = set(two)
+        pick = itemgetter(*targets, two[0])  # always a tuple
         for u in one:
-            d = _dijkstra(cx.adj, u)
-            worst = max(worst, min(d[v] for v in targets))
+            if u not in targets:
+                worst = max(worst, min(pick(_dijkstra(cx.adj, u))))
     return worst
 
 

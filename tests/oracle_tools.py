@@ -423,6 +423,85 @@ def reference_is_k_local(ball, rp, word, k):
 
 
 # ---------------------------------------------------------------------------
+# Cusp thinness reference for any weighted graph: the push-every-neighbour
+# Dijkstra, the tie-broken walk-back and the full gap scan, as first written.
+
+def reference_dijkstra(adj, src, stop_at=None):
+    """Distances from src, None where unreached; stops once stop_at
+    settles.  Pushes every candidate to an unsettled neighbour."""
+    dist = [None] * len(adj)
+    heap = [(0.0, src)]
+    while heap:
+        d, x = heappop(heap)
+        if dist[x] is not None:
+            continue
+        dist[x] = d
+        if x == stop_at:
+            break
+        for y, w in adj[x]:
+            if dist[y] is None:
+                heappush(heap, (d + w, y))
+    return dist
+
+
+def reference_walk_back(adj, dist, src, dst):
+    """Vertex path src -> dst along tight edges, smallest id first."""
+    path = [dst]
+    cur = dst
+    while cur != src:
+        best = None
+        for y, w in adj[cur]:
+            if (dist[y] is not None and dist[y] < dist[cur]
+                    and abs(dist[y] + w - dist[cur]) < 1e-9):
+                if best is None or y < best:
+                    best = y
+        if best is None:
+            raise ValueError("no tight predecessor; disconnected?")
+        path.append(best)
+        cur = best
+    path.reverse()
+    return path
+
+
+def thinness_reference(adj, samples, seed):
+    """measure_thinness without skips: one full row per path vertex and a
+    min over the whole union of the other two sides."""
+    import random
+    n = len(adj)
+    rng = random.Random(seed)
+    total = n * (n - 1) * (n - 2) // 6
+    if total <= samples:
+        triples = [(a, b, c) for a in range(n) for b in range(a + 1, n)
+                   for c in range(b + 1, n)]
+    else:
+        chosen = set()
+        while len(chosen) < samples:
+            t = tuple(sorted(rng.sample(range(n), 3)))
+            chosen.add(t)
+        triples = sorted(chosen)
+    dist_cache: dict = {}
+
+    def dist_from(v):
+        if v not in dist_cache:
+            dist_cache[v] = reference_dijkstra(adj, v)
+        return dist_cache[v]
+
+    worst = 0.0
+    for a, b, c in triples:
+        paths = []
+        for src, dst in ((a, b), (b, c), (a, c)):
+            d = dist_from(src)
+            paths.append(reference_walk_back(adj, d, src, dst))
+        for side in range(3):
+            other = set(paths[(side + 1) % 3]) | set(paths[(side + 2) % 3])
+            for u in paths[side]:
+                du = dist_from(u)
+                gap = min(du[v] for v in other)
+                worst = max(worst, gap)
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # synchronous / asynchronous fellow-traveling on the lattice.
 
 def z2_dist(p, q):

@@ -24,6 +24,10 @@ from relhyp.cusp import (
 )
 from relhyp.electric import ParabolicFamily, RelativePresentation
 
+from oracle_tools import (
+    reference_dijkstra, reference_walk_back, thinness_reference,
+)
+
 
 @pytest.fixture(scope="module")
 def params33():
@@ -280,6 +284,111 @@ def test_thinness_tree_and_cycle():
     a = measure_thinness(_cycle_adj(12), 40, 7)
     assert a == measure_thinness(_cycle_adj(12), 40, 7)
     assert a <= 3.0
+
+
+# the edge lengths of the psi=3 cusp complexes: horizontal at depths 0-2
+# and the vertical (1/3)ln3
+CUSP_WEIGHTS = (1.0, 1 / 3, 1 / 9, math.log(3) / 3)
+
+
+def _random_adj(rng, n, extra, components=1):
+    """Seeded weighted graph: a random spanning tree per component plus
+    extra edges inside components, weights drawn from CUSP_WEIGHTS."""
+    adj = [[] for _ in range(n)]
+    comp = [v % components for v in range(n)]
+    for v in range(components, n):
+        u = rng.choice([x for x in range(v) if comp[x] == comp[v]])
+        w = rng.choice(CUSP_WEIGHTS)
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for _ in range(extra):
+        u, v = rng.sample(range(n), 2)
+        if comp[u] == comp[v]:
+            w = rng.choice(CUSP_WEIGHTS)
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    return adj
+
+
+def _same_thinness(adj, samples, seed):
+    got = measure_thinness(adj, samples, seed)
+    want = thinness_reference(adj, samples, seed)
+    assert got == want and repr(got) == repr(want)
+    return got
+
+
+def test_thinness_matches_reference_on_small_graphs():
+    import random
+    for adj in (_tree_adj(), _cycle_adj(12), _cycle_adj(9)):
+        for samples, seed in ((300, 1), (40, 7)):
+            _same_thinness(adj, samples, seed)
+    rng = random.Random(11)
+    positive = 0
+    for trial in range(150):
+        n = rng.randrange(4, 16)
+        adj = _random_adj(rng, n, rng.randrange(0, 2 * n))
+        total = n * (n - 1) * (n - 2) // 6
+        # exhaustive on even trials, sampled (fewer draws than triples)
+        # on odd ones
+        samples = total if trial % 2 == 0 else max(1, total // 3)
+        positive += _same_thinness(adj, samples, trial) > 0
+    assert positive > 50  # the skips must be exercised with worst > 0
+
+
+def test_thinness_matches_reference_on_cusp_complexes(pres_z, pres_f2):
+    cx = build_cusp_complex(build_ball(pres_z, 8), CuspParams(3.0,
+                                                              depth_cap=3))
+    assert _same_thinness(cx.adj, 120, 2) > 0
+    b = pres_f2.alphabet.index("b")
+    rp = RelativePresentation(pres_f2, (ParabolicFamily("P", (b,)),))
+    cx = build_cusped_cayley(build_ball(pres_f2, 3), rp,
+                             CuspParams(3.0, depth_cap=3))
+    assert _same_thinness(cx.adj, 300, 1) > 0
+
+
+def test_thinness_disconnected_raises():
+    import random
+    adj = _random_adj(random.Random(4), 10, 6, components=2)
+    for samples in (1000, 40):
+        with pytest.raises(ValueError, match="no tight predecessor"):
+            measure_thinness(adj, samples, 3)
+        with pytest.raises(ValueError, match="no tight predecessor"):
+            thinness_reference(adj, samples, 3)
+
+
+def test_dijkstra_matches_push_every_neighbour():
+    import random
+    from relhyp.cusp import _dijkstra, geodesic_path
+    rng = random.Random(21)
+    for trial in range(120):
+        n = rng.randrange(2, 30)
+        adj = _random_adj(rng, n, rng.randrange(0, 3 * n),
+                          components=1 + trial % 3)
+        for src in range(n):
+            full = _dijkstra(adj, src)
+            assert full == reference_dijkstra(adj, src)
+            dst = rng.randrange(n)
+            assert (_dijkstra(adj, src, stop_at=dst)
+                    == reference_dijkstra(adj, src, stop_at=dst))
+            if full[dst] is None:
+                assert geodesic_path(adj, src, dst) is None
+            else:
+                want = reference_walk_back(
+                    adj, reference_dijkstra(adj, src, stop_at=dst), src, dst)
+                assert geodesic_path(adj, src, dst) == want
+
+
+def test_path_hausdorff_matches_full_rows(ball_z12):
+    import random
+    cx = build_cusp_complex(ball_z12, CuspParams(3.0, depth_cap=3))
+    rng = random.Random(8)
+    for _ in range(40):
+        one = rng.sample(range(len(cx)), rng.randrange(1, 6))
+        two = rng.sample(range(len(cx)), rng.randrange(1, 6))
+        want = max(min(reference_dijkstra(cx.adj, u)[v] for v in b)
+                   for a, b in ((one, two), (two, one)) for u in a)
+        got = path_hausdorff(cx, one, two)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_thinness_of_cusp_complex(pres_z):
