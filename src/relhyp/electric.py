@@ -61,13 +61,16 @@ class RelativePresentation:
                     raise ValueError(f"family relator {r} missing from the presentation")
                 if not set(r) <= syms:
                     raise ValueError(f"family relator {r} uses outside letters")
+        # symbol -> family index (None for free letters); not a field, so
+        # equality, hashing and serialization see only base and families
+        table = [None] * len(self.base.alphabet.symbols)
+        for i, fam in enumerate(self.families):
+            for sym in fam.symbols():
+                table[sym] = i
+        object.__setattr__(self, "_symbol_family", tuple(table))
 
     def family_of_symbol(self, sym: int):
-        gen = sym & ~1
-        for i, fam in enumerate(self.families):
-            if gen in fam.generators:
-                return i
-        return None
+        return self._symbol_family[sym]
 
     def parabolic_relators(self):
         out = set()
@@ -81,7 +84,7 @@ class RelativePresentation:
 
 
 def electric_length(rp: RelativePresentation, word: Word) -> int:
-    return sum(1 for sym in word if rp.family_of_symbol(sym) is None)
+    return sum(1 for sym in word if rp._symbol_family[sym] is None)
 
 
 def coset_table(ball: GroupBall, rp: RelativePresentation):
@@ -151,6 +154,24 @@ def _family_ball(rp: RelativePresentation, fi: int, radius: int) -> GroupBall:
     return build_ball(pres, radius, generators=fam.generators)
 
 
+def _family_step(rp: RelativePresentation, cache, fi: int, v: int,
+                 sym: int) -> int:
+    """The vertex of v times sym in the ball of family fi (cached in
+    ``cache``).
+
+    A step that leaves the ball rebuilds it at twice the radius, so a run
+    of length L costs O(log L) rebuilds.  Ball vertex ids and words are
+    breadth-first and do not depend on the radius, so v stays valid.
+    """
+    fb = cache.get(fi)
+    t = None if fb is None else fb.edges[v][sym]
+    if t is None:
+        radius = 2 * fb.radius if fb is not None else 2
+        fb = cache[fi] = _family_ball(rp, fi, radius)
+        t = fb.edges[v][sym]
+    return t
+
+
 def _reduce_runs(rp: RelativePresentation, word: Word, cache):
     """Replace each maximal single-family run by its shortlex word in the
     family ball (cached per family in ``cache``).
@@ -162,13 +183,13 @@ def _reduce_runs(rp: RelativePresentation, word: Word, cache):
     """
     out = []
     changed = []
-    for fi, run in groupby(word, rp.family_of_symbol):
+    for fi, run in groupby(word, rp._symbol_family.__getitem__):
         seg = tuple(run)
         if fi is not None:
-            fb = cache.get(fi)
-            if fb is None or fb.radius < len(seg):
-                fb = cache[fi] = _family_ball(rp, fi, len(seg))
-            rep = fb.words[fb.evaluate(seg)]
+            v = 0
+            for sym in seg:
+                v = _family_step(rp, cache, fi, v, sym)
+            rep = cache[fi].words[v]
             if rep != seg:
                 changed.append((len(out), len(out) + len(seg), rep))
                 seg = rep
@@ -189,7 +210,7 @@ def coset_reduce(ball, rp: RelativePresentation, word: Word,
 
 
 def _edge_weight(rp: RelativePresentation, sym: int) -> int:
-    return 0 if rp.family_of_symbol(sym) is not None else 1
+    return 0 if rp._symbol_family[sym] is not None else 1
 
 
 def electric_distances_from(ball: GroupBall, rp: RelativePresentation,
@@ -272,36 +293,102 @@ def _first_nongeodesic_segment(ball, rp, word, k):
 # ---------------------------------------------------------------------------
 # electric area
 
-def _canonicalize(rp: RelativePresentation, word: Word, cache) -> Word:
-    """Normal form in the free product of the parabolics with the remaining
-    free letters: free reduction alternated with parabolic run reduction."""
-    cur = free_reduce(tuple(word))
-    while True:
-        nxt = free_reduce(_reduce_runs(rp, cur, cache)[0])
-        if nxt == cur:
-            return cur
-        cur = nxt
+def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
+                      right: Word, cache) -> Word:
+    """Normal form of left + middle + right in the free product of the
+    parabolics with the remaining free letters (Lyndon-Schupp IV.1).
+
+    Precondition: left + right is already in normal form, i.e. freely
+    reduced with every maximal single-family run equal to its word in the
+    family ball (cached per family in ``cache``).  With left and right
+    empty this is the normal form of any word.
+
+    One pass over a stack: a free letter cancels the free inverse on top
+    or is pushed; a family letter moves the vertex of the trailing
+    syllable of its family (found by scanning back over that run) in the
+    family ball, and the syllable is dropped when it reaches the identity.
+    Once middle is consumed, the pass stops at the first letter of right
+    that starts a syllable of left + right and does not interact with the
+    top (it is neither in the top's family nor the inverse of a free top),
+    and appends the rest of right unchanged.  That is exact: a suffix of a
+    normal form that starts at a syllable boundary consists of whole
+    syllables, so it is a normal form, and nothing cancels or merges where
+    it meets the stack.
+    """
+    fam = rp._symbol_family
+    out = list(left)
+    top = None  # family of the open syllable; its letters are not in out
+    v = 0  # the open syllable's vertex in that family's ball
+    prev = fam[left[-1]] if left else None  # family of the letter before
+    m = len(middle)
+    for j, sym in enumerate(middle + right):
+        f = fam[sym]
+        if j >= m:
+            starts = f is None or f != prev
+            prev = f
+            if starts:
+                if top is not None:
+                    touches = f == top
+                elif out:
+                    touches = (out[-1] == sym ^ 1 if f is None
+                               else fam[out[-1]] == f)
+                else:
+                    touches = False
+                if not touches:
+                    if top is not None:
+                        out.extend(cache[top].words[v])
+                    out.extend(right[j - m:])
+                    return tuple(out)
+        if f is None:
+            if top is not None:
+                out.extend(cache[top].words[v])
+                top = None
+            if out and out[-1] == sym ^ 1:
+                out.pop()
+            else:
+                out.append(sym)
+            continue
+        if top != f:
+            if top is not None:
+                out.extend(cache[top].words[v])
+            # reopen the trailing syllable of family f, if there is one
+            i = len(out)
+            while i and fam[out[i - 1]] == f:
+                i -= 1
+            v = 0
+            for s in out[i:]:
+                v = _family_step(rp, cache, f, v, s)
+            del out[i:]
+            top = f
+        v = _family_step(rp, cache, f, v, sym)
+        if v == 0:
+            top = None
+    if top is not None:
+        out.extend(cache[top].words[v])
+    return tuple(out)
 
 
 def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                         node_budget: int = 500_000):
     """Least number of non-parabolic relator insertions contracting the loop.
 
-    Parabolic relator moves and free reductions cost nothing and happen
-    inside the canonicalization step.  Inserting a relator form is an
-    undirected move (the forms are closed under inversion), so the search
-    runs bidirectionally, from the loop and from the empty word, meeting in
-    the middle.  Intermediate words are capped at len(w) + 2 * max
-    non-parabolic relator length, which is the honest approximation
-    boundary: derivations needing longer intermediates are not found.
-    Returns the area, or None when nothing is found within n_max
-    insertions and the node budget.
+    Parabolic relator moves and free reductions cost nothing: every word
+    the search holds is in free-product normal form, and each insertion is
+    reduced only at its seam, from the insertion point until the inserted
+    form stops interacting with the rest of the word.  Inserting a relator
+    form is an undirected move (the forms are closed under inversion), so
+    the search runs bidirectionally, from the loop and from the empty
+    word, meeting in the middle.  Intermediate words are capped at
+    len(w) + 2 * max non-parabolic relator length, which is the honest
+    approximation boundary: derivations needing longer intermediates are
+    not found.  Returns the area, or None when nothing is found within
+    n_max insertions and the node budget.
     """
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
         raise ValueError("no non-parabolic relators to insert")
     cache: dict = {}
-    start = _canonicalize(rp, word, cache)
+    start = _canonical_splice(rp, (), tuple(word), (), cache)
     if not start:
         return 0
     cap = len(start) + 2 * max(len(f) for f in forms)
@@ -329,7 +416,8 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                     nodes += 1
                     if nodes > node_budget:
                         return best
-                    cand = _canonicalize(rp, cur[:pos] + form + cur[pos:], cache)
+                    cand = _canonical_splice(rp, cur[:pos], form, cur[pos:],
+                                             cache)
                     if len(cand) > cap or cand in dist[side]:
                         continue
                     dist[side][cand] = depth[side]

@@ -423,6 +423,116 @@ def reference_is_k_local(ball, rp, word, k):
 
 
 # ---------------------------------------------------------------------------
+# Electric area reference: free-product normal forms by alternating full
+# free reduction with full parabolic run reduction until nothing changes,
+# and the bidirectional insertion search that re-normalises every spliced
+# word from scratch, as first written.
+
+def _reference_family_of_symbol(rp, sym):
+    gen = sym & ~1
+    for i, fam in enumerate(rp.families):
+        if gen in fam.generators:
+            return i
+    return None
+
+
+def _reference_family_ball(rp, fi, radius):
+    from relhyp.cayley import build_ball
+    from relhyp.words import Presentation
+    fam = rp.families[fi]
+    pres = Presentation(rp.base.alphabet, fam.relators)
+    return build_ball(pres, radius, generators=fam.generators)
+
+
+def _reference_reduce_runs(rp, word, cache):
+    from itertools import groupby
+    out = []
+    changed = []
+    for fi, run in groupby(word, lambda sym: _reference_family_of_symbol(rp, sym)):
+        seg = tuple(run)
+        if fi is not None:
+            fb = cache.get(fi)
+            if fb is None or fb.radius < len(seg):
+                fb = cache[fi] = _reference_family_ball(rp, fi, len(seg))
+            rep = fb.words[fb.evaluate(seg)]
+            if rep != seg:
+                changed.append((len(out), len(out) + len(seg), rep))
+                seg = rep
+        out.extend(seg)
+    return tuple(out), changed
+
+
+def reference_canonicalize(rp, word, cache):
+    """Normal form in the free product of the parabolics with the remaining
+    free letters: free reduction alternated with parabolic run reduction."""
+    from relhyp.words import free_reduce
+    cur = free_reduce(tuple(word))
+    while True:
+        nxt = free_reduce(_reference_reduce_runs(rp, cur, cache)[0])
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
+    """Least number of non-parabolic relator insertions contracting the loop.
+
+    Parabolic relator moves and free reductions cost nothing and happen
+    inside the canonicalization step.  Inserting a relator form is an
+    undirected move (the forms are closed under inversion), so the search
+    runs bidirectionally, from the loop and from the empty word, meeting in
+    the middle.  Intermediate words are capped at len(w) + 2 * max
+    non-parabolic relator length, which is the honest approximation
+    boundary: derivations needing longer intermediates are not found.
+    Returns the area, or None when nothing is found within n_max
+    insertions and the node budget.
+    """
+    from relhyp.words import relator_forms
+    forms = relator_forms(rp.nonparabolic_relators())
+    if not forms:
+        raise ValueError("no non-parabolic relators to insert")
+    cache: dict = {}
+    start = reference_canonicalize(rp, word, cache)
+    if not start:
+        return 0
+    cap = len(start) + 2 * max(len(f) for f in forms)
+    dist = [{start: 0}, {(): 0}]
+    frontier = [[start], [()]]
+    depth = [0, 0]
+    best = None
+    nodes = 0
+    while True:
+        if best is not None and depth[0] + depth[1] >= best:
+            return best
+        if depth[0] + depth[1] >= n_max:
+            return best if best is not None and best <= n_max else None
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        if not frontier[side]:
+            side = 1 - side
+        if not frontier[side]:
+            return best
+        other = 1 - side
+        depth[side] += 1
+        nxt = []
+        for cur in frontier[side]:
+            for pos in range(len(cur) + 1):
+                for form in forms:
+                    nodes += 1
+                    if nodes > node_budget:
+                        return best
+                    cand = reference_canonicalize(rp, cur[:pos] + form + cur[pos:], cache)
+                    if len(cand) > cap or cand in dist[side]:
+                        continue
+                    dist[side][cand] = depth[side]
+                    nxt.append(cand)
+                    if cand in dist[other]:
+                        total = depth[side] + dist[other][cand]
+                        if best is None or total < best:
+                            best = total
+        frontier[side] = nxt
+
+
+# ---------------------------------------------------------------------------
 # Cusp thinness reference for any weighted graph: the push-every-neighbour
 # Dijkstra, the tie-broken walk-back and the full gap scan, as first written.
 

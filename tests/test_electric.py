@@ -5,6 +5,7 @@ coset runs, shoelace areas) before this module existed, then frozen here.
 """
 
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +13,19 @@ from hypothesis import strategies as st
 
 from relhyp.cayley import OUT_OF_BALL, build_ball
 from relhyp.electric import (
-    ParabolicFamily, RelativePresentation, backtracks, bcp_scan,
-    coset_reduce, coset_table, electric_area_exact, electric_area_upper,
-    electric_distances_from, electric_geodesic, electric_length,
-    is_k_local_electric_geodesic, penetrations,
+    ParabolicFamily, RelativePresentation, _canonical_splice, backtracks,
+    bcp_scan, coset_reduce, coset_table, electric_area_exact,
+    electric_area_upper, electric_distances_from, electric_geodesic,
+    electric_length, is_k_local_electric_geodesic, penetrations,
 )
-from relhyp.words import Alphabet, Presentation, free_reduce, word_inverse
+from relhyp.words import (
+    Alphabet, Presentation, free_reduce, relator_forms, word_inverse,
+)
 
-from oracle_tools import reference_is_k_local
+from oracle_tools import (
+    reference_canonicalize, reference_electric_area_exact,
+    reference_is_k_local,
+)
 
 
 @pytest.fixture(scope="module")
@@ -335,3 +341,121 @@ def test_bcp_scan_deterministic(ball_f2_8, rp_f2):
     a = bcp_scan(ball_f2_8, rp_f2, samples=60, seed=3)
     b = bcp_scan(ball_f2_8, rp_f2, samples=60, seed=3)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# free-product normal forms and the area search against the references that
+# re-normalise whole words until nothing changes
+
+def _relative(gens, relators, families):
+    alpha = Alphabet(list(gens))
+    pres = Presentation(alpha, tuple(alpha.parse(r) for r in relators))
+    return RelativePresentation(pres, tuple(
+        ParabolicFamily(name, tuple(alpha.index(g) for g in fam_gens),
+                        tuple(alpha.parse(r) for r in fam_rels))
+        for name, fam_gens, fam_rels in families))
+
+
+RELATIVE_CASES = {
+    "z2-rel-b": lambda: _relative("ab", ["abAB"], [("P", "b", [])]),
+    "f2-rel-b": lambda: _relative("ab", [], [("P", "b", [])]),
+    "z3-rel-b-c": lambda: _relative("abc", ["abAB", "acAC", "bcBC"],
+                                    [("P", "b", []), ("Q", "c", [])]),
+    # the first case whose family has a relator: its ball grows mid-syllable
+    "z3-rel-bc": lambda: _relative("abc", ["abAB", "acAC", "bcBC"],
+                                   [("P", "bc", ["bcBC"])]),
+    # the paper's first example, Z * Z^2 relative to Z^2
+    "zfz2-rel-z2": lambda: _relative("abc", ["bcBC"], [("P", "bc", ["bcBC"])]),
+}
+
+
+def _random_word(rng, nsym, max_len):
+    return tuple(rng.randrange(nsym) for _ in range(rng.randint(0, max_len)))
+
+
+def _longest_syllable(rp, word):
+    return max((len(list(run)) for f, run in groupby(word, rp.family_of_symbol)
+                if f is not None), default=0)
+
+
+@pytest.mark.parametrize("case", sorted(RELATIVE_CASES))
+def test_normal_form_matches_reference_on_random_words(case):
+    rp = RELATIVE_CASES[case]()
+    rng = random.Random(8)
+    nsym = len(rp.base.alphabet.symbols)
+    shared = {}
+    longest = 0
+    for _ in range(300):
+        w = _random_word(rng, nsym, 18)
+        want = reference_canonicalize(rp, w, {})
+        # a fresh cache makes every long syllable grow its family ball
+        assert _canonical_splice(rp, (), w, (), {}) == want, w
+        assert _canonical_splice(rp, (), w, (), shared) == want, w
+        longest = max(longest, _longest_syllable(rp, want))
+    # syllables long enough that a fresh cache grows its family ball
+    # while walking them
+    assert longest >= 4
+
+
+@pytest.mark.parametrize("case", sorted(RELATIVE_CASES))
+def test_every_single_insertion_matches_reference(case):
+    rp = RELATIVE_CASES[case]()
+    rng = random.Random(9)
+    nsym = len(rp.base.alphabet.symbols)
+    forms = relator_forms(rp.base.relators)
+    cache, ref_cache = {}, {}
+    spliced = into_left = into_right = 0
+    for _ in range(40):
+        word = reference_canonicalize(rp, _random_word(rng, nsym, 12), ref_cache)
+        middles = forms + tuple(_random_word(rng, nsym, 5) for _ in range(4))
+        for pos in range(len(word) + 1):
+            left, right = word[:pos], word[pos:]
+            for middle in middles:
+                got = _canonical_splice(rp, left, middle, right, cache)
+                want = reference_canonicalize(rp, left + middle + right,
+                                              ref_cache)
+                assert got == want, (word, pos, middle)
+                spliced += 1
+                # the seam reduced into the letters on either side
+                into_left += want[:len(left)] != left
+                into_right += bool(right) and want[-len(right):] != right
+    assert spliced > 500 and into_left > 50 and into_right > 50
+
+
+def _random_loop(rng, rp, max_half):
+    # every case with non-parabolic relators is abelian, so a word times
+    # the inverse of any rearrangement of it is a loop
+    half = list(_random_word(rng, len(rp.base.alphabet.symbols), max_half))
+    other = half[:]
+    rng.shuffle(other)
+    return free_reduce(tuple(half) + word_inverse(tuple(other)))
+
+
+@pytest.mark.parametrize("case", ["z2-rel-b", "z3-rel-b-c", "z3-rel-bc"])
+def test_electric_area_exact_matches_reference(case):
+    rp = RELATIVE_CASES[case]()
+    rng = random.Random(10)
+    outcomes = set()
+    budget_bites = 0
+    for _ in range(12):
+        loop = _random_loop(rng, rp, 4)
+        for n_max in (1, 2, 4):
+            full = reference_electric_area_exact(rp, loop, n_max)
+            assert electric_area_exact(rp, loop, n_max) == full, (loop, n_max)
+            outcomes.add(full is None)
+            for node_budget in (20, 300):
+                want = reference_electric_area_exact(rp, loop, n_max,
+                                                     node_budget)
+                got = electric_area_exact(rp, loop, n_max, node_budget)
+                assert got == want, (loop, n_max, node_budget)
+                budget_bites += want != full
+    assert outcomes == {True, False}
+    assert budget_bites > 0
+
+
+def test_electric_area_exact_needs_nonparabolic_relators():
+    rp = RELATIVE_CASES["f2-rel-b"]()
+    word = rp.base.alphabet.parse("abAB")
+    for area in (electric_area_exact, reference_electric_area_exact):
+        with pytest.raises(ValueError):
+            area(rp, word, 3)
