@@ -197,16 +197,15 @@ def _reduce_runs(rp: RelativePresentation, word: Word, cache):
     return tuple(out), changed
 
 
-def coset_reduce(ball, rp: RelativePresentation, word: Word,
-                 _family_balls=None) -> Word:
+def coset_reduce(rp: RelativePresentation, word: Word, cache=None) -> Word:
     """Replace every maximal parabolic run by its shortlex parabolic geodesic.
 
     Preserves the evaluation, the electric length and the electric area;
     non-parabolic letters are never touched (in particular no free
-    reduction happens across run boundaries).
+    reduction happens across run boundaries).  cache maps a family to
+    its parabolic ball and may be shared between calls.
     """
-    cache = _family_balls if _family_balls is not None else {}
-    return _reduce_runs(rp, word, cache)[0]
+    return _reduce_runs(rp, word, {} if cache is None else cache)[0]
 
 
 def _edge_weight(rp: RelativePresentation, sym: int) -> int:

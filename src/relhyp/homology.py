@@ -1,9 +1,11 @@
 """Exact linear algebra for Dehn-filling homology computations.
 
-Everything here runs on arbitrary-precision integers and Fractions; no
-floats.  Linking matrices carry their symmetry convention as data: the
-skew convention is the default, the classical symmetric one is allowed,
-both are validated and reported.  The double-indexed meridian rows in
+Everything here is exact, with no floats.  Eliminations run on
+arbitrary-precision integer rows; Fractions carry the rational data
+around them (filling ratios, kernel vectors, solutions).  Linking
+matrices carry their symmetry convention as data: the skew convention
+is the default, the classical symmetric one is allowed, both are
+validated and reported.  The double-indexed meridian rows in
 the source sub-lemma are read as u_i*alpha_i + v_i*sum_j k_ij*alpha_j.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,19 @@ def snf(a: IntMatrix):
 
 
 def _rref(rows):
-    """Reduced row echelon over Fractions; returns (matrix, pivot cols)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form of rows of ints and Fractions; returns
+    (matrix, pivot cols), the matrix as Fractions.
+
+    The elimination runs on integer rows: each row is cleared of its
+    denominators, an update scales both rows by cofactors of their gcd,
+    and every updated row is divided by its content.  Pivots are divided
+    out once per row at the end.  The reduced row echelon form is unique,
+    so this is the same matrix a Fraction elimination gives.
+    """
+    mat = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        mat.append([x.numerator * (den // x.denominator) for x in r])
     pivots = []
     lead = 0
     nrows = len(mat)
@@ -174,23 +187,34 @@ def _rref(rows):
         if sel is None:
             continue
         mat[lead], mat[sel] = mat[sel], mat[lead]
-        inv = 1 / mat[lead][col]
-        mat[lead] = [x * inv for x in mat[lead]]
+        prow = mat[lead]
+        p = prow[col]
         for r in range(nrows):
-            if r != lead and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[lead])]
+            f = mat[r][col]
+            if r != lead and f != 0:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(mat[r], prow)]
+                c = gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+                mat[r] = row
         pivots.append(col)
         lead += 1
         if lead == nrows:
             break
+    for r, col in enumerate(pivots):
+        p = mat[r][col]
+        mat[r] = [Fraction(x, p) for x in mat[r]]
+    for r in range(len(pivots), nrows):
+        mat[r] = [Fraction(0)] * ncols
     return mat, pivots
 
 
 def rank_nullity(rows):
     """Exact rank of a set of rational row vectors, and its nullity
     (row count minus rank)."""
-    rows = [list(r) for r in rows]
+    rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
         return (0, 0)
     _, pivots = _rref(rows)
@@ -403,18 +427,18 @@ def surgery_solve(a_rows, requested=()) -> SurgeryResult:
     last = cols[-1]
     if all(x == 0 for x in last):
         raise ValueError("last column vanishes; it cannot join the basis")
-    # greedy basis: last column first, then leftmost independent columns
-    basis_idx = [nc - 1]
-    for c in range(nc - 1):
-        trial = [cols[i] for i in basis_idx] + [cols[c]]
-        if rank_nullity(trial)[0] == len(basis_idx) + 1:
-            basis_idx.append(c)
+    # greedy basis: last column first, then leftmost independent columns;
+    # these are the pivot columns of the matrix with the last column moved
+    # to the front
+    front = [nc - 1] + list(range(nc - 1))
+    _, pivots = _rref([[cols[c][i] for c in front] for i in range(nr)])
+    basis_idx = [front[p] for p in pivots]
     r = len(basis_idx)
     if len(requested) > r - 1:
         raise ValueError(f"column rank {r} allows only {r - 1} "
                          "independent requests")
     want = list(requested) + [1] * (r - 1 - len(requested))
-    free_cols = sorted(basis_idx[1:])
+    free_cols = basis_idx[1:]
 
     def dot(x, y):
         return sum(a * b for a, b in zip(x, y))
@@ -438,6 +462,8 @@ def surgery_solve(a_rows, requested=()) -> SurgeryResult:
         if nullity == 0:
             raise ValueError("no nonzero covector kills the last column")
         alpha = [Fraction(x) for x in basis[0]]
+    if not any(alpha):
+        raise ValueError("all-zero requests give the zero covector")
 
     fillings = []
     for j in range(nc - 1):

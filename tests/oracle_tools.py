@@ -349,8 +349,10 @@ def ball_product(ball, g, h):
     return v
 
 
-def _rref(rows):
-    mat = [list(r) for r in rows]
+def reference_rref(rows):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan; returns
+    (matrix, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
     pivots = []
     lead = 0
     ncols = len(mat[0]) if mat else 0
@@ -390,7 +392,7 @@ def reference_is_coboundary(tau, ball):
             row[gh] -= 1
             row[n] = Fraction(t)
             eqs.append(row)
-    reduced, pivots = _rref(eqs)
+    reduced, pivots = reference_rref(eqs)
     if n in pivots:  # a row reduced to 0 = nonzero
         return (False, None)
     f = [Fraction(0)] * n

@@ -206,7 +206,7 @@ def test_criterion_06_coset_reduction_preserved(rp_z2, rp_f2):
                 word.append(s)
                 v = ball.edges[v][s]
             word = tuple(word)
-            red = coset_reduce(ball, rp, word, cache)
+            red = coset_reduce(rp, word, cache)
             assert ball.evaluate(red) == ball.evaluate(word)
             assert electric_length(rp, red) == electric_length(rp, word)
     note(6, "coset reduction preserves evaluation and electric length "

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
+from oracle_tools import reference_rref
 from relhyp.cli import (
     PresentationParseError, UsageError, main, parse_matrix_file,
     parse_presentation, parse_slopes, serialize_presentation,
@@ -329,6 +331,53 @@ def test_dehn_fill_partial_and_gaps(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["h1"] is None
     assert rep["results"]["nullity"] == 0
+
+
+def test_dehn_fill_rank_deficient_link(tmp_path, capsys):
+    """Five linked pairs (linking number k) coupled to two unfilled
+    components (couplings c and d).  In four pairs the slopes a and
+    -k^2/a with d = -k*c/a make the second row -k/a times the first; the
+    fourth pair is generic.  The certificate has nullity 4."""
+    n = 12
+    rows = [[0] * n for _ in range(n)]
+    slopes = []
+    pairs = [(1, (5, -10), (-1, 2), "5/1", "-1/5"),
+             (2, (3, 6), (-2, -4), "3/1", "-4/3"),
+             (3, (2, 0), (-3, 0), "2/1", "-9/2"),
+             (1, (1, 1), (0, 1), "2/1", "7/3"),
+             (1, (4, 8), (1, 2), "-4/1", "1/4")]
+    for j, (k, c, d, s0, s1) in enumerate(pairs):
+        i = 2 * j
+        rows[i][i + 1], rows[i + 1][i] = k, -k
+        for col, x, y in ((10, c[0], d[0]), (11, c[1], d[1])):
+            rows[i][col], rows[col][i] = x, -x
+            rows[i + 1][col], rows[col][i + 1] = y, -y
+        slopes += [s0, s1]
+    rows[10][11], rows[11][10] = 1, -1
+    k_file = tmp_path / "link12.mat"
+    k_file.write_text(f"{n} {n}\n" + "".join(
+        " ".join(map(str, r)) + "\n" for r in rows))
+    s_file = tmp_path / "slopes12.txt"
+    s_file.write_text("\n".join(slopes + ["*", "*"]) + "\n")
+    code, rep, err = run_cli(["dehn-fill", str(k_file), str(s_file)], capsys)
+    assert code == 0
+    r = rep["results"]
+    b = [[Fraction(x) for x in row] for row in r["filling_matrix"]]
+    assert any(x.denominator > 1 for row in b for x in row)
+    assert r["nullity"] == 4
+    basis = r["kernel_basis"]
+    assert len(basis) == 4
+    for alpha in basis:
+        assert len(alpha) == len(b)
+        assert gcd(*alpha) == 1
+        assert next(x for x in alpha if x) > 0
+        for col in range(n):
+            assert sum(a * row[col] for a, row in zip(alpha, b)) == 0
+    assert len(reference_rref(basis)[1]) == 4
+    assert any(abs(x) > 1 for alpha in basis for x in alpha)
+    assert r["h1"]["rank_lower_bound"] == 6
+    assert r["h1"]["kernel_rank"] == 4
+    assert "nullity 4" in err
 
 
 def test_dehn_fill_input_validation(tmp_path, capsys):

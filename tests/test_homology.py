@@ -4,14 +4,19 @@ The bordered-matrix example [[5,1],[-1,-1/5]] with covector (1,5), the
 wishful pair (100, -1/100) with norm 10001, and the surgery covector
 (-7,7) were worked by hand from the defining formulas before this module
 existed.
+
+The reference tests compare rank_nullity, filling_nullity_certificate and
+surgery_solve with results built from a plain Fraction Gauss-Jordan
+(oracle_tools.reference_rref) on seeded matrices.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from oracle_tools import reference_rref
 from relhyp.homology import (
     Filling, FillingMatrix, IntMatrix, LinkingMatrix,
     filling_matrix, filling_nullity_certificate, h1_presentation,
@@ -221,6 +226,8 @@ def test_surgery_errors():
         surgery_solve([[0, 1], [1, 0], [1, 1]])  # not an (n-1) x n block
     with pytest.raises(ValueError, match="must be zero"):
         surgery_solve([[3, 1, 1], [-1, 0, 1]])  # nonzero diagonal
+    with pytest.raises(ValueError, match="zero covector"):
+        surgery_solve([[0, 1, 1], [-1, 0, 1]], (0,))
 
 
 def _pq_for(u, v):
@@ -322,3 +329,198 @@ def test_sublemma_identity_random():
         nullity, _ = filling_nullity_certificate(b)
         assert bound - m == nullity
         made += 1
+
+
+# ---------------------------------------------------------------------------
+# reference checks against a plain Fraction Gauss-Jordan
+
+
+def _combined_rows(rng, nrows, ncols, rank):
+    """nrows random combinations of rank base rows whose entries have
+    denominators up to 9; rank 0 gives the zero matrix."""
+    base = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randint(-3, 3) for _ in range(rank)]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)),
+                         Fraction(0)) for j in range(ncols)])
+    return rows
+
+
+def _reference_matrices():
+    """Tall, wide, square, single-row and single-column matrices of every
+    rank, some with a zeroed row or column, some with integer entries."""
+    rng = random.Random(20)
+    cases = []
+    for nrows, ncols in ((7, 3), (3, 7), (5, 5), (8, 8), (1, 6), (6, 1)):
+        for _ in range(30):
+            rows = _combined_rows(rng, nrows, ncols,
+                                  rng.randint(0, min(nrows, ncols)))
+            if rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+            if rng.random() < 0.3:
+                c = rng.randrange(ncols)
+                for row in rows:
+                    row[c] = Fraction(0)
+            if rng.random() < 0.2:
+                rows = [[int(x * lcm(*(y.denominator for y in row)))
+                         for x in row] for row in rows]
+            cases.append(rows)
+    return cases
+
+
+def _reference_certificate(rows):
+    """Left-kernel basis of rows from the reference RREF of the
+    transpose, each vector primitive with its first nonzero entry
+    positive."""
+    nrows, ncols = len(rows), len(rows[0])
+    mat, pivots = reference_rref([[rows[r][c] for r in range(nrows)]
+                                  for c in range(ncols)])
+    basis = []
+    for free in (c for c in range(nrows) if c not in pivots):
+        vec = [Fraction(0)] * nrows
+        vec[free] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -mat[prow][free]
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        basis.append(tuple(sign * x // g for x in ints))
+    return (len(basis), tuple(basis))
+
+
+def _random_skew(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.randint(-3, 3)
+            rows[i][j], rows[j][i] = x, -x
+    return rows
+
+
+def _random_slope(rng):
+    """A u/v slope with v up to 9, now and then 1/0."""
+    if rng.random() < 0.1:
+        return Filling(1, 0)
+    while True:
+        u, v = rng.randint(-9, 9), rng.randint(1, 9)
+        if u and gcd(u, v) == 1:
+            return Filling(u, v)
+
+
+def test_rank_nullity_matches_reference():
+    for rows in _reference_matrices():
+        _, pivots = reference_rref(rows)
+        assert rank_nullity(rows) == (len(pivots), len(rows) - len(pivots))
+
+
+def test_nullity_certificate_matches_reference():
+    wide_kernels = big_entries = 0
+    for rows in _reference_matrices():
+        got = filling_nullity_certificate(rows)
+        assert got == _reference_certificate(rows)
+        wide_kernels += got[0] >= 2
+        big_entries += any(abs(x) > 1 for vec in got[1] for x in vec)
+        for vec in got[1]:
+            for c in range(len(rows[0])):
+                assert sum(a * row[c] for a, row in zip(vec, rows)) == 0
+    # the comparison must see kernels of dimension >= 2 and basis
+    # vectors that are more than 0/1 patterns
+    assert wide_kernels >= 20
+    assert big_entries >= 20
+
+
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def _reference_surgery(rows, requested):
+    """(basis columns, alpha) from the greedy rank loop and the Gram
+    solve, both on reference_rref, or the start of the ValueError
+    message surgery_solve must raise."""
+    nr, nc = len(rows), len(rows[0])
+    cols = [[Fraction(rows[r][c]) for r in range(nr)] for c in range(nc)]
+    basis = [nc - 1]
+    for c in range(nc - 1):
+        trial = [cols[i] for i in basis] + [cols[c]]
+        if len(reference_rref(trial)[1]) == len(basis) + 1:
+            basis.append(c)
+    if len(requested) > len(basis) - 1:
+        return "column rank"
+    want = list(requested) + [1] * (len(basis) - 1 - len(requested))
+    if len(basis) == 1:
+        kernel = _reference_certificate([(x,) for x in cols[-1]])[1]
+        if not kernel:
+            return "no nonzero covector"
+        alpha = [Fraction(x) for x in kernel[0]]
+    else:
+        order = basis[1:] + [nc - 1]
+        aug = [[_dot(cols[b], cols[c]) for b in order] + [Fraction(-w)]
+               for c, w in zip(order, want + [0])]
+        mat, pivots = reference_rref(aug)
+        assert pivots == list(range(len(order)))
+        lam = [mat[i][-1] for i in range(len(order))]
+        alpha = [sum((l * cols[b][i] for l, b in zip(lam, order)),
+                     Fraction(0)) for i in range(nr)]
+    if not any(alpha):
+        return "all-zero requests"
+    if any(alpha[j] == 0 and _dot(alpha, cols[j]) != 0 for j in range(nr)):
+        return "column .* is infeasible"
+    return basis[1:], alpha
+
+
+def _check_surgery(rows, requested):
+    """surgery_solve against the reference basis and covector; returns
+    True when it produced a result."""
+    ref = _reference_surgery(rows, requested)
+    if isinstance(ref, str):
+        with pytest.raises(ValueError, match=ref):
+            surgery_solve(rows, requested)
+        return False
+    basis, alpha = ref
+    res = surgery_solve(rows, requested)
+    assert res.basis_columns == tuple(basis)
+    assert res.alpha == tuple(alpha)
+    bordered = []
+    for i, f in enumerate(res.fillings):
+        col = [Fraction(row[i]) for row in rows]
+        ratio = None if alpha[i] == 0 else -_dot(alpha, col) / alpha[i]
+        assert f == (Filling(1, 1) if ratio is None else
+                     Filling(ratio.numerator, ratio.denominator))
+        row = [Fraction(x) for x in rows[i]]
+        row[i] = f.ratio()
+        bordered.append(row)
+    assert res.nullity == _reference_certificate(bordered)[0]
+    return True
+
+
+def test_surgery_matches_reference():
+    rng = random.Random(21)
+    solved = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        rows = _combined_rows(rng, n - 1, n, rng.randint(1, n - 1))
+        rows = [[int(x * 9 * 8 * 7 * 5) for x in row] for row in rows]
+        for i in range(n - 1):
+            rows[i][i] = 0
+        if all(row[-1] == 0 for row in rows):
+            continue
+        requested = tuple(rng.randint(-5, 5)
+                          for _ in range(rng.randint(0, 2)))
+        solved += _check_surgery(rows, requested)
+    assert solved >= 60
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_skew_linking_matches_reference(n):
+    rng = random.Random(n)
+    k = LinkingMatrix.from_rows(_random_skew(rng, n))
+    fills = [None if rng.random() < 0.15 else _random_slope(rng)
+             for _ in range(n)]
+    b = filling_matrix(k, fills)
+    assert filling_nullity_certificate(b) == _reference_certificate(b.rows)
+    _, pivots = reference_rref(b.rows)
+    assert rank_nullity(b.rows) == (len(pivots), len(b.rows) - len(pivots))
+    assert _check_surgery([list(r) for r in k.entries[:n - 1]], (2, -3))
