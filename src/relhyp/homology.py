@@ -77,69 +77,54 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-def snf(a: IntMatrix):
-    """Smith normal form: returns (U, D, V) with A = U @ D @ V, U and V
-    unimodular, D diagonal with each entry dividing the next."""
-    m, n = a.rows, a.cols
-    d = [list(r) for r in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+def _smith(d, ncols):
+    """Smith elimination of the integer rows d (ncols columns), in place.
 
-    # every elementary operation on d is mirrored by the INVERSE
-    # operation on u or v, keeping a = u d v exact throughout
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        for r in range(m):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def row_addmul(i, j, c):  # row i += c * row j
-        for s in range(n):
-            d[i][s] += c * d[j][s]
-        for r in range(m):
-            u[r][j] -= c * u[r][i]
-
-    def row_negate(i):
-        for s in range(n):
-            d[i][s] = -d[i][s]
-        for r in range(m):
-            u[r][i] = -u[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    def col_addmul(j, i, c):  # col j += c * col i
-        for r in range(m):
-            d[r][j] += c * d[r][i]
-        for s in range(n):
-            v[i][s] -= c * v[j][s]
-
+    Yields each operation as it is applied: ("row_swap", i, j),
+    ("row_addmul", i, j, c) for row i += c * row j, ("row_negate", i),
+    ("col_swap", i, j), ("col_addmul", j, i, c) for col j += c * col i.
+    Once drained, d is diagonal, nonnegative, each entry dividing the
+    next.  snf mirrors the operations on U and V; no list is kept.
+    """
+    m, n = len(d), ncols
     t = 0
     while t < min(m, n):
-        # locate the smallest nonzero entry and pivot on it
-        pivot = None
+        # pivot on the first smallest nonzero entry in row-major order;
+        # nothing is smaller than 1, so the scan stops at the first unit
+        least = 0
         for r in range(t, m):
+            row = d[r]
             for c in range(t, n):
-                if d[r][c] != 0 and (pivot is None
-                                     or abs(d[r][c]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
+                x = abs(row[c])
+                if x and (not least or x < least):
+                    least, pr, pc = x, r, c
+                    if x == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        d[t], d[pr] = d[pr], d[t]
+        yield ("row_swap", t, pr)
+        for row in d:
+            row[t], row[pc] = row[pc], row[t]
+        yield ("col_swap", t, pc)
         if d[t][t] < 0:
-            row_negate(t)
+            d[t] = [-x for x in d[t]]
+            yield ("row_negate", t)
         dirty = False
         for r in range(t + 1, m):
             if d[r][t] != 0:
                 q = d[r][t] // d[t][t]
-                row_addmul(r, t, -q)
+                d[r] = [x - q * y for x, y in zip(d[r], d[t])]
+                yield ("row_addmul", r, t, -q)
                 dirty = dirty or d[r][t] != 0
         for c in range(t + 1, n):
             if d[t][c] != 0:
                 q = d[t][c] // d[t][t]
-                col_addmul(c, t, -q)
+                for row in d:
+                    row[c] -= q * row[t]
+                yield ("col_addmul", c, t, -q)
                 dirty = dirty or d[t][c] != 0
         if dirty:
             continue  # remainders became new, smaller pivot candidates
@@ -148,7 +133,8 @@ def snf(a: IntMatrix):
         for r in range(t + 1, m):
             for c in range(t + 1, n):
                 if d[r][c] % d[t][t] != 0:
-                    row_addmul(t, r, 1)
+                    d[t] = [x + y for x, y in zip(d[t], d[r])]
+                    yield ("row_addmul", t, r, 1)
                     stuck = True
                     break
             if stuck:
@@ -156,7 +142,41 @@ def snf(a: IntMatrix):
         if stuck:
             continue
         t += 1
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(d),
+
+
+def snf(a: IntMatrix):
+    """Smith normal form: returns (U, D, V) with A = U @ D @ V, U and V
+    unimodular, D diagonal with each entry dividing the next.
+
+    D comes from _smith; U and V start as identities and take the
+    INVERSE of each of its operations in turn, keeping a = u d v exact
+    throughout.
+    """
+    m, n = a.rows, a.cols
+    d = [list(r) for r in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in _smith(d, n):
+        kind = op[0]
+        if kind == "row_swap":
+            _, i, j = op
+            for row in u:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "row_addmul":
+            _, i, j, c = op
+            for row in u:
+                row[j] -= c * row[i]
+        elif kind == "row_negate":
+            i = op[1]
+            for row in u:
+                row[i] = -row[i]
+        elif kind == "col_swap":
+            _, i, j = op
+            v[i], v[j] = v[j], v[i]
+        else:  # col_addmul
+            _, j, i, c = op
+            v[i] = [x - c * y for x, y in zip(v[i], v[j])]
+    return (IntMatrix.from_rows(u), IntMatrix(m, n, tuple(map(tuple, d))),
             IntMatrix.from_rows(v))
 
 
@@ -511,6 +531,14 @@ def h1_presentation(k: LinkingMatrix, fillings):
     in the basis (alpha_1..alpha_n, e_1..e_{n-m}).  Returns the
     presentation matrix (columns are relations), the free-rank lower
     bound for H_1 of the filled manifold, and its diagonal torsion.
+
+    The invariants come from the Smith form of the n x nf meridian block
+    M[j][i] = v_i*k_ij + [i == j]*u_i alone.  e_i occurs only in
+    lambda_i, with coefficient 1, so row operations against e_i's row
+    clear the rest of lambda_i's column: each lambda_i splits off a
+    unit factor, leaving M.  Smith forms are unique, so the free rank
+    is n minus M's nonzero diagonal entries and the torsion is M's
+    entries above 1.
     """
     n = k.n
     nf = len(fillings)
@@ -532,18 +560,16 @@ def h1_presentation(k: LinkingMatrix, fillings):
         rows.append(tuple(lam))
         rows.append(tuple(mu))
     cols = n + nf  # = 2n - m
-    if rows:
-        pres = IntMatrix.from_rows(rows)
-        # relations become columns of the presentation
-        pres = IntMatrix(cols, len(rows),
-                         tuple(tuple(pres.entries[r][c] for r in range(len(rows)))
-                               for c in range(cols)))
-    else:
-        pres = IntMatrix(cols, 0, tuple(() for _ in range(cols)))
-    _, d, _ = snf(pres)
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    # relations become columns of the presentation
+    pres = IntMatrix(cols, len(rows),
+                     tuple(zip(*rows)) if rows else ((),) * cols)
+    # the alpha rows at the mu columns
+    meridians = [list(pres.entries[j][1::2]) for j in range(n)]
+    for _ in _smith(meridians, nf):
+        pass
+    diag = [meridians[i][i] for i in range(min(n, nf))]
     nonzero = sum(1 for x in diag if x != 0)
-    rank_bound = cols - nonzero
+    rank_bound = n - nonzero
     torsion = tuple(x for x in diag if x > 1)
     # cross-check against the meridian-row nullity identity
     cert_nullity, _ = filling_nullity_certificate(filling_matrix(k, fillings))

@@ -375,6 +375,97 @@ def reference_rref(rows):
     return mat, pivots
 
 
+def reference_snf(a):
+    """Smith normal form: returns (U, D, V) with A = U @ D @ V, U and V
+    unimodular, D diagonal with each entry dividing the next.
+
+    The reference for relhyp.homology.snf: the same pivot rule, with
+    each operation on D mirrored on U or V by a helper as it happens
+    instead of streamed from one D-only elimination.  Its D comes out
+    0 x 0 for a matrix with no rows, so compare on nonempty shapes.
+    """
+    from relhyp.homology import IntMatrix
+
+    m, n = a.rows, a.cols
+    d = [list(r) for r in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    # every elementary operation on d is mirrored by the INVERSE
+    # operation on u or v, keeping a = u d v exact throughout
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        for r in range(m):
+            u[r][i], u[r][j] = u[r][j], u[r][i]
+
+    def row_addmul(i, j, c):  # row i += c * row j
+        for s in range(n):
+            d[i][s] += c * d[j][s]
+        for r in range(m):
+            u[r][j] -= c * u[r][i]
+
+    def row_negate(i):
+        for s in range(n):
+            d[i][s] = -d[i][s]
+        for r in range(m):
+            u[r][i] = -u[r][i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        v[i], v[j] = v[j], v[i]
+
+    def col_addmul(j, i, c):  # col j += c * col i
+        for r in range(m):
+            d[r][j] += c * d[r][i]
+        for s in range(n):
+            v[i][s] -= c * v[j][s]
+
+    t = 0
+    while t < min(m, n):
+        # locate the smallest nonzero entry and pivot on it
+        pivot = None
+        for r in range(t, m):
+            for c in range(t, n):
+                if d[r][c] != 0 and (pivot is None
+                                     or abs(d[r][c]) < abs(d[pivot[0]][pivot[1]])):
+                    pivot = (r, c)
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        if d[t][t] < 0:
+            row_negate(t)
+        dirty = False
+        for r in range(t + 1, m):
+            if d[r][t] != 0:
+                q = d[r][t] // d[t][t]
+                row_addmul(r, t, -q)
+                dirty = dirty or d[r][t] != 0
+        for c in range(t + 1, n):
+            if d[t][c] != 0:
+                q = d[t][c] // d[t][t]
+                col_addmul(c, t, -q)
+                dirty = dirty or d[t][c] != 0
+        if dirty:
+            continue  # remainders became new, smaller pivot candidates
+        # pivot must divide the rest of the submatrix for the chain
+        stuck = False
+        for r in range(t + 1, m):
+            for c in range(t + 1, n):
+                if d[r][c] % d[t][t] != 0:
+                    row_addmul(t, r, 1)
+                    stuck = True
+                    break
+            if stuck:
+                break
+        if stuck:
+            continue
+        t += 1
+    return (IntMatrix.from_rows(u), IntMatrix.from_rows(d),
+            IntMatrix.from_rows(v))
+
+
 def reference_is_coboundary(tau, ball):
     """(True, {v: Fraction}) when tau(g,h) = f(g) + f(h) - f(gh) is
     solvable over every defined in-ball pair, else (False, None)."""

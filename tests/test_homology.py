@@ -7,7 +7,8 @@ existed.
 
 The reference tests compare rank_nullity, filling_nullity_certificate and
 surgery_solve with results built from a plain Fraction Gauss-Jordan
-(oracle_tools.reference_rref) on seeded matrices.
+(oracle_tools.reference_rref) on seeded matrices, and snf and
+h1_presentation with oracle_tools.reference_snf.
 """
 
 import random
@@ -16,7 +17,7 @@ from math import gcd, lcm
 
 import pytest
 
-from oracle_tools import reference_rref
+from oracle_tools import reference_rref, reference_snf
 from relhyp.homology import (
     Filling, FillingMatrix, IntMatrix, LinkingMatrix,
     filling_matrix, filling_nullity_certificate, h1_presentation,
@@ -80,6 +81,45 @@ def test_snf_rectangular():
                 [[rng.randint(-9, 9) for _ in range(cols)]
                  for _ in range(rows)])
             _check_snf(a)
+
+
+def test_snf_empty_shapes():
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (0, 1), (1, 0)):
+        a = IntMatrix(rows, cols, tuple(() for _ in range(rows)))
+        u, d, v = snf(a)
+        assert (d.rows, d.cols) == (rows, cols)
+        assert (u.rows, v.rows) == (rows, cols)
+        assert u @ d @ v == a
+
+
+def _integer_matrix(rng, rows, cols, kind):
+    """Entries in -9..9 ("dense"), mostly zero ("sparse"), or a product
+    of rows x r and r x cols factors with r below full rank
+    ("deficient")."""
+    if kind == "dense":
+        return [[rng.randint(-9, 9) for _ in range(cols)]
+                for _ in range(rows)]
+    if kind == "sparse":
+        return [[rng.randint(-9, 9) if rng.random() < 0.25 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+    r = rng.randint(0, min(rows, cols) - 1)
+    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)]
+    return [[sum(left[i][s] * right[s][j] for s in range(r))
+             for j in range(cols)] for i in range(rows)]
+
+
+def test_snf_matches_reference():
+    """snf takes U and V from the operations one D-only elimination
+    streams; the reference carries them along.  All three must agree."""
+    rng = random.Random(12)
+    cases = [(rows, cols, kind) for rows in range(1, 9)
+             for cols in range(1, 9)
+             for kind in ("dense", "sparse", "deficient")]
+    cases += [(20, 20, "dense")] * 3
+    for rows, cols, kind in cases:
+        a = IntMatrix.from_rows(_integer_matrix(rng, rows, cols, kind))
+        assert snf(a) == reference_snf(a)
 
 
 def test_rank_nullity():
@@ -524,3 +564,50 @@ def test_skew_linking_matches_reference(n):
     _, pivots = reference_rref(b.rows)
     assert rank_nullity(b.rows) == (len(pivots), len(b.rows) - len(pivots))
     assert _check_surgery([list(r) for r in k.entries[:n - 1]], (2, -3))
+
+
+def _random_linking(rng, n, convention):
+    """Entries in -2..2, skew or symmetric; the share of zero entries is
+    drawn per link, so some links are split or nearly so."""
+    zeros = rng.random()
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = 0 if rng.random() < zeros else rng.choice((1, -1, 2, -2))
+            rows[i][j] = x
+            rows[j][i] = -x if convention == "skew" else x
+    return LinkingMatrix.from_rows(rows, convention)
+
+
+# 1/0, negative u and negative v, and larger torsion slopes
+_SLOPES = ((1, 0), (1, 1), (-1, 1), (1, -1), (2, 1), (-3, 2),
+           (3, -2), (1, 2), (5, 1), (-4, 3))
+
+
+def test_h1_presentation_matches_reference():
+    """h1_presentation's invariants, read from the meridian block, equal
+    those of reference_snf on the whole presentation."""
+    rng = random.Random(10)
+    torsion_cases = rank_cases = 0
+    for convention in ("skew", "symmetric"):
+        for n in range(1, 13):
+            k = _random_linking(rng, n, convention)
+            for nf in range(n + 1):
+                fills = []
+                for _ in range(nf):
+                    # 0/1 fillings of weakly linked components leave
+                    # free rank beyond the unfilled components
+                    u, v = (0, 1) if rng.random() < 0.3 else \
+                        rng.choice(_SLOPES)
+                    p, q = _pq_for(u, v)
+                    fills.append(Filling(u, v, p=p, q=q))
+                pres, bound, torsion = h1_presentation(k, fills)
+                assert (pres.rows, pres.cols) == (n + nf, 2 * nf)
+                _, d, _ = reference_snf(pres)
+                diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+                assert bound == pres.rows - sum(1 for x in diag if x != 0)
+                assert torsion == tuple(x for x in diag if x > 1)
+                torsion_cases += torsion != ()
+                rank_cases += bound > n - nf
+    assert torsion_cases >= 20
+    assert rank_cases >= 20
