@@ -217,20 +217,30 @@ def geodesic_path(adj, src, dst):
     return _geodesic_path(adj, dist, src, dst)
 
 
-def _geodesic_path(adj, dist, src, dst):
+def _geodesic_path(adj, dist, src, dst, parent=None):
     """Walk back from dst along tight edges, smallest vertex id first.
-    Each step must strictly lower dist, so near-zero edges cannot cycle."""
+    Each step must strictly lower dist, so near-zero edges cannot cycle.
+
+    dist is a row from src, None or inf where unreached.  The step from a
+    vertex depends only on the row, so ``parent`` memoises it per row:
+    parent[v] is v's tight predecessor once a walk has left v, -1 before.
+    Without one, the walk starts a fresh memo."""
+    if parent is None:
+        parent = [-1] * len(adj)
     path = [dst]
     cur = dst
     while cur != src:
-        best = None
-        for y, w in adj[cur]:
-            if (dist[y] is not None and dist[y] < dist[cur]
-                    and abs(dist[y] + w - dist[cur]) < 1e-9):
-                if best is None or y < best:
+        best = parent[cur]
+        if best < 0:
+            dc = dist[cur]
+            for y, w in adj[cur]:
+                dy = dist[y]
+                if (dy is not None and dy < dc and abs(dy + w - dc) < 1e-9
+                        and (best < 0 or y < best)):
                     best = y
-        if best is None:
-            raise ValueError("no tight predecessor; disconnected?")
+            if best < 0:
+                raise ValueError("no tight predecessor; disconnected?")
+            parent[cur] = best
         path.append(best)
         cur = best
     path.reverse()
@@ -337,7 +347,23 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
     Distance rows are never symmetrised: d(u, v) is read from u's own row
     because floating-point sums along different search orders can differ
     from d(v, u) in the last bits, and the result must not depend on that.
+
+    Rows are kept as array('d'), a quarter of the memory of a list of
+    floats, and every source row carries an array('i') walk-back memo
+    (see ``_geodesic_path``).  Neither changes a value or a path.  A row
+    is the fixpoint d[y] = min over neighbours x of fl(d[x] + w) that
+    ``_dijkstra`` settles, and each array element is the same double as
+    the float it replaces.  Under that fixed row the tight predecessor of
+    v depends on v alone, so a memoised step is the step a fresh walk
+    would take.
     """
+    # a shared library (about 0.17 MiB of RSS), so only thinness loads it
+    from array import array
+
+    def row(src):  # inf where unreached
+        return array("d", [math.inf if d is None else d
+                           for d in _dijkstra(adj, src)])
+
     n = len(adj)
     rng = random.Random(seed)
     total = n * (n - 1) * (n - 2) // 6
@@ -351,12 +377,15 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
             chosen.add(t)
         triples = sorted(chosen)
     rows = [None] * n  # rows[v]: distances from v, filled on first use
+    parents = [None] * n  # parents[v]: walk-back memo of rows[v]
     worst = 0.0
     for a, b, c in triples:
         for src in (a, b):
-            if rows[src] is None:
-                rows[src] = _dijkstra(adj, src)
-        paths = [_geodesic_path(adj, rows[src], src, dst)
+            if parents[src] is None:
+                if rows[src] is None:
+                    rows[src] = row(src)
+                parents[src] = array("i", [-1]) * n
+        paths = [_geodesic_path(adj, rows[src], src, dst, parents[src])
                  for src, dst in ((a, b), (b, c), (a, c))]
         for side in range(3):
             path = paths[side]
@@ -370,7 +399,7 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
                     continue
                 du = rows[u]
                 if du is None:
-                    du = rows[u] = _dijkstra(adj, u)
+                    du = rows[u] = row(u)
                 if du[x] <= worst or du[y] <= worst:
                     continue
                 worst = max(worst, min(pick(du)))
@@ -451,20 +480,3 @@ def pushdown_total(params: CuspParams) -> float:
     return (params.psi - 1 - params.rho_max * params.omega * params.psi) \
         / (params.psi - 1)
 
-
-def complex_to_json(cx: CuspComplex) -> dict:
-    edges = sorted((min(u, v), max(u, v), w)
-                   for (u, v), w in cx._edge_len.items())
-    dedup = []
-    for e in edges:
-        if not dedup or dedup[-1][:2] != e[:2]:
-            dedup.append(e)
-    return {
-        "psi": cx.params.psi,
-        "omega": cx.params.omega,
-        "depth_cap": cx.params.depth_cap,
-        "vertices": [{"key": list(k) if isinstance(k, tuple) else k,
-                      "depth": cx.depth[v], "shadow": cx.shadow[v]}
-                     for v, k in enumerate(cx.keys)],
-        "edges": [{"u": u, "v": v, "length": w} for u, v, w in dedup],
-    }

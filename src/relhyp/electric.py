@@ -477,6 +477,45 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
     return total, moves
 
 
+def _bcp_walk(ball, rp: RelativePresentation, word: Word, table):
+    """Prefix vertices of a word and its penetrations grouped by
+    (family, coset), groups in order of first visit."""
+    by = {}
+    for p in penetrations(ball, rp, word, table):
+        by.setdefault((p.family, p.coset), []).append(p)
+    return ball.prefix_vertices(word), by
+
+
+def _bcp_pair(ball, walk1, walk2):
+    """(ok, entry gap, exit gap, travel) of one pair of walks.  ok is
+    False once a distance leaves the ball's certificate; the maxima then
+    cover the cosets scanned before it."""
+    verts1, by1 = walk1
+    verts2, by2 = walk2
+    entry_gap = exit_gap = travel = 0
+    for key in set(by1) | set(by2):
+        if key in by1 and key in by2:
+            a_in = verts1[min(p.enter for p in by1[key])]
+            b_in = verts2[min(p.enter for p in by2[key])]
+            a_out = verts1[max(p.leave for p in by1[key])]
+            b_out = verts2[max(p.leave for p in by2[key])]
+            d_in = distance(ball, a_in, b_in)
+            d_out = distance(ball, a_out, b_out)
+            if d_in is OUT_OF_BALL or d_out is OUT_OF_BALL:
+                return False, entry_gap, exit_gap, travel
+            entry_gap = max(entry_gap, d_in)
+            exit_gap = max(exit_gap, d_out)
+        else:
+            pens = by1.get(key, by2.get(key))
+            verts = verts1 if key in by1 else verts2
+            for p in pens:
+                d = distance(ball, verts[p.enter], verts[p.leave])
+                if d is OUT_OF_BALL:
+                    return False, entry_gap, exit_gap, travel
+                travel = max(travel, d)
+    return True, entry_gap, exit_gap, travel
+
+
 def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
              max_radius: int | None = None, identical: bool = False):
     """Empirical bounded-coset-penetration constants.
@@ -487,6 +526,13 @@ def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
     last-exit vertices over shared cosets, and the worst in-coset travel
     over cosets only one of the two penetrates.  With ``identical`` the
     second word of each pair is the first (control row).
+
+    The draws are those of a plain per-sample loop: a pool vertex g, then
+    one of its in-pool neighbours or g itself.  But each vertex's walk and
+    each distinct pair's effect are computed once and replayed.  Every
+    total is a maximum of ints, so replaying an effect is the same as
+    recomputing it, and a pair that leaves the ball still adds the
+    maxima scanned before it.
     """
     rng = random.Random(seed)
     if max_radius is None:
@@ -494,6 +540,9 @@ def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
     table = coset_table(ball, rp)
     tree = electric_geodesic_tree(ball, rp, 0)
     pool = [v for v in range(len(ball)) if ball.length_of(v) <= max_radius]
+    choices = {}  # g -> its in-pool neighbours, then g
+    walks = {}  # v -> _bcp_walk of v's tree word
+    effects = {}  # (g, h) -> _bcp_pair of their walks
     entry_gap = exit_gap = travel = 0
     skipped = 0
     pairs = 0
@@ -502,45 +551,20 @@ def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
         if identical:
             h = g
         else:
-            nbrs = [t for _, t in ball.neighbours(g)
-                    if ball.length_of(t) <= max_radius]
-            h = rng.choice(nbrs + [g])
-        w1, w2 = tree[g][1], tree[h][1]
-        pens1 = penetrations(ball, rp, w1, table)
-        pens2 = penetrations(ball, rp, w2, table)
-        verts1 = ball.prefix_vertices(w1)
-        verts2 = ball.prefix_vertices(w2)
-        by1 = {}
-        for p in pens1:
-            by1.setdefault((p.family, p.coset), []).append(p)
-        by2 = {}
-        for p in pens2:
-            by2.setdefault((p.family, p.coset), []).append(p)
-        ok = True
-        for key in set(by1) | set(by2):
-            if key in by1 and key in by2:
-                a_in = verts1[min(p.enter for p in by1[key])]
-                b_in = verts2[min(p.enter for p in by2[key])]
-                a_out = verts1[max(p.leave for p in by1[key])]
-                b_out = verts2[max(p.leave for p in by2[key])]
-                d_in = distance(ball, a_in, b_in)
-                d_out = distance(ball, a_out, b_out)
-                if d_in is OUT_OF_BALL or d_out is OUT_OF_BALL:
-                    ok = False
-                    break
-                entry_gap = max(entry_gap, d_in)
-                exit_gap = max(exit_gap, d_out)
-            else:
-                pens = by1.get(key, by2.get(key))
-                verts = verts1 if key in by1 else verts2
-                for p in pens:
-                    d = distance(ball, verts[p.enter], verts[p.leave])
-                    if d is OUT_OF_BALL:
-                        ok = False
-                        break
-                    travel = max(travel, d)
-                if not ok:
-                    break
+            if g not in choices:
+                choices[g] = [t for _, t in ball.neighbours(g)
+                              if ball.length_of(t) <= max_radius] + [g]
+            h = rng.choice(choices[g])
+        effect = effects.get((g, h))
+        if effect is None:
+            for v in (g, h):
+                if v not in walks:
+                    walks[v] = _bcp_walk(ball, rp, tree[v][1], table)
+            effect = effects[g, h] = _bcp_pair(ball, walks[g], walks[h])
+        ok, d_in, d_out, d_travel = effect
+        entry_gap = max(entry_gap, d_in)
+        exit_gap = max(exit_gap, d_out)
+        travel = max(travel, d_travel)
         if ok:
             pairs += 1
         else:

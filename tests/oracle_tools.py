@@ -516,6 +516,84 @@ def reference_is_k_local(ball, rp, word, k):
 
 
 # ---------------------------------------------------------------------------
+# Bounded-coset-penetration scan reference: one full evaluation per sample,
+# as first written.  The relhyp names are looked up at call time, so a test
+# may patch ``relhyp.electric.distance``.
+
+def reference_bcp_scan(ball, rp, samples, seed, max_radius=None,
+                       identical=False):
+    import random
+    from relhyp.electric import (
+        OUT_OF_BALL, coset_table, distance, electric_geodesic_tree,
+        penetrations,
+    )
+    rng = random.Random(seed)
+    if max_radius is None:
+        max_radius = max(0, ball.radius - 2)
+    table = coset_table(ball, rp)
+    tree = electric_geodesic_tree(ball, rp, 0)
+    pool = [v for v in range(len(ball)) if ball.length_of(v) <= max_radius]
+    entry_gap = exit_gap = travel = 0
+    skipped = 0
+    pairs = 0
+    for _ in range(samples):
+        g = rng.choice(pool)
+        if identical:
+            h = g
+        else:
+            nbrs = [t for _, t in ball.neighbours(g)
+                    if ball.length_of(t) <= max_radius]
+            h = rng.choice(nbrs + [g])
+        w1, w2 = tree[g][1], tree[h][1]
+        pens1 = penetrations(ball, rp, w1, table)
+        pens2 = penetrations(ball, rp, w2, table)
+        verts1 = ball.prefix_vertices(w1)
+        verts2 = ball.prefix_vertices(w2)
+        by1 = {}
+        for p in pens1:
+            by1.setdefault((p.family, p.coset), []).append(p)
+        by2 = {}
+        for p in pens2:
+            by2.setdefault((p.family, p.coset), []).append(p)
+        ok = True
+        for key in set(by1) | set(by2):
+            if key in by1 and key in by2:
+                a_in = verts1[min(p.enter for p in by1[key])]
+                b_in = verts2[min(p.enter for p in by2[key])]
+                a_out = verts1[max(p.leave for p in by1[key])]
+                b_out = verts2[max(p.leave for p in by2[key])]
+                d_in = distance(ball, a_in, b_in)
+                d_out = distance(ball, a_out, b_out)
+                if d_in is OUT_OF_BALL or d_out is OUT_OF_BALL:
+                    ok = False
+                    break
+                entry_gap = max(entry_gap, d_in)
+                exit_gap = max(exit_gap, d_out)
+            else:
+                pens = by1.get(key, by2.get(key))
+                verts = verts1 if key in by1 else verts2
+                for p in pens:
+                    d = distance(ball, verts[p.enter], verts[p.leave])
+                    if d is OUT_OF_BALL:
+                        ok = False
+                        break
+                    travel = max(travel, d)
+                if not ok:
+                    break
+        if ok:
+            pairs += 1
+        else:
+            skipped += 1
+    return {
+        "pairs": pairs,
+        "skipped": skipped,
+        "max_entry_gap": entry_gap,
+        "max_exit_gap": exit_gap,
+        "max_unilateral_travel": travel,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Electric area reference: free-product normal forms by alternating full
 # free reduction with full parabolic run reduction until nothing changes,
 # and the bidirectional insertion search that re-normalises every spliced

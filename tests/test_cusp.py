@@ -6,7 +6,6 @@ shadow length 9, the thinness of a 12-cycle, vertex counts for the
 layered and cusped-off builds, and the depth-1 pushdown saving 1/4.
 """
 
-import json
 import math
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from relhyp.cayley import build_ball
 from relhyp.cusp import (
     NOT_DECOMPOSABLE, CuspComplex, CuspParams, build_cusp_complex,
-    build_cusped_cayley, clip, complex_to_json, decompose_geodesic,
+    build_cusped_cayley, clip, decompose_geodesic,
     deepen_replace, delta_constant, dijkstra_distance,
     geodesic_length_closed_form, level_bound, measure_thinness,
     optimal_depth, path_hausdorff, path_length, pushdown_delta,
@@ -346,6 +345,16 @@ def test_thinness_matches_reference_on_cusp_complexes(pres_z, pres_f2):
     assert _same_thinness(cx.adj, 300, 1) > 0
 
 
+def test_thinness_pinned_on_criterion_9_complex(pres_z):
+    # the benchmark's thinness-z-r40 complex, pinned from list rows with
+    # no walk-back memo
+    cx = build_cusp_complex(build_ball(pres_z, 40), CuspParams(3.0,
+                                                               depth_cap=6))
+    for seed in (3, 7):
+        assert repr(measure_thinness(cx.adj, 2000, seed)) \
+            == "0.5185185185185185"
+
+
 def test_thinness_disconnected_raises():
     import random
     adj = _random_adj(random.Random(4), 10, 6, components=2)
@@ -514,12 +523,3 @@ def test_pushdown_positive_iff_valid(psi, omega, rho):
     if psi * (1 - rho * omega) <= 1:
         assert deltas[0] <= 1e-12
 
-
-def test_complex_to_json(pres_z, params33):
-    ball = build_ball(pres_z, 2)
-    cx = build_cusp_complex(ball, params33)
-    doc = complex_to_json(cx)
-    assert len(doc["vertices"]) == len(cx)
-    assert len(doc["edges"]) == cx.n_edges()
-    json.dumps(doc)  # serializable
-    assert doc["vertices"][5]["depth"] == cx.depth[5]

@@ -23,8 +23,8 @@ from relhyp.words import (
 )
 
 from oracle_tools import (
-    reference_canonicalize, reference_electric_area_exact,
-    reference_is_k_local,
+    reference_bcp_scan, reference_canonicalize,
+    reference_electric_area_exact, reference_is_k_local,
 )
 
 
@@ -341,6 +341,68 @@ def test_bcp_scan_deterministic(ball_f2_8, rp_f2):
     a = bcp_scan(ball_f2_8, rp_f2, samples=60, seed=3)
     b = bcp_scan(ball_f2_8, rp_f2, samples=60, seed=3)
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def bcp_cases(pres_f2, pres_z2, rp_f2, rp_z2):
+    """F2 rel <b> at radius 6 and Z^2 rel <b> at radius 5."""
+    return ((build_ball(pres_f2, 6), rp_f2), (build_ball(pres_z2, 5), rp_z2))
+
+
+def test_bcp_scan_matches_per_sample_reference(bcp_cases):
+    # 1500 draws over a few hundred distinct pairs: most pairs repeat
+    for ball, rp in bcp_cases:
+        for seed in (1, 2, 3):
+            for identical in (False, True):
+                got = bcp_scan(ball, rp, 1500, seed, identical=identical)
+                assert got == reference_bcp_scan(ball, rp, 1500, seed,
+                                                 identical=identical)
+
+
+def test_bcp_scan_keeps_partial_maxima_of_failed_pairs(bcp_cases,
+                                                       monkeypatch):
+    # no shipped group leaves the ball's certificate, so refuse chosen
+    # vertex pairs instead.  A failed pair counts as skipped and still adds
+    # the maxima of the cosets scanned before the refusal.
+    import relhyp.electric as electric
+    real = electric.distance
+
+    def refuse_where(rule):
+        monkeypatch.setattr(
+            electric, "distance",
+            lambda ball, g, h: OUT_OF_BALL if rule(g, h) else real(ball, g, h))
+
+    # some pairs fail, some pass
+    refuse_where(lambda g, h: (g + 2 * h) % 7 == 3)
+    for ball, rp in bcp_cases:
+        for seed in (4, 5):
+            got = bcp_scan(ball, rp, 800, seed)
+            assert got == reference_bcp_scan(ball, rp, 800, seed)
+            assert got["skipped"] > 0 and got["pairs"] > 0
+    # every pair fails at the trivial coset's entry, d(1, 1), so each
+    # positive maximum comes from cosets scanned before it
+    refuse_where(lambda g, h: g == h and g % 2 == 0)
+    for ball, rp in bcp_cases:
+        got = bcp_scan(ball, rp, 300, 4)
+        assert got == reference_bcp_scan(ball, rp, 300, 4)
+        assert got["pairs"] == 0 and got["max_exit_gap"] > 0
+
+
+def test_bcp_scan_walks_each_vertex_once(bcp_cases, monkeypatch):
+    import relhyp.electric as electric
+    real = electric.penetrations
+    words = []
+
+    def counted(ball, rp, word, table=None):
+        words.append(word)
+        return real(ball, rp, word, table)
+
+    monkeypatch.setattr(electric, "penetrations", counted)
+    ball, rp = bcp_cases[0]
+    bcp_scan(ball, rp, 2000, 6)
+    # tree words of distinct vertices are distinct
+    assert len(words) == len(set(words))
+    assert len(words) < 2000
 
 
 # ---------------------------------------------------------------------------
