@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
-from operator import add
+from operator import lshift, or_
 
 from .automata import Dfa
 from .cayley import OUT_OF_BALL, GroupBall, distance
@@ -228,16 +229,56 @@ def _initial_state(ball, delta, h, bdelta, zwords, inv_vertex):
             if inv_vertex[g] in cost else None for g in bdelta]
 
 
-def _min_plus_step(cur, columns, top):
-    """Next deficit vector, coordinate hi being min over gi of cur[gi] +
-    T[gi][hi] clamped at top; None once a coordinate drops below zero."""
-    nxt = []
-    for col in columns:
-        best = min(map(add, cur, col))
-        if best < 0:
-            return None
-        nxt.append(top if best >= top else int(best))
-    return tuple(nxt)
+class _Thermometer:
+    """Deficit vectors over n coordinates as packed thermometer codes (see
+    ``build_fftp_automaton``); ``rows[x][g]`` packs the kernel row
+    T[x][g][.]."""
+
+    def __init__(self, tables, n, top):
+        values = set()
+        for table in tables:
+            for row in table:
+                values.update(row)
+        values.discard(math.inf)
+        for v in values:
+            if v != int(v):
+                raise ValueError(f"kernel entry {v} is not an integer: the "
+                                 "height must be integer-valued")
+        lo = min(values | {0})
+        levels = top - lo
+        width = (levels + top + 7) // 8
+        empty = bytes(width)
+        lanes = {v: ((1 << levels) - (1 << (v - lo))).to_bytes(width, "little")
+                 for v in range(lo, top)}
+        for v in values | {top, math.inf}:
+            lanes.setdefault(v, empty)
+        self._lane = lanes.__getitem__
+        self._n = n
+        self._width = width
+        self._top = top
+        self._keep = self._fill(n, (1 << levels) - 1)
+        self._neg = self._fill(n, (1 << -lo) - 1)
+        self.rows = [[self.encode(row) for row in table] for table in tables]
+
+    def _fill(self, n, lane):
+        return int.from_bytes(lane.to_bytes(self._width, "little") * n, "little")
+
+    def encode(self, vec) -> int:
+        return int.from_bytes(b"".join(map(self._lane, vec)), "little")
+
+    def decode(self, code: int) -> tuple:
+        """The clamped vector of a masked code: a lane holding value v < top
+        has top - v bits set."""
+        w, top = self._width, self._top
+        raw = code.to_bytes(self._n * w, "little")
+        return tuple(top - int.from_bytes(raw[i:i + w], "little").bit_count()
+                     for i in range(0, len(raw), w))
+
+    def step(self, rows, cur):
+        """Masked code of the next state from one letter's packed kernel
+        rows, or None when a coordinate drops below zero."""
+        code = reduce(or_, map(lshift, rows, cur)) & self._keep
+        return None if code & self._neg else code
 
 
 def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
@@ -249,6 +290,26 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     strictly better fellow traveller exists for some extension, which
     right order-preservation turns into permanent non-maximality.  The
     accepted language is prefix-closed.
+
+    Each step is the (min, +) product next[h] = min over g of cur[g] +
+    T[x][g][h], clamped at top = 2*K*delta, done bit-parallel on
+    thermometer codes.  A vector is one int with one lane of W bits per
+    coordinate, W a multiple of 8.  Bit b of a lane means "value <= lo + b"
+    for the levels lo .. top-1, where lo = min(0, least finite kernel
+    entry), and top guard bits sit above those levels.  A value >= top, or
+    inf, is an empty lane.  Then:
+
+    - the OR of two codes is their coordinatewise min, since a lane's set
+      bits are exactly the levels at or above its value;
+    - a left shift by c, 0 <= c <= top, adds c to every coordinate, and
+      the guard bits keep it from spilling into the next lane;
+    - so the OR over g of row T[x][g][.] shifted by cur[g] codes next,
+      and masking with KEEP (the levels below top) clamps it at top;
+    - the prefix fails iff the code meets NEG, the levels below 0.
+
+    A masked code determines its clamped vector, so it keys the states;
+    each new state is decoded once for its shift amounts.  A kernel entry
+    that is not an integer raises ValueError.
     """
     if not h.right_order_preserving:
         raise ValueError("acceptor construction needs right order-preservation")
@@ -258,24 +319,23 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
     top = 2 * h.K * delta
     symbols = range(len(ball.presentation.alphabet.symbols))
-    # columns[x][hi] lists T[x][gi][hi] over gi, so that each coordinate of
-    # the next state is one min over map(add, cur, column)
-    columns = [list(zip(*kern["table"][x])) for x in symbols]
+    codes = _Thermometer([kern["table"][x] for x in symbols], len(bdelta), top)
+    del kern  # the packed rows replace the table
 
     raw = _initial_state(ball, delta, h, bdelta, zwords, inv_vertex)
     init = tuple(top if v is None else min(v, top) for v in raw)
     if any(v < 0 for v in init):
         raise ValueError("the empty word is not maximizing for this height")
 
-    states = {init: 0}
+    states = {codes.encode(init): 0}
     order = [init]
     rows = []
     q = deque([init])
     while q:
         cur = q.popleft()
         row = []
-        for cols in columns:
-            key = _min_plus_step(cur, cols, top)
+        for packed in codes.rows:
+            key = codes.step(packed, cur)
             if key is None:
                 row.append(-1)  # patched to the fail state below
                 continue
@@ -284,8 +344,9 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
                     raise RuntimeError(
                         f"state cap {state_cap} hit after {len(states)} states")
                 states[key] = len(order)
-                order.append(key)
-                q.append(key)
+                vec = codes.decode(key)
+                order.append(vec)
+                q.append(vec)
             row.append(states[key])
         rows.append(row)
     fail = len(rows)
@@ -295,39 +356,6 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     dfa = Dfa(rows, accept, ball.presentation.alphabet.symbols)
     dfa.state_vectors = tuple(order) + ("fail",)
     return dfa
-
-
-def maximizing_words_bruteforce(ball: GroupBall, h: HeightFunction, g: int,
-                                len_cap: int) -> set:
-    """All words up to len_cap for vertex g with the best height.
-
-    The reference oracle for the acceptor: plain enumeration, nothing
-    shared with the automaton path.  Words that wander outside the ball
-    are not candidates, so choose len_cap at most the radius when the
-    answer must be complete.
-    """
-    if not 0 <= g < len(ball):
-        raise ValueError("vertex outside the ball")
-    best = None
-    out = set()
-    frontier = [((), 0)]
-    for _ in range(len_cap + 1):
-        nxt = []
-        for word, v in frontier:
-            if v == g:
-                val = h(word)
-                if best is None or val > best:
-                    best = val
-                    out = {word}
-                elif val == best:
-                    out.add(word)
-            if len(word) < len_cap:
-                for sym, t in ball.neighbours(v):
-                    nxt.append((word + (sym,), t))
-        frontier = nxt
-        if not frontier:
-            break
-    return out
 
 
 def _pair_distances(ball, verts1, verts2):

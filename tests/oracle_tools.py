@@ -14,6 +14,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import add
 
 # ---------------------------------------------------------------------------
 # lattice / tree models.  Letters: a=+x, A=-x, b=+y, B=-y.
@@ -332,6 +333,105 @@ def reference_initial_state(ball, delta, h):
         sup = _best_additive(ball, allowed, h.letter_values, 0,
                              ball.evaluate(_inverse(zg)))
         out.append(None if sup is None else h(()) - sup - h(zg))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# FFTP acceptor reference: the dense (min, +) exploration as first written,
+# one min(map(add, cur, column)) per coordinate of each next state, over the
+# library's kernel and the initial state above.
+
+def reference_min_plus_step(cur, columns, top):
+    """Next deficit vector, coordinate hi being min over gi of cur[gi] +
+    T[gi][hi] clamped at top; None once a coordinate drops below zero."""
+    nxt = []
+    for col in columns:
+        best = min(map(add, cur, col))
+        if best < 0:
+            return None
+        nxt.append(top if best >= top else int(best))
+    return tuple(nxt)
+
+
+def reference_build_fftp_automaton(ball, delta, h, state_cap=20000):
+    """The acceptor DFA as relhyp.fftp.build_fftp_automaton defines it,
+    with transitions, accept set and state_vectors in the same order."""
+    from relhyp.automata import Dfa
+    from relhyp.fftp import transition_kernel
+
+    if not h.right_order_preserving:
+        raise ValueError("acceptor construction needs right order-preservation")
+    kern = transition_kernel(ball, delta, h)
+    top = 2 * h.K * delta
+    symbols = range(len(ball.presentation.alphabet.symbols))
+    # columns[x][hi] lists T[x][gi][hi] over gi, so that each coordinate of
+    # the next state is one min over map(add, cur, column)
+    columns = [list(zip(*kern["table"][x])) for x in symbols]
+
+    raw = reference_initial_state(ball, delta, h)
+    init = tuple(top if v is None else min(v, top) for v in raw)
+    if any(v < 0 for v in init):
+        raise ValueError("the empty word is not maximizing for this height")
+
+    states = {init: 0}
+    order = [init]
+    rows = []
+    q = deque([init])
+    while q:
+        cur = q.popleft()
+        row = []
+        for cols in columns:
+            key = reference_min_plus_step(cur, cols, top)
+            if key is None:
+                row.append(-1)  # patched to the fail state below
+                continue
+            if key not in states:
+                if len(states) >= state_cap:
+                    raise RuntimeError(
+                        f"state cap {state_cap} hit after {len(states)} states")
+                states[key] = len(order)
+                order.append(key)
+                q.append(key)
+            row.append(states[key])
+        rows.append(row)
+    fail = len(rows)
+    rows = [[fail if s == -1 else s for s in row] for row in rows]
+    rows.append([fail] * len(ball.presentation.alphabet.symbols))
+    accept = frozenset(range(fail))
+    dfa = Dfa(rows, accept, ball.presentation.alphabet.symbols)
+    dfa.state_vectors = tuple(order) + ("fail",)
+    return dfa
+
+
+def maximizing_words_bruteforce(ball, h, g, len_cap):
+    """All words up to len_cap for vertex g with the best height.
+
+    The reference oracle for the acceptor: plain enumeration, nothing
+    shared with the automaton path.  Words that wander outside the ball
+    are not candidates, so choose len_cap at most the radius when the
+    answer must be complete.
+    """
+    if not 0 <= g < len(ball):
+        raise ValueError("vertex outside the ball")
+    best = None
+    out = set()
+    frontier = [((), 0)]
+    for _ in range(len_cap + 1):
+        nxt = []
+        for word, v in frontier:
+            if v == g:
+                val = h(word)
+                if best is None or val > best:
+                    best = val
+                    out = {word}
+                elif val == best:
+                    out.add(word)
+            if len(word) < len_cap:
+                for sym, t in ball.neighbours(v):
+                    nxt.append((word + (sym,), t))
+        frontier = nxt
+        if not frontier:
+            break
     return out
 
 

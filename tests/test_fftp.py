@@ -15,13 +15,16 @@ from relhyp.automata import Dfa, dfa_run, language_equal, live_states, minimize,
 from relhyp.cayley import build_ball
 from relhyp.electric import ParabolicFamily, RelativePresentation
 from relhyp.fftp import (
-    HeightFunction, ball_b_delta, build_fftp_automaton, fellow_travel_check,
-    maximizing_words_bruteforce, neg_electric_height, neg_length_height,
+    HeightFunction, _Thermometer, ball_b_delta, build_fftp_automaton,
+    fellow_travel_check, neg_electric_height, neg_length_height,
     spot_check_height, transition_kernel,
 )
 from relhyp.words import Alphabet, Presentation
 
-from oracle_tools import reference_initial_state, reference_kernel
+from oracle_tools import (
+    maximizing_words_bruteforce, reference_build_fftp_automaton,
+    reference_initial_state, reference_kernel, reference_min_plus_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +169,89 @@ def _freely_reduced_dfa(symbols):
 
 def test_automaton_f2_is_free_reduction(ball_f2_3, pres_f2):
     h = neg_length_height(pres_f2.alphabet)
-    for ball, delta in ((ball_f2_3, 2), (build_ball(pres_f2, 5), 4)):
+    for ball, delta in ((ball_f2_3, 2), (build_ball(pres_f2, 5), 4),
+                        (build_ball(pres_f2, 6), 5)):
         dfa = build_fftp_automaton(ball, delta, h)
         same, witness = language_equal(
             minimize(dfa), _freely_reduced_dfa(pres_f2.alphabet.symbols))
         assert same, (delta, witness)
         assert len(live_states(minimize(dfa))) == 5
         assert prefix_closed(dfa)
+
+
+def _presentation(gens, relators):
+    alpha = Alphabet(list(gens))
+    return Presentation(alpha, tuple(alpha.parse(r) for r in relators))
+
+
+def test_automaton_matches_dense_reference():
+    # (generators, relators, parabolic letters, deltas); a relative case
+    # runs the electric height at scales 1 and 3 besides neg-length
+    cases = [
+        ("a", (), "", (1, 2, 3)),
+        ("ab", ("abAB",), "", (2, 3, 4)),
+        ("abc", ("abAB", "acAC", "bcBC"), "", (2,)),
+        ("ab", (), "", (2, 3)),
+        ("ab", (), "b", (3,)),
+        ("ab", ("abAB",), "b", (3,)),
+        ("ab", ("aa", "bbb", "abab"), "", (2,)),
+        ("ab", ("aaa", "abAB"), "", (3,)),
+        ("abc", ("bcBC",), "bc", (2,)),
+    ]
+    for gens, relators, parabolic, deltas in cases:
+        pres = _presentation(gens, relators)
+        heights = [neg_length_height(pres.alphabet)]
+        if parabolic:
+            family = ParabolicFamily(
+                "P", tuple(pres.alphabet.index(c) for c in parabolic))
+            rp = RelativePresentation(pres, (family,))
+            heights += [neg_electric_height(rp, 1), neg_electric_height(rp, 3)]
+        if gens == "ab" and relators == ("abAB",):
+            heights.append(_element_height())
+        for delta in deltas:
+            ball = build_ball(pres, delta + 1)
+            for h in heights:
+                got = build_fftp_automaton(ball, delta, h)
+                want = reference_build_fftp_automaton(ball, delta, h)
+                case = (gens, relators, parabolic, delta, h.K)
+                assert got.transitions == want.transitions, case
+                assert got.accept == want.accept, case
+                assert got.state_vectors == want.state_vectors, case
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_thermometer_step_matches_min_plus(data):
+    # tables no shipped kernel produces: unreachable (inf) entries and
+    # entries far below -top, against any states in [0, top]
+    n = data.draw(st.integers(1, 6))
+    top = data.draw(st.integers(1, 12))
+    entry = st.one_of(st.just(math.inf), st.integers(-3 * top, 3 * top))
+    table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    cur = tuple(data.draw(st.lists(st.integers(0, top), min_size=n,
+                                   max_size=n)))
+    codes = _Thermometer([table], n, top)
+    assert codes.decode(codes.encode(cur)) == cur
+    want = reference_min_plus_step(cur, list(zip(*table)), top)
+    got = codes.step(codes.rows[0], cur)
+    if want is None:
+        assert got is None
+    else:
+        assert got == codes.encode(want)
+        assert codes.decode(got) == want
+
+
+def test_automaton_rejects_fractional_kernel():
+    # Z/3 has odd cycles, so a half-integer letter value leaves fractional
+    # kernel entries, which used to be floored silently
+    pres = _presentation("a", ("aaa",))
+    h = HeightFunction(evaluator=lambda w: -0.5 * len(w), K=2, additive=True,
+                       right_order_preserving=True,
+                       strongly_translation_invariant=True,
+                       letter_values={0: -0.5, 1: -0.5})
+    with pytest.raises(ValueError, match="not an integer"):
+        build_fftp_automaton(build_ball(pres, 2), 1, h)
 
 
 def test_automaton_z2_delta6_matches_delta4(pres_z2):
