@@ -238,30 +238,3 @@ def prefix_closed(dfa: Dfa) -> bool:
     """Every accessible state on a path to acceptance must itself accept."""
     return live_states(dfa) <= dfa.accept
 
-
-def to_dot(machine) -> str:
-    lines = ["digraph fsm {", "  rankdir=LR;", '  hidden [shape=none label=""];']
-    if isinstance(machine, Dfa):
-        for s in range(machine.n):
-            shape = "doublecircle" if s in machine.accept else "circle"
-            lines.append(f"  q{s} [shape={shape}];")
-        lines.append(f"  hidden -> q{machine.initial};")
-        for s, row in enumerate(machine.transitions):
-            by_target = {}
-            for sym, t in enumerate(row):
-                by_target.setdefault(t, []).append(machine.symbols[sym])
-            for t, syms in sorted(by_target.items()):
-                lines.append(f'  q{s} -> q{t} [label="{",".join(syms)}"];')
-    elif isinstance(machine, Nfa):
-        for s in range(machine.n):
-            shape = "doublecircle" if s in machine.accept else "circle"
-            lines.append(f"  q{s} [shape={shape}];")
-        for s in sorted(machine.initial):
-            lines.append(f"  hidden -> q{s};")
-        for (s, sym), tgts in sorted(machine.transitions.items()):
-            for t in sorted(tgts):
-                lines.append(f'  q{s} -> q{t} [label="{machine.symbols[sym]}"];')
-    else:
-        raise TypeError("expected Dfa or Nfa")
-    lines.append("}")
-    return "\n".join(lines)

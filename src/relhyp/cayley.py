@@ -12,7 +12,6 @@ budget, ball construction aborts rather than guessing.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -429,27 +428,6 @@ def is_geodesic(ball: GroupBall, word: Word) -> bool:
     if v is OUT_OF_BALL:
         raise ValueError("word leaves the ball; grow the radius")
     return ball.length_of(v) == len(word)
-
-
-def ball_to_json(ball: GroupBall) -> str:
-    ab = ball.presentation.alphabet
-    data = {
-        "radius": ball.radius,
-        "count": len(ball),
-        "generators": [ab.symbols[i] for i in ball.generators],
-        "vertices": [
-            {"id": v, "word": ab.to_str(ball.words[v]), "length": ball.length_of(v)}
-            for v in range(len(ball))
-        ],
-        "edges": [
-            {"from": v, "symbol": ab.symbols[sym], "to": t}
-            for v in range(len(ball))
-            for sym, t in sorted
-            ((s, t) for s, t in enumerate(ball.edges[v]) if t is not None)
-        ],
-        "sphere_sizes": sphere_sizes(ball),
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def sphere_sizes(ball: GroupBall):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import GroupBall
-from .electric import RelativePresentation, backtracks
+from .electric import RelativePresentation, backtracks, electric_length
 from .words import relator_forms
 
 
@@ -253,7 +253,6 @@ def relator_twist_bound(rp: RelativePresentation, sigma,
 def isoperimetric_estimate(rp: RelativePresentation) -> Fraction:
     """Cheap lower-scale estimate of the electric isoperimetric constant:
     each relator cell has area one and kills its own boundary length."""
-    from .electric import electric_length
     best = Fraction(0)
     for r in rp.nonparabolic_relators():
         el = electric_length(rp, r)

@@ -1,10 +1,12 @@
-"""Height functions and the finite acceptor of their maximizing words.
+"""Additive heights and the finite acceptor of their maximizing words.
 
-A height assigns an integer to every word; a word is maximizing when no
-other word for the same group element scores higher.  When non-maximizing
-words are always beaten by a fellow traveller, the per-prefix deficits
-against nearby competitors form a finite state, and the maximizing words
-are exactly the language of a DFA built from a transition kernel over the
+A height gives each letter a nonpositive integer value and scores a word
+by the sum of its letter values; negated word length and negated electric
+length are the two shipped ones.  A word is maximizing when no other word
+for the same group element scores higher.  When non-maximizing words are
+always beaten by a fellow traveller, the per-prefix deficits against
+nearby competitors form a finite state, and the maximizing words are
+exactly the language of a DFA built from a transition kernel over the
 delta-ball, with a single absorbing fail state.
 
 The deficit state of a prefix u assigns to each g in the delta-ball the
@@ -24,42 +26,38 @@ from heapq import heappop, heappush
 from operator import lshift, or_
 
 from .automata import Dfa
-from .cayley import OUT_OF_BALL, GroupBall, distance
+from .cayley import GroupBall
 from .words import Word, word_inverse
 
 
 @dataclass
 class HeightFunction:
-    """Integer-valued word score with the structural flags the acceptor
-    construction relies on.
+    """Additive word score: H(w) is the sum of the letter values of w.
 
-    letter_values drives the kernel for additive heights;
-    element_function marks a score that only depends on the evaluated
-    group element (every word is then maximizing).  K is a strict bound
-    on |H(w) - H(wx)|.
+    Each letter value is a nonpositive int, so K = max|v| + 1 is a strict
+    bound on |H(w) - H(wx)|.  An additive height is right
+    order-preserving and strongly translation invariant, which is what
+    the acceptor construction needs.
     """
-    evaluator: object
-    K: int
-    additive: bool = False
-    right_order_preserving: bool = False
-    strongly_translation_invariant: bool = False
-    element_function: bool = False
-    letter_values: dict | None = None
+    letter_values: dict
+
+    def __post_init__(self):
+        for sym, val in self.letter_values.items():
+            if not isinstance(val, int) or val > 0:
+                raise ValueError(f"letter value {val!r} of symbol {sym} is "
+                                 "not a nonpositive integer")
+
+    @property
+    def K(self) -> int:
+        return max(map(abs, self.letter_values.values()), default=0) + 1
 
     def __call__(self, word: Word) -> int:
-        return self.evaluator(word)
+        return sum(self.letter_values[s] for s in word)
 
 
 def neg_length_height(alphabet) -> HeightFunction:
     """H(w) = -len(w): maximizing words are the geodesic words."""
-    return HeightFunction(
-        evaluator=lambda w: -len(w),
-        K=2,
-        additive=True,
-        right_order_preserving=True,
-        strongly_translation_invariant=True,
-        letter_values={s: -1 for s in range(len(alphabet.symbols))},
-    )
+    return HeightFunction({s: -1 for s in range(len(alphabet.symbols))})
 
 
 def neg_electric_height(rp, scale: int = 1) -> HeightFunction:
@@ -67,28 +65,7 @@ def neg_electric_height(rp, scale: int = 1) -> HeightFunction:
     values = {}
     for s in range(len(rp.base.alphabet.symbols)):
         values[s] = 0 if rp.family_of_symbol(s) is not None else -scale
-    return HeightFunction(
-        evaluator=lambda w: sum(values[s] for s in w),
-        K=scale + 1,
-        additive=True,
-        right_order_preserving=True,
-        strongly_translation_invariant=True,
-        letter_values=values,
-    )
-
-
-def spot_check_height(h: HeightFunction, alphabet, rng, samples: int = 200):
-    """Sample the declared invariants; raises on a violation."""
-    n = len(alphabet.symbols)
-    for _ in range(samples):
-        w = tuple(rng.randrange(n) for _ in range(rng.randrange(8)))
-        x = rng.randrange(n)
-        if abs(h(w) - h(w + (x,))) >= h.K:
-            raise ValueError(f"bounded difference fails at {w} + {x}")
-        if h.additive:
-            cut = rng.randrange(len(w) + 1)
-            if h(w) != h(w[:cut]) + h(w[cut:]):
-                raise ValueError(f"additivity fails at {w} split {cut}")
+    return HeightFunction(values)
 
 
 def ball_b_delta(ball: GroupBall, delta: int) -> dict:
@@ -134,7 +111,7 @@ def _ball_around(ball: GroupBall, center: int, delta: int):
 def _path_costs(ball, allowed, weights, src):
     """Least cost of a path from src to every vertex it reaches inside
     ``allowed``, where a path costs the sum of -weights[sym] over its
-    letters.  Letter weights must be nonpositive: any cycle then only adds
+    letters.  Letter weights are nonpositive: any cycle then only adds
     cost, so the optimum over arbitrary words equals the optimum over
     simple paths and Dijkstra applies.  Unreachable vertices are absent."""
     moves = [(sym, -weights[sym]) for sym in ball.symbol_moves()]
@@ -156,11 +133,6 @@ def _path_costs(ball, allowed, weights, src):
     return best
 
 
-def _nonpositive_additive(h: HeightFunction) -> bool:
-    return (h.additive and h.letter_values is not None
-            and all(val <= 0 for val in h.letter_values.values()))
-
-
 def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     """Per-letter table T[x][g][h] of best competitor continuations.
 
@@ -169,18 +141,9 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     of the delta-balls at 1 and at x; +inf (math.inf) when no path exists.
     Indices follow sorted(delta-ball vertices).
 
-    The height must be additive with nonpositive ``letter_values`` or an
-    element function (reachability only); any other raises ValueError.
-
     Cost: one shortest-path run per (letter x, g) over the union of the
     two delta-balls fills the whole row T[x][g].
     """
-    if not h.strongly_translation_invariant:
-        raise ValueError("kernel needs a strongly translation invariant height")
-    additive = _nonpositive_additive(h)
-    if not (additive or h.element_function):
-        raise ValueError("kernel needs an additive height with nonpositive "
-                         "letter_values, or an element function")
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if ball.radius < delta + 1:
@@ -189,11 +152,7 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     zwords = {v: ball.words[v] for v in bdelta}
     inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
     symbols = range(len(ball.presentation.alphabet.symbols))
-    if additive:
-        heights = [h(zwords[v]) for v in bdelta]
-    else:
-        zero = dict.fromkeys(symbols, 0)
-        reached = h(())
+    heights = [h(zwords[v]) for v in bdelta]
     around_1 = _ball_around(ball, 0, delta)
 
     tables = {}
@@ -202,27 +161,18 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
         dsts = [ball.evaluate((x,) + word_inverse(zwords[v])) for v in bdelta]
         table = []
         for gi, g in enumerate(bdelta):
-            src = inv_vertex[g]
-            if additive:
-                cost = _path_costs(ball, allowed, h.letter_values, src)
-                base = h((x,)) + heights[gi]
-                table.append([base - hh + cost[dst] if dst in cost
-                              else math.inf
-                              for hh, dst in zip(heights, dsts)])
-            else:
-                cost = _path_costs(ball, allowed, zero, src)
-                table.append([reached if dst in cost else math.inf
-                              for dst in dsts])
+            cost = _path_costs(ball, allowed, h.letter_values, inv_vertex[g])
+            base = h((x,)) + heights[gi]
+            table.append([base - hh + cost[dst] if dst in cost
+                          else math.inf
+                          for hh, dst in zip(heights, dsts)])
         tables[x] = table
     return {"order": bdelta, "table": tables}
 
 
 def _initial_state(ball, delta, h, bdelta, zwords, inv_vertex):
     """Deficit vector of the empty word: competitors are the words that
-    stay inside the delta-ball.  None marks an unreachable coordinate.
-    Heights are those ``transition_kernel`` accepts."""
-    if not _nonpositive_additive(h):
-        return [0] * len(bdelta)  # element function
+    stay inside the delta-ball.  None marks an unreachable coordinate."""
     allowed = _ball_around(ball, 0, delta)
     cost = _path_costs(ball, allowed, h.letter_values, 0)
     return [h(()) + cost[inv_vertex[g]] - h(zwords[g])
@@ -240,10 +190,6 @@ class _Thermometer:
             for row in table:
                 values.update(row)
         values.discard(math.inf)
-        for v in values:
-            if v != int(v):
-                raise ValueError(f"kernel entry {v} is not an integer: the "
-                                 "height must be integer-valued")
         lo = min(values | {0})
         levels = top - lo
         width = (levels + top + 7) // 8
@@ -288,8 +234,8 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     States are clamped deficit vectors over the delta-ball plus one
     absorbing fail state; a vector coordinate dropping below zero means a
     strictly better fellow traveller exists for some extension, which
-    right order-preservation turns into permanent non-maximality.  The
-    accepted language is prefix-closed.
+    the height's right order-preservation turns into permanent
+    non-maximality.  The accepted language is prefix-closed.
 
     Each step is the (min, +) product next[h] = min over g of cur[g] +
     T[x][g][h], clamped at top = 2*K*delta, done bit-parallel on
@@ -308,11 +254,8 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     - the prefix fails iff the code meets NEG, the levels below 0.
 
     A masked code determines its clamped vector, so it keys the states;
-    each new state is decoded once for its shift amounts.  A kernel entry
-    that is not an integer raises ValueError.
+    each new state is decoded once for its shift amounts.
     """
-    if not h.right_order_preserving:
-        raise ValueError("acceptor construction needs right order-preservation")
     kern = transition_kernel(ball, delta, h)
     bdelta = kern["order"]
     zwords = {v: ball.words[v] for v in bdelta}
@@ -357,51 +300,3 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     dfa.state_vectors = tuple(order) + ("fail",)
     return dfa
 
-
-def _pair_distances(ball, verts1, verts2):
-    table = {}
-    for a in set(verts1):
-        for b in set(verts2):
-            if (a, b) not in table:
-                d = distance(ball, a, b)
-                if d is OUT_OF_BALL:
-                    raise ValueError(
-                        "prefix distance not certified inside this ball")
-                table[a, b] = d
-    return table
-
-
-def fellow_travel_check(ball: GroupBall, w1: Word, w2: Word,
-                        mode: str = "sync") -> int:
-    """Least fellow-traveling constant for the two words.
-
-    sync: the shorter word idles at its endpoint and the result is the
-    worst prefix distance.  async: the result is the least over monotone
-    reparameterizations (starting at 0, covering both words) of the worst
-    matched-prefix distance, by bottleneck dynamic programming on the
-    prefix grid.
-    """
-    verts1 = ball.prefix_vertices(w1)
-    verts2 = ball.prefix_vertices(w2)
-    dtab = _pair_distances(ball, verts1, verts2)
-    if mode == "sync":
-        worst = 0
-        for t in range(max(len(verts1), len(verts2))):
-            a = verts1[min(t, len(verts1) - 1)]
-            b = verts2[min(t, len(verts2) - 1)]
-            worst = max(worst, dtab[a, b])
-        return worst
-    if mode != "async":
-        raise ValueError(f"unknown mode {mode!r}")
-    n, m = len(verts1), len(verts2)
-    dp = [[None] * m for _ in range(n)]
-    dp[0][0] = dtab[verts1[0], verts2[0]]
-    for i in range(n):
-        for j in range(m):
-            if i == j == 0:
-                continue
-            prev = [dp[pi][pj]
-                    for pi, pj in ((i - 1, j), (i, j - 1), (i - 1, j - 1))
-                    if pi >= 0 and pj >= 0]
-            dp[i][j] = max(min(prev), dtab[verts1[i], verts2[j]])
-    return dp[n - 1][m - 1]

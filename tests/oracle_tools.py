@@ -282,18 +282,11 @@ def _best_additive(ball, allowed, weights, src, dst):
     return None
 
 
-def _additive(h):
-    return h.additive and h.letter_values is not None \
-        and all(v <= 0 for v in h.letter_values.values())
-
-
 def reference_kernel(ball, delta, h):
     """{"order", "table"} with table[x][gi][hi] as transition_kernel
     defines it, one search per entry."""
     nsym = len(ball.presentation.alphabet.symbols)
-    additive = _additive(h)
-    assert additive or h.element_function
-    weights = h.letter_values if additive else {s: 0 for s in range(nsym)}
+    weights = h.letter_values
     order = sorted(v for v in range(len(ball)) if ball.length_of(v) <= delta)
     tables = {}
     for x in range(nsym):
@@ -310,10 +303,8 @@ def reference_kernel(ball, delta, h):
                 sup = _best_additive(ball, allowed, weights, src, dst)
                 if sup is None:
                     row.append(math.inf)
-                elif additive:
-                    row.append(h((x,)) + h(zg) - h(zh) - sup)
                 else:
-                    row.append(h(()))
+                    row.append(h((x,)) + h(zg) - h(zh) - sup)
             table.append(row)
         tables[x] = table
     return {"order": order, "table": tables}
@@ -323,9 +314,6 @@ def reference_initial_state(ball, delta, h):
     """Deficit vector of the empty word, unclamped; None where the
     coordinate has no competitor inside the delta-ball."""
     order = sorted(v for v in range(len(ball)) if ball.length_of(v) <= delta)
-    if not _additive(h):
-        assert h.element_function
-        return [0] * len(order)
     allowed = _vertices_around(ball, 0, delta)
     out = []
     for g in order:
@@ -359,8 +347,6 @@ def reference_build_fftp_automaton(ball, delta, h, state_cap=20000):
     from relhyp.automata import Dfa
     from relhyp.fftp import transition_kernel
 
-    if not h.right_order_preserving:
-        raise ValueError("acceptor construction needs right order-preservation")
     kern = transition_kernel(ball, delta, h)
     top = 2 * h.K * delta
     symbols = range(len(ball.presentation.alphabet.symbols))

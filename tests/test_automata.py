@@ -4,7 +4,7 @@ import pytest
 
 from relhyp.automata import (
     Dfa, Nfa, dfa_run, determinize, language_equal, live_states, minimize,
-    nfa_run, prefix_closed, prune_inaccessible, to_dot,
+    nfa_run, prefix_closed, prune_inaccessible,
 )
 
 SYMS = ("a", "A", "b", "B")
@@ -168,12 +168,3 @@ def test_prefix_closed():
     assert not prefix_closed(determinize(suffix_ab_nfa()))
     # a machine accepting everything is prefix closed
     assert prefix_closed(Dfa([[0, 0, 0, 0]], {0}, SYMS))
-
-
-def test_to_dot_smoke():
-    out = to_dot(freely_reduced_dfa())
-    assert out.startswith("digraph") and "doublecircle" in out
-    out = to_dot(suffix_ab_nfa())
-    assert "q1 -> q2" in out
-    with pytest.raises(TypeError):
-        to_dot(42)

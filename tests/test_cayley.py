@@ -1,12 +1,11 @@
 import inspect
-import json
 import time
 
 import pytest
 
 from relhyp.cayley import (
-    OUT_OF_BALL, OracleBudgetError, WordProblemOracle, ball_to_json,
-    build_ball, distance, geodesic_words, is_geodesic, replay_certificate,
+    OUT_OF_BALL, OracleBudgetError, WordProblemOracle, build_ball,
+    distance, geodesic_words, is_geodesic, replay_certificate,
     sphere_sizes,
 )
 from relhyp.words import Alphabet, Presentation, free_reduce
@@ -242,13 +241,3 @@ def test_sub_generator_ball(pres_z2):
     b = build_ball(pres_z2, 4, generators=(2,))
     assert len(b) == 9
     assert all(set(w) <= {2, 3} for w in b.words)
-
-
-def test_ball_json(pres_z2):
-    b = build_ball(pres_z2, 2)
-    data = json.loads(ball_to_json(b))
-    assert data["count"] == 13
-    assert data["sphere_sizes"] == [1, 4, 8]
-    assert data["vertices"][0] == {"id": 0, "word": "", "length": 0}
-    edge_set = {(e["from"], e["symbol"], e["to"]) for e in data["edges"]}
-    assert (0, "a", b.evaluate((0,))) in edge_set

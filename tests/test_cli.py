@@ -208,6 +208,33 @@ def test_fftp_automaton_z_three_live_states(zline, capsys):
     assert len(r["transitions"]) == r["minimized_states"]
 
 
+def test_fftp_automaton_all_parabolic_report_bytes(tmp_path, capsys):
+    # every letter parabolic: all letter values are 0, so K = 1, the one
+    # input where K is not scale + 1; the clamp level changes, the states
+    # and these report bytes do not
+    text = "[generators] a b\n[relators] abAB\n[parabolic P] a b\n"
+    p = tmp_path / "z2_all_parabolic.pres"
+    p.write_text(text)
+    for delta in (1, 2, 3):
+        assert main(["fftp-automaton", str(p), "--delta", str(delta)]) == 0
+        report = {
+            "command": "fftp-automaton",
+            "inputs": {"delta": delta, "presentation": text,
+                       "radius": delta + 1},
+            "results": {
+                "accept": [0], "delta": delta, "height": "neg-electric",
+                "initial": 0, "live_states": 1, "minimized_states": 1,
+                "prefix_closed": True, "states": 2,
+                "symbols": ["a", "A", "b", "B"],
+                "transitions": [[0, 0, 0, 0]],
+            },
+            "seed": None,
+            "version": "0.1.0",
+        }
+        want = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
+
 def test_electric_area_command(zzp, capsys):
     code, rep, _ = run_cli(["electric-area", zzp, "abbABB"], capsys)
     assert code == 0

@@ -1,11 +1,10 @@
-"""Height functions, the deficit-state acceptor, and fellow-traveler checks.
+"""Additive heights and the deficit-state acceptor.
 
 The hand-traced deficit vectors and kernel entries for the one-generator
 group were frozen in oracle_tools.py before this module was written.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +15,7 @@ from relhyp.cayley import build_ball
 from relhyp.electric import ParabolicFamily, RelativePresentation
 from relhyp.fftp import (
     HeightFunction, _Thermometer, ball_b_delta, build_fftp_automaton,
-    fellow_travel_check, neg_electric_height, neg_length_height,
-    spot_check_height, transition_kernel,
+    neg_electric_height, neg_length_height, transition_kernel,
 )
 from relhyp.words import Alphabet, Presentation
 
@@ -40,21 +38,6 @@ def ball_z2_6(pres_z2):
 @pytest.fixture(scope="module")
 def ball_f2_3(pres_f2):
     return build_ball(pres_f2, 3)
-
-
-def test_spot_check_accepts_shipped_heights(pres_z2):
-    h = neg_length_height(pres_z2.alphabet)
-    spot_check_height(h, pres_z2.alphabet, random.Random(0))
-    b = pres_z2.alphabet.index("b")
-    rp = RelativePresentation(pres_z2, (ParabolicFamily("P", (b,)),))
-    spot_check_height(neg_electric_height(rp, 2), pres_z2.alphabet,
-                      random.Random(1))
-
-
-def test_spot_check_rejects_wrong_k(pres_z2):
-    h = HeightFunction(evaluator=lambda w: -2 * len(w), K=2, additive=True)
-    with pytest.raises(ValueError):
-        spot_check_height(h, pres_z2.alphabet, random.Random(0))
 
 
 def test_ball_b_delta(ball_z2_6, ball_f2_3):
@@ -86,28 +69,33 @@ def test_kernel_preconditions(ball_z4, pres_z):
         transition_kernel(ball_z4, 0, h)
     with pytest.raises(ValueError):
         transition_kernel(ball_z4, 4, h)  # needs radius >= delta + 1
-    bad = HeightFunction(evaluator=lambda w: -len(w), K=2)
-    with pytest.raises(ValueError):
-        transition_kernel(ball_z4, 1, bad)
+    # a height the kernel has no path for cannot be built
+    with pytest.raises(ValueError, match="symbol 1"):
+        HeightFunction({0: -1, 1: 1})
 
 
-def test_kernel_rejects_other_heights(ball_z4):
-    # translation invariant, but neither nonpositive additive nor an
-    # element function: the kernel has no path for it
-    for extra in ({}, {"additive": True},
-                  {"additive": True, "letter_values": {0: 1, 1: -1}}):
-        other = HeightFunction(evaluator=lambda w: -len(w), K=2,
-                               strongly_translation_invariant=True, **extra)
+def test_kernel_rejects_other_heights():
+    # a positive letter value anywhere is refused at construction
+    for values in ({0: 1, 1: -1}, {0: -1, 1: 2}, {0: 0, 1: 0, 2: 3}):
         with pytest.raises(ValueError, match="nonpositive"):
-            transition_kernel(ball_z4, 1, other)
+            HeightFunction(values)
 
 
-def _element_height():
-    # depends only on the evaluated element: every word is maximizing
-    return HeightFunction(evaluator=lambda w: 0, K=1,
-                          right_order_preserving=True,
-                          strongly_translation_invariant=True,
-                          element_function=True)
+def test_height_is_sum_of_letter_values(pres_z2):
+    h = HeightFunction({0: -3, 1: 0, 2: -1, 3: -1})
+    assert h(()) == 0
+    assert h((0, 1, 2, 0)) == -7
+    assert h.K == 4
+    assert neg_length_height(pres_z2.alphabet).K == 2
+    b = pres_z2.alphabet.index("b")
+    rp = RelativePresentation(pres_z2, (ParabolicFamily("P", (b,)),))
+    assert neg_electric_height(rp, 3).K == 4
+    assert neg_electric_height(rp, 3)((0, b, b)) == -3
+
+
+def _element_height(alphabet):
+    # all-zero letter values: every word is maximizing
+    return HeightFunction({s: 0 for s in range(len(alphabet.symbols))})
 
 
 def test_kernel_matches_pairwise_reference():
@@ -131,7 +119,7 @@ def test_kernel_matches_pairwise_reference():
                 "P", tuple(alpha.index(c) for c in parabolic))
             h = neg_electric_height(RelativePresentation(pres, (family,)))
         else:
-            h = _element_height()
+            h = _element_height(alpha)
         ball = build_ball(pres, delta + 1)
         case = (gens, relators, height, delta)
         assert transition_kernel(ball, delta, h) == \
@@ -207,7 +195,7 @@ def test_automaton_matches_dense_reference():
             rp = RelativePresentation(pres, (family,))
             heights += [neg_electric_height(rp, 1), neg_electric_height(rp, 3)]
         if gens == "ab" and relators == ("abAB",):
-            heights.append(_element_height())
+            heights.append(_element_height(pres.alphabet))
         for delta in deltas:
             ball = build_ball(pres, delta + 1)
             for h in heights:
@@ -243,15 +231,10 @@ def test_thermometer_step_matches_min_plus(data):
 
 
 def test_automaton_rejects_fractional_kernel():
-    # Z/3 has odd cycles, so a half-integer letter value leaves fractional
-    # kernel entries, which used to be floored silently
-    pres = _presentation("a", ("aaa",))
-    h = HeightFunction(evaluator=lambda w: -0.5 * len(w), K=2, additive=True,
-                       right_order_preserving=True,
-                       strongly_translation_invariant=True,
-                       letter_values={0: -0.5, 1: -0.5})
-    with pytest.raises(ValueError, match="not an integer"):
-        build_fftp_automaton(build_ball(pres, 2), 1, h)
+    # a half-integer letter value would leave fractional kernel entries on
+    # a group with odd cycles such as Z/3; such a height cannot be built
+    with pytest.raises(ValueError, match="symbol 0"):
+        HeightFunction({0: -0.5, 1: -0.5})
 
 
 def test_automaton_z2_delta6_matches_delta4(pres_z2):
@@ -292,7 +275,7 @@ def test_automaton_subword_closure(ball_z2_6, pres_z2):
 
 
 def test_automaton_element_height_accepts_everything(ball_z4, pres_z):
-    dfa = build_fftp_automaton(ball_z4, 1, _element_height())
+    dfa = build_fftp_automaton(ball_z4, 1, _element_height(pres_z.alphabet))
     alpha = pres_z.alphabet
     for text in ["", "a", "aA", "AaaA"]:
         assert dfa_run(dfa, alpha.parse(text))
@@ -317,39 +300,3 @@ def test_maximizing_bruteforce(ball_z2_6, pres_z2):
     g3 = ball_z2_6.evaluate(alpha.parse("bbb"))
     assert maximizing_words_bruteforce(ball_z2_6, he, g3, 4) == \
         {alpha.parse("bbb")}
-
-
-def test_fellow_travel_frozen(ball_z2_6, pres_z2):
-    alpha = pres_z2.alphabet
-    assert fellow_travel_check(ball_z2_6, alpha.parse("ab"),
-                               alpha.parse("ba"), "sync") == 2
-    assert fellow_travel_check(ball_z2_6, alpha.parse("abbb"),
-                               alpha.parse("bbba"), "async") == 1
-    w = alpha.parse("abab")
-    assert fellow_travel_check(ball_z2_6, w, w, "sync") == 0
-    assert fellow_travel_check(ball_z2_6, w, w, "async") == 0
-    with pytest.raises(ValueError):
-        fellow_travel_check(ball_z2_6, w, w, "diagonal")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 3), max_size=4),
-       st.lists(st.integers(0, 3), max_size=4))
-def test_async_never_beats_sync(w1, w2):
-    ball = _shared_ball()
-    sync = fellow_travel_check(ball, tuple(w1), tuple(w2), "sync")
-    async_ = fellow_travel_check(ball, tuple(w1), tuple(w2), "async")
-    assert async_ <= sync
-
-
-_BALL = None
-
-
-def _shared_ball():
-    # hypothesis tests can't take pytest fixtures, so build the one shared
-    # ball lazily at module level
-    global _BALL
-    if _BALL is None:
-        pres = Presentation(Alphabet(["a", "b"]), ((0, 2, 1, 3),))
-        _BALL = build_ball(pres, 8)
-    return _BALL

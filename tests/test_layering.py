@@ -29,6 +29,27 @@ def test_no_private_name_imported_across_modules():
     assert found == []
 
 
+def _relative_imports_in_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    yield (f"{path.name}:{node.lineno}: from "
+                           f"{'.' * node.level}{node.module or ''} import "
+                           f"in {fn.name}")
+
+
+def test_no_relative_import_inside_a_function():
+    # package imports go at the top of the module; a function may still
+    # import from the standard library (measure_thinness defers array)
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {hit for path in modules
+             for hit in _relative_imports_in_functions(path)}
+    assert found == set()
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
