@@ -7,7 +7,8 @@ for the same group element scores higher.  When non-maximizing words are
 always beaten by a fellow traveller, the per-prefix deficits against
 nearby competitors form a finite state, and the maximizing words are
 exactly the language of a DFA built from a transition kernel over the
-delta-ball, with a single absorbing fail state.
+delta-ball, with a single absorbing fail state.  Kernel entries are least
+path costs; one bit-parallel level sweep finds all rows of a letter.
 
 The deficit state of a prefix u assigns to each g in the delta-ball the
 worst value of H(u) - H(v z_g) over competitors v for u g^-1; the prefix
@@ -22,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heappop, heappush
+from itertools import count
 from operator import lshift, or_
 
 from .automata import Dfa
@@ -89,48 +90,50 @@ def ball_b_delta(ball: GroupBall, delta: int) -> dict:
     return out
 
 
-def _ball_around(ball: GroupBall, center: int, delta: int):
-    """Vertices within delta of the center, by in-ball BFS.
+def _sweep(ball, allowed, h, sources, targets):
+    """rows[i][j]: least cost of a path from sources[i] to targets[j]
+    inside ``allowed``, where a letter costs minus its letter value;
+    math.inf when there is none.  Costs are nonnegative, so a cycle never
+    helps and the least cost over walks is the least over simple paths.
 
-    Correct as long as center is within ball.radius - delta of the
-    identity: the witnessing geodesics then stay inside the ball.
+    One level sweep serves every source: bit i of mask[v] means "sources[i]
+    reaches v at cost <= d".  Level d ORs level d - c of each in-neighbour
+    over a letter of cost c >= 1 into the masks of level d - 1, then
+    closes them over cost-0 letters.  Once c_max (the largest letter cost)
+    levels in a row add no bit, no later level can (c_max = 0: level 0 is
+    the last).  An entry is the level at which its bit reaches the target.
     """
-    dist = {center: 0}
-    q = deque([center])
-    while q:
-        v = q.popleft()
-        if dist[v] == delta:
-            continue
-        for _, t in ball.neighbours(v):
-            if t not in dist:
-                dist[t] = dist[v] + 1
-                q.append(t)
-    return set(dist)
-
-
-def _path_costs(ball, allowed, weights, src):
-    """Least cost of a path from src to every vertex it reaches inside
-    ``allowed``, where a path costs the sum of -weights[sym] over its
-    letters.  Letter weights are nonpositive: any cycle then only adds
-    cost, so the optimum over arbitrary words equals the optimum over
-    simple paths and Dijkstra applies.  Unreachable vertices are absent."""
-    moves = [(sym, -weights[sym]) for sym in ball.symbol_moves()]
-    edges = ball.edges
-    best = {src: 0}
-    heap = [(0, src)]
-    while heap:
-        d, v = heappop(heap)
-        if d > best[v]:
-            continue
-        row = edges[v]
-        for sym, c in moves:
-            t = row[sym]
-            if t in allowed:
-                nd = d + c
-                if nd < best.get(t, math.inf):
-                    best[t] = nd
-                    heappush(heap, (nd, t))
-    return best
+    costs = {sym: -h.letter_values[sym] for sym in ball.symbol_moves()}
+    c_max = max(costs.values(), default=0)
+    out = {v: [[] for _ in range(c_max + 1)] for v in allowed}
+    for v, by_cost in out.items():
+        for sym, c in costs.items():
+            if (t := ball.edges[v][sym]) in allowed:
+                by_cost[c].append(t)
+    mask = dict.fromkeys(allowed, 0)
+    slot = {t: j for j, t in enumerate(targets)}
+    rows = [[math.inf] * len(targets) for _ in sources]
+    history = deque(maxlen=c_max)  # the masks that levels d-1, d-2, ... grew
+    stack = [(s, 1 << i) for i, s in enumerate(sources)]  # (vertex, bits in)
+    for d in count():
+        grown = {}  # vertex -> its mask before level d
+        while stack:
+            t, m = stack.pop()
+            if m | mask[t] != mask[t]:
+                grown.setdefault(t, mask[t])
+                mask[t] |= m
+                stack.extend((u, mask[t]) for u in out[t][0])
+        for v in grown.keys() & slot.keys():
+            j, new = slot[v], mask[v] & ~grown[v]
+            while new:
+                low = new & -new
+                rows[low.bit_length() - 1][j] = d
+                new ^= low
+        history.append({v: mask[v] for v in grown})
+        if not any(history):
+            return rows
+        stack = [(t, m) for c, level in enumerate(reversed(history), 1)
+                 for v, m in level.items() for t in out[v][c]]
 
 
 def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
@@ -141,42 +144,42 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     of the delta-balls at 1 and at x; +inf (math.inf) when no path exists.
     Indices follow sorted(delta-ball vertices).
 
-    Cost: one shortest-path run per (letter x, g) over the union of the
-    two delta-balls fills the whole row T[x][g].
+    Cost: the rows T[x][g] of one letter are searches over the same set
+    from every g^-1, that is from the whole delta-ball, so one
+    bit-parallel level sweep (``_sweep``) fills all of them at once.
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if ball.radius < delta + 1:
         raise ValueError("need ball radius >= delta + 1")
+    for sym, name in enumerate(ball.presentation.alphabet.symbols):
+        if sym not in h.letter_values:
+            raise ValueError(f"the height has no letter value for symbol "
+                             f"{sym} ({name})")
     bdelta = sorted(ball_b_delta(ball, delta))
-    zwords = {v: ball.words[v] for v in bdelta}
-    inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
-    symbols = range(len(ball.presentation.alphabet.symbols))
-    heights = [h(zwords[v]) for v in bdelta]
-    around_1 = _ball_around(ball, 0, delta)
-
+    zwords = [ball.words[v] for v in bdelta]
+    heights = [h(z) for z in zwords]
+    inverses = [ball.evaluate(word_inverse(z)) for z in zwords]
     tables = {}
-    for x in symbols:
-        allowed = around_1 | _ball_around(ball, ball.edges[0][x], delta)
-        dsts = [ball.evaluate((x,) + word_inverse(zwords[v])) for v in bdelta]
-        table = []
-        for gi, g in enumerate(bdelta):
-            cost = _path_costs(ball, allowed, h.letter_values, inv_vertex[g])
-            base = h((x,)) + heights[gi]
-            table.append([base - hh + cost[dst] if dst in cost
-                          else math.inf
-                          for hh, dst in zip(heights, dsts)])
-        tables[x] = table
+    for x in range(len(ball.presentation.alphabet.symbols)):
+        # the delta-ball at x is x times the one at 1
+        allowed = set(bdelta).union(ball.evaluate((x,) + z) for z in zwords)
+        dsts = [ball.evaluate((x,) + word_inverse(z)) for z in zwords]
+        rows = _sweep(ball, allowed, h, inverses, dsts)
+        tables[x] = [[base - hh + c for hh, c in zip(heights, row)]
+                     for base, row in zip((h((x,)) + hg for hg in heights),
+                                          rows)]
     return {"order": bdelta, "table": tables}
 
 
-def _initial_state(ball, delta, h, bdelta, zwords, inv_vertex):
-    """Deficit vector of the empty word: competitors are the words that
-    stay inside the delta-ball.  None marks an unreachable coordinate."""
-    allowed = _ball_around(ball, 0, delta)
-    cost = _path_costs(ball, allowed, h.letter_values, 0)
-    return [h(()) + cost[inv_vertex[g]] - h(zwords[g])
-            if inv_vertex[g] in cost else None for g in bdelta]
+def _initial_state(ball, h, bdelta, top):
+    """Deficit vector of the empty word, clamped at top: competitors are
+    the words that stay inside the delta-ball, so coordinate g is the
+    least cost of reaching g^-1 from 1 there, less H(z_g)."""
+    zwords = [ball.words[v] for v in bdelta]
+    dsts = [ball.evaluate(word_inverse(z)) for z in zwords]
+    (row,) = _sweep(ball, set(bdelta), h, [0], dsts)
+    return tuple(min(c - h(z), top) for c, z in zip(row, zwords))
 
 
 class _Thermometer:
@@ -258,15 +261,12 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     """
     kern = transition_kernel(ball, delta, h)
     bdelta = kern["order"]
-    zwords = {v: ball.words[v] for v in bdelta}
-    inv_vertex = {v: ball.evaluate(word_inverse(zwords[v])) for v in bdelta}
     top = 2 * h.K * delta
     symbols = range(len(ball.presentation.alphabet.symbols))
     codes = _Thermometer([kern["table"][x] for x in symbols], len(bdelta), top)
     del kern  # the packed rows replace the table
 
-    raw = _initial_state(ball, delta, h, bdelta, zwords, inv_vertex)
-    init = tuple(top if v is None else min(v, top) for v in raw)
+    init = _initial_state(ball, h, bdelta, top)
     if any(v < 0 for v in init):
         raise ValueError("the empty word is not maximizing for this height")
 

@@ -1,5 +1,6 @@
 """Command line front end: file parsing, dispatch, report discipline."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -233,6 +234,31 @@ def test_fftp_automaton_all_parabolic_report_bytes(tmp_path, capsys):
         }
         want = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == want
+
+
+# sha256 of the whole fftp-automaton report for fixed letter names: any
+# change to the reported automaton, or to the report layout, changes these
+ACCEPTOR_REPORTS = [
+    ("[generators] a b\n[relators] abAB\n", 4,
+     "bf99f870a52de10acd84b553e95a8ab47d819185ccaf8e20ba799c2d6eb8b374"),
+    ("[generators] a b c\n[relators] abAB acAC bcBC\n", 3,
+     "ec1c2ba58f695a8d24a76a900706df7fd81a4e8ddfb363c4110fb3adefd53fa9"),
+    ("[generators] a b\n", 3,
+     "3cdf4a7da3eb11fb91f29effad652dcf4efa0e75349f18646fc59993ac43cb87"),
+    ("[generators] a b\n[parabolic P] b\n", 3,
+     "ea683921ea0b5144abfeff59429ae288c097aee9e46ba1982f0f62b1cf724bc3"),
+]
+
+
+@pytest.mark.parametrize("text, delta, digest", ACCEPTOR_REPORTS,
+                         ids=["z2-d4", "z3-d3", "f2-d3", "f2-rel-b-d3"])
+def test_fftp_automaton_report_bytes_pinned(tmp_path, capsys, text, delta,
+                                            digest):
+    p = tmp_path / "g.pres"
+    p.write_text(text)
+    assert main(["fftp-automaton", str(p), "--delta", str(delta)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_electric_area_command(zzp, capsys):

@@ -98,37 +98,65 @@ def _element_height(alphabet):
     return HeightFunction({s: 0 for s in range(len(alphabet.symbols))})
 
 
+def _height(pres, spec):
+    """A height from a spec: "length", "element", a string of parabolic
+    letters (electric height), or a dict of letter values by letter name."""
+    if spec == "length":
+        return neg_length_height(pres.alphabet)
+    if spec == "element":
+        return _element_height(pres.alphabet)
+    if isinstance(spec, dict):
+        return HeightFunction({pres.alphabet.index(c): v
+                               for c, v in spec.items()})
+    family = ParabolicFamily("P", tuple(pres.alphabet.index(c) for c in spec))
+    return neg_electric_height(RelativePresentation(pres, (family,)))
+
+
+# letter costs above 1 (several levels per step) and of 0 (a closure inside
+# each level); the shipped heights only cost 0 or 1
+MIXED = ({"a": -3, "A": -3, "b": -1, "B": -1},
+         {"a": -2, "A": -2, "b": 0, "B": 0})
+S3 = ("aa", "bbb", "abab")
+Z3XZ = ("aaa", "abAB")
+
+
 def test_kernel_matches_pairwise_reference():
-    # (generators, relators, parabolic letters, height, delta)
+    # (generators, relators, height spec, deltas)
     cases = [
-        ("a", (), "", "length", 3),
-        ("ab", ("abAB",), "", "length", 2),
-        ("abc", ("abAB", "acAC", "bcBC"), "", "length", 2),
-        ("ab", (), "", "length", 3),
-        ("ab", (), "b", "electric", 2),
-        ("ab", ("abAB",), "b", "electric", 3),
-        ("ab", ("abAB",), "", "element", 2),
-    ]
-    for gens, relators, parabolic, height, delta in cases:
-        alpha = Alphabet(list(gens))
-        pres = Presentation(alpha, tuple(alpha.parse(r) for r in relators))
-        if height == "length":
-            h = neg_length_height(alpha)
-        elif height == "electric":
-            family = ParabolicFamily(
-                "P", tuple(alpha.index(c) for c in parabolic))
-            h = neg_electric_height(RelativePresentation(pres, (family,)))
-        else:
-            h = _element_height(alpha)
-        ball = build_ball(pres, delta + 1)
-        case = (gens, relators, height, delta)
-        assert transition_kernel(ball, delta, h) == \
-            reference_kernel(ball, delta, h), case
-        top = 2 * h.K * delta
-        init = tuple(top if v is None else min(v, top)
-                     for v in reference_initial_state(ball, delta, h))
-        assert build_fftp_automaton(ball, delta, h).state_vectors[0] == init, \
-            case
+        ("a", (), "length", (3,)),
+        ("ab", ("abAB",), "length", (2,)),
+        ("abc", ("abAB", "acAC", "bcBC"), "length", (2,)),
+        ("ab", (), "length", (3,)),
+        ("ab", (), "b", (2,)),
+        ("ab", ("abAB",), "b", (3,)),
+        ("ab", ("abAB",), "element", (2,)),
+        ("ab", S3, "length", (1, 2)),
+        ("ab", Z3XZ, "length", (1, 2)),
+        ("ab", S3, "b", (1, 2)),
+        ("ab", Z3XZ, "a", (1, 2)),
+    ] + [(gens, relators, values, (1, 2))
+         for gens, relators in (("ab", ()), ("ab", ("abAB",)), ("ab", S3),
+                                ("ab", Z3XZ))
+         for values in MIXED]
+    for gens, relators, spec, deltas in cases:
+        pres = _presentation(gens, relators)
+        h = _height(pres, spec)
+        for delta in deltas:
+            ball = build_ball(pres, delta + 1)
+            case = (gens, relators, spec, delta)
+            assert transition_kernel(ball, delta, h) == \
+                reference_kernel(ball, delta, h), case
+            top = 2 * h.K * delta
+            init = tuple(top if v is None else min(v, top)
+                         for v in reference_initial_state(ball, delta, h))
+            assert build_fftp_automaton(ball, delta, h).state_vectors[0] \
+                == init, case
+
+
+def test_kernel_names_a_missing_letter(pres_z):
+    # a height without a value for A: refused before any search runs
+    with pytest.raises(ValueError, match=r"symbol 1 \(A\)"):
+        build_fftp_automaton(build_ball(pres_z, 3), 2, HeightFunction({0: -1}))
 
 
 def test_automaton_z_frozen_trace(ball_z4, pres_z):
