@@ -22,19 +22,6 @@ class OracleBudgetError(RuntimeError):
     """Raised when a construction needs an answer the oracle cannot give."""
 
 
-class _OutOfBall:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "OutOfBall"
-
-    def __bool__(self):
-        return False
-
-
-OUT_OF_BALL = _OutOfBall()
-
-
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # "trivial" | "nontrivial" | "unknown"
@@ -284,9 +271,6 @@ class GroupBall:
     def __len__(self):
         return len(self.words)
 
-    def word_of(self, v: int) -> Word:
-        return self.words[v]
-
     def length_of(self, v: int) -> int:
         return len(self.words[v])
 
@@ -295,12 +279,12 @@ class GroupBall:
         return self._moves
 
     def evaluate(self, word: Word):
-        """Walk a word from the identity; OUT_OF_BALL when any prefix leaves."""
+        """Walk a word from the identity; None when any prefix leaves."""
         v = 0
         for sym in word:
             v = self.edges[v][sym]
             if v is None:
-                return OUT_OF_BALL
+                return None
         return v
 
     def prefix_vertices(self, word: Word) -> list:
@@ -369,7 +353,7 @@ def build_ball(presentation: Presentation, radius: int,
 
 
 def distance(ball: GroupBall, g: int, h: int):
-    """Word length of g^-1 h when the ball certifies it; OUT_OF_BALL else.
+    """Word length of g^-1 h when the ball certifies it; None else.
 
     The BFS distance inside the ball upper-bounds the group distance; it is
     certified exact when d <= 2 (all edges between in-ball elements exist)
@@ -391,14 +375,14 @@ def distance(ball: GroupBall, g: int, h: int):
                     break
                 q.append(t)
     if h not in dist:
-        return OUT_OF_BALL
+        return None
     d = dist[h]
     if d > ball.radius:
         # g^-1 h is not itself a ball element, which the contract rejects
-        return OUT_OF_BALL
+        return None
     if d <= 2 or ball.length_of(g) + ball.length_of(h) + d <= 2 * ball.radius:
         return d
-    return OUT_OF_BALL
+    return None
 
 
 def geodesic_words(ball: GroupBall, g: int) -> list:
@@ -421,13 +405,6 @@ def geodesic_words(ball: GroupBall, g: int) -> list:
         return out
 
     return rec(g)
-
-
-def is_geodesic(ball: GroupBall, word: Word) -> bool:
-    v = ball.evaluate(word)
-    if v is OUT_OF_BALL:
-        raise ValueError("word leaves the ball; grow the radius")
-    return ball.length_of(v) == len(word)
 
 
 def sphere_sizes(ball: GroupBall):

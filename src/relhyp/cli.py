@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import __version__
 from .words import Alphabet, Presentation, free_reduce
 from .cayley import (
-    OracleBudgetError, OUT_OF_BALL, build_ball, geodesic_words, sphere_sizes,
+    OracleBudgetError, build_ball, geodesic_words, sphere_sizes,
 )
 from .electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
@@ -301,7 +301,7 @@ def parse_cocycle_file(text: str, rp: RelativePresentation, ball):
             except ValueError as e:
                 raise PresentationParseError(str(e), ln, col) from None
             v = ball.evaluate(word)
-            if v is OUT_OF_BALL:
+            if v is None:
                 raise UsageError(
                     f"line {ln}: word {tok!r} leaves the radius-{ball.radius} "
                     f"ball; raise --radius")
@@ -392,7 +392,7 @@ def cmd_geodesics(args):
     word = _parse_word(rp, args.word)
     ball = _ball(rp, args.radius, len(word))
     v = ball.evaluate(word)
-    if v is OUT_OF_BALL:
+    if v is None:
         raise ValueError(f"word leaves the radius-{ball.radius} ball; "
                          f"raise --radius")
     ab = rp.base.alphabet
@@ -630,6 +630,10 @@ def cmd_dehn_fill(args):
     h1 = None
     if trailing_unfilled:
         pres, rank_bound, torsion = h1_presentation(k, filled)
+        # fm is also the filling matrix of the prefix h1 fills, so its
+        # nullity must meet the rank identity
+        if rank_bound - (k.n - len(filled)) != nullity:
+            raise AssertionError("rank identity violated; inconsistent input?")
         h1 = {
             "rank_lower_bound": rank_bound,
             "torsion": list(torsion),
@@ -688,7 +692,7 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
     A radius (an int default, or a str saying how the command derives
     it) brings the presentation positional and --radius; cusp brings
     --psi, --omega and --depth-cap; seed is the --seed default; a budget
-    brings --budget with that default.
+    (default, what it caps) brings --budget.
     """
     p = sub.add_parser(name, help=summary)
     # looked up on every call, so that a rebound cli.cmd_<name> is the one run
@@ -711,8 +715,9 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
     p.add_argument("--seed", type=int, default=seed,
                    help="RNG seed; same seed, same bytes out")
     if budget is not None:
-        p.add_argument("--budget", type=int, default=budget,
-                       help=f"work cap (default {budget})")
+        default, capped = budget
+        p.add_argument("--budget", type=int, default=default,
+                       help=f"caps the {capped} (default {default})")
     return p
 
 
@@ -726,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _subcommand(sub, "ball", "enumerate a Cayley ball", radius=3)
     p = _subcommand(sub, "geodesics", "all geodesic words of an element",
-                    radius="word length", budget=1000)
+                    radius="word length",
+                    budget=(1000, "geodesic words listed"))
     p.add_argument("word", help=word_help)
     p = _subcommand(sub, "fftp-automaton",
                     "build the fellow-traveler word acceptor",
@@ -735,11 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fellow-traveler distance bound (default 2)")
     p = _subcommand(sub, "electric-area",
                     "exact and certified-upper electric area of a loop",
-                    radius="word length, at least 4", budget=8)
+                    radius="word length, at least 4",
+                    budget=(8, "relator insertions searched"))
     p.add_argument("word", help=word_help)
     p = _subcommand(sub, "bcp-scan",
                     "empirical bounded-coset-penetration constants",
-                    radius=6, seed=0, budget=200)
+                    radius=6, seed=0, budget=(200, "sampled pairs"))
     p.add_argument("--identical", action="store_true",
                    help="control run: compare each geodesic with itself")
     p = _subcommand(sub, "cusp-distance", "closed-form cusp geodesic length",
@@ -749,10 +756,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("depth_i", type=int, help="depth of the first endpoint")
     p.add_argument("depth_k", type=int, help="depth of the second endpoint")
     _subcommand(sub, "thinness", "measure thin-triangle delta on a cusp complex",
-                radius=6, cusp=True, seed=0, budget=300)
+                radius=6, cusp=True, seed=0,
+                budget=(300, "sampled triples"))
     p = _subcommand(sub, "clip-track",
                     "clipped-geodesic tracking against full geodesics",
-                    radius=6, cusp=True, seed=0, budget=20)
+                    radius=6, cusp=True, seed=0,
+                    budget=(20, "sampled vertex pairs"))
     p.add_argument("clip_depth", type=int,
                    help="keep vertices at depth <= this")
     _subcommand(sub, "hyp2-check", "run the half-plane inequality sweeps")

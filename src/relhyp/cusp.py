@@ -68,7 +68,6 @@ class CuspComplex:
         self.depth: list = []
         self.shadow: list = []
         self.adj: list = []
-        self._edge_len: dict = {}
 
     def __len__(self):
         return len(self.keys)
@@ -89,14 +88,12 @@ class CuspComplex:
             return  # self-loops never matter for the metric
         self.adj[u].append((v, length))
         self.adj[v].append((u, length))
-        self._edge_len[u, v] = length
-        self._edge_len[v, u] = length
 
     def edge_length(self, u: int, v: int):
-        return self._edge_len.get((u, v))
+        return next((w for t, w in self.adj[u] if t == v), None)
 
     def n_edges(self) -> int:
-        return len(self._edge_len) // 2
+        return sum(map(len, self.adj)) // 2
 
 
 def _base_edges(ball: GroupBall):
@@ -284,20 +281,9 @@ def geodesic_length_closed_form(shadow_length, i, k, params: CuspParams):
 Decomposition = namedtuple("Decomposition", "descending level ascending")
 
 
-class _NotDecomposable:
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NotDecomposable"
-
-
-NOT_DECOMPOSABLE = _NotDecomposable()
-
-
 def decompose_geodesic(depths):
     """Split a depth sequence into strictly-descending, level, strictly-
-    ascending step counts; NOT_DECOMPOSABLE when the pattern is violated.
+    ascending step counts; None when the pattern is violated.
     Depth changes other than -1, 0, +1 are malformed input."""
     deltas = []
     for a, b in zip(depths, list(depths)[1:]):
@@ -315,7 +301,7 @@ def decompose_geodesic(depths):
     while up < len(deltas) and deltas[up] == -1:
         up += 1
     if up != len(deltas):
-        return NOT_DECOMPOSABLE
+        return None
     return Decomposition(down, level - down, len(deltas) - level)
 
 

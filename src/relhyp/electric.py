@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, groupby
 
-from .cayley import OUT_OF_BALL, GroupBall, build_ball, distance
+from .cayley import GroupBall, build_ball, distance
 from .words import Presentation, Word, free_reduce, relator_forms, word_inverse
 
 
@@ -137,10 +137,9 @@ def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
     return [Penetration(*r) for r in out]
 
 
-def backtracks(ball: GroupBall, rp: RelativePresentation, word: Word,
-               table=None) -> list:
+def backtracks(ball: GroupBall, rp: RelativePresentation, word: Word) -> list:
     """Cosets visited more than once: list of (family, coset, visit times)."""
-    pens = penetrations(ball, rp, word, table)
+    pens = penetrations(ball, rp, word)
     seen = {}
     for p in pens:
         seen.setdefault((p.family, p.coset), []).append((p.enter, p.leave))
@@ -253,9 +252,8 @@ def electric_geodesic_tree(ball: GroupBall, rp: RelativePresentation,
     return words
 
 
-def electric_geodesic(ball, rp: RelativePresentation, target: int,
-                      source: int = 0) -> Word:
-    tree = electric_geodesic_tree(ball, rp, source)
+def electric_geodesic(ball, rp: RelativePresentation, target: int) -> Word:
+    tree = electric_geodesic_tree(ball, rp, 0)
     if tree[target] is None:
         raise ValueError("target not reachable inside the ball")
     return tree[target][1]
@@ -428,19 +426,19 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
         frontier[side] = nxt
 
 
-def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
-                        loop_n_max: int = 16):
+def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int):
     """Certified upper bound for the electric area of a loop.
 
     Alternates coset reduction with electric length reduction: the minimal
     non-geodesic segment beta (el <= k) is replaced by an electric geodesic
     xi, paying the exact area of the inserted loop beta xi^-1 (el < 2k);
-    the terminal k-local geodesic loop pays its exact area.  Returns
+    the terminal k-local geodesic loop pays its exact area.  Each exact
+    area is an ``electric_area_exact`` search with n_max 16.  Returns
     (bound, moves) where the move list replays to the bound; None when one
     of the small exact searches gives up.
     """
     v_end = ball.evaluate(word)
-    if v_end is OUT_OF_BALL:
+    if v_end is None:
         raise ValueError("word leaves the ball; grow the radius")
     if v_end != 0:
         raise ValueError("electric area needs a loop")
@@ -456,7 +454,7 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
             break
         seg = _first_nongeodesic_segment(ball, rp, cur, k)
         if seg is None:
-            cost = electric_area_exact(rp, cur, loop_n_max)
+            cost = electric_area_exact(rp, cur, 16)
             if cost is None:
                 return None
             total += cost
@@ -467,7 +465,7 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int,
         tree = electric_geodesic_tree(ball, rp, verts[i])
         xi = tree[verts[j]][1]
         loop = free_reduce(tuple(cur[i:j]) + word_inverse(xi))
-        cost = electric_area_exact(rp, loop, loop_n_max)
+        cost = electric_area_exact(rp, loop, 16)
         if cost is None:
             return None
         total += cost
@@ -501,7 +499,7 @@ def _bcp_pair(ball, walk1, walk2):
             b_out = verts2[max(p.leave for p in by2[key])]
             d_in = distance(ball, a_in, b_in)
             d_out = distance(ball, a_out, b_out)
-            if d_in is OUT_OF_BALL or d_out is OUT_OF_BALL:
+            if d_in is None or d_out is None:
                 return False, entry_gap, exit_gap, travel
             entry_gap = max(entry_gap, d_in)
             exit_gap = max(exit_gap, d_out)
@@ -510,14 +508,14 @@ def _bcp_pair(ball, walk1, walk2):
             verts = verts1 if key in by1 else verts2
             for p in pens:
                 d = distance(ball, verts[p.enter], verts[p.leave])
-                if d is OUT_OF_BALL:
+                if d is None:
                     return False, entry_gap, exit_gap, travel
                 travel = max(travel, d)
     return True, entry_gap, exit_gap, travel
 
 
 def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
-             max_radius: int | None = None, identical: bool = False):
+             identical: bool = False):
     """Empirical bounded-coset-penetration constants.
 
     Samples pairs of electric geodesic words (the (1, 0) case of the
@@ -535,8 +533,7 @@ def bcp_scan(ball, rp: RelativePresentation, samples: int, seed: int,
     maxima scanned before it.
     """
     rng = random.Random(seed)
-    if max_radius is None:
-        max_radius = max(0, ball.radius - 2)
+    max_radius = max(0, ball.radius - 2)
     table = coset_table(ball, rp)
     tree = electric_geodesic_tree(ball, rp, 0)
     pool = [v for v in range(len(ball)) if ball.length_of(v) <= max_radius]

@@ -21,16 +21,6 @@ from .electric import RelativePresentation, backtracks, electric_length
 from .words import relator_forms
 
 
-def mul(ball: GroupBall, g: int, h: int):
-    """Product of two ball vertices, or None when it leaves the ball."""
-    v = g
-    for s in ball.word_of(h):
-        v = ball.edges[v][s]
-        if v is None:
-            return None
-    return v
-
-
 class CocycleTable:
     """Cocycle backed by a dict on vertex pairs; missing pairs are
     undefined (None)."""
@@ -44,9 +34,10 @@ class CocycleTable:
 
 
 def _product_table(ball: GroupBall):
-    """prod[g][h] == mul(ball, g, h) for all ball vertices g, h.  Shortlex
-    words are prefix-closed: word_of(h) is its parent p's word plus one
-    letter s, so g*h is one s-edge from g*p, filled parents first."""
+    """prod[g][h] is g*h for all ball vertices g, h, or None when it leaves
+    the ball.  Shortlex words are prefix-closed: words[h] is its parent
+    p's word plus one letter s, so g*h is one s-edge from g*p, filled
+    parents first."""
     words, edges = ball.words, ball.edges
     steps = []
     for h in range(1, len(ball)):
@@ -107,13 +98,13 @@ def section_to_cocycle(rho, ball: GroupBall) -> CocycleTable:
 
 def canonical_section(sigma, ball: GroupBall):
     """Section from lifting each vertex's canonical word: the second
-    coordinate of (letter, 0) products taken along word_of(v)."""
+    coordinate of (letter, 0) products taken along words[v]."""
     letter = {s: ball.evaluate((s,)) for s in ball.symbol_moves()}
     vals = {}
     for v in range(len(ball)):
         m = 0
         cur = 0
-        for s in ball.word_of(v):
+        for s in ball.words[v]:
             contrib = sigma(cur, letter[s])
             if contrib is None:
                 raise ValueError(f"cocycle undefined along word of {v}")
@@ -281,8 +272,7 @@ class MaximizingSection:
 
 
 def maximizing_section(ball: GroupBall, rp: RelativePresentation,
-                       sigma, c, cap: int,
-                       k_estimate=None) -> MaximizingSection:
+                       sigma, c, cap: int) -> MaximizingSection:
     """Maximize (lifted cocycle charge) - c * (non-parabolic letter
     count) over in-ball words for every reachable vertex.
 
@@ -291,7 +281,7 @@ def maximizing_section(ball: GroupBall, rp: RelativePresentation,
     to report stability.
     """
     twist = relator_twist_bound(rp, sigma, ball)
-    k_est = isoperimetric_estimate(rp) if k_estimate is None else k_estimate
+    k_est = isoperimetric_estimate(rp)
     precondition_ok = c > twist * k_est
 
     parabolic = set()

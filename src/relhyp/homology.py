@@ -376,7 +376,7 @@ class WishfulFillings:
     min_norm: int        # min over i of u_i^2 + v_i^2
 
 
-def wishful_fillings(k_block, t, count=None) -> WishfulFillings:
+def wishful_fillings(k_block, t) -> WishfulFillings:
     """Fillings u_i/v_i = sum_j k_ij tau_j / tau_i for tau = (1, t, t^2, ...).
 
     Rows of the block are the components being filled; the growth vector
@@ -386,12 +386,10 @@ def wishful_fillings(k_block, t, count=None) -> WishfulFillings:
     """
     rows = [list(r) for r in k_block]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if count is None:
-        count = nrows
-    if not 1 <= count <= nrows:
-        raise ValueError("count out of range")
-    for i in range(count):
+    if not rows:
+        raise ValueError("empty block")
+    ncols = len(rows[0])
+    for i in range(nrows):
         if all(x == 0 for x in rows[i]):
             raise ValueError(f"row {i} of the block is zero; "
                              "hypothesis violated")
@@ -403,7 +401,7 @@ def wishful_fillings(k_block, t, count=None) -> WishfulFillings:
     tau = tuple(int(x * denom) for x in raw)
     ratios = []
     fillings = []
-    for i in range(count):
+    for i in range(nrows):
         num = sum(rows[i][j] * tau[j] for j in range(ncols))
         if num == 0:
             raise ValueError(f"ratio {i} cancels to zero; pick another t")
@@ -571,10 +569,6 @@ def h1_presentation(k: LinkingMatrix, fillings):
     nonzero = sum(1 for x in diag if x != 0)
     rank_bound = n - nonzero
     torsion = tuple(x for x in diag if x > 1)
-    # cross-check against the meridian-row nullity identity
-    cert_nullity, _ = filling_nullity_certificate(filling_matrix(k, fillings))
-    if rank_bound - m != cert_nullity:
-        raise AssertionError("rank identity violated; inconsistent input?")
     return (pres, rank_bound, torsion)
 
 
@@ -583,8 +577,3 @@ def kernel_rank(rank_bound: int, unfilled: int) -> int:
     boundary in second cohomology: H_1 free rank bound minus the count
     of surviving boundary tori, floored at zero."""
     return max(0, rank_bound - unfilled)
-
-
-def kernel_rank_report(k: LinkingMatrix, fillings) -> int:
-    """kernel_rank of the filled manifold, from its h1_presentation."""
-    return kernel_rank(h1_presentation(k, fillings)[1], k.n - len(fillings))

@@ -121,9 +121,6 @@ class Presentation:
     def parse(self, text: str) -> Word:
         return self.alphabet.parse(text)
 
-    def max_relator_length(self) -> int:
-        return max((len(r) for r in self.relators), default=0)
-
 
 def relator_forms(relators) -> tuple:
     """All cyclic rotations of each relator and of its inverse, deduplicated.

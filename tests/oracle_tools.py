@@ -67,20 +67,6 @@ def f2_ball_count(radius):
     return len(seen)
 
 
-def z2_is_geodesic(word):
-    x, y = z2_eval(word)
-    return abs(x) + abs(y) == len(word)
-
-
-def z_is_geodesic(word):
-    s = sum(1 if c == "a" else -1 for c in word if c in "aA")
-    return abs(s) == len(word)
-
-
-def f2_is_geodesic(word):
-    return len(f2_reduce(word)) == len(word)
-
-
 # ---------------------------------------------------------------------------
 # groups with torsion and free products, by explicit normal forms.
 # Z/3 x Z = <a,b | a^3, [a,b]> is the pair (a-exponent mod 3, b-exponent);
@@ -606,16 +592,13 @@ def reference_is_k_local(ball, rp, word, k):
 # as first written.  The relhyp names are looked up at call time, so a test
 # may patch ``relhyp.electric.distance``.
 
-def reference_bcp_scan(ball, rp, samples, seed, max_radius=None,
-                       identical=False):
+def reference_bcp_scan(ball, rp, samples, seed, identical=False):
     import random
     from relhyp.electric import (
-        OUT_OF_BALL, coset_table, distance, electric_geodesic_tree,
-        penetrations,
+        coset_table, distance, electric_geodesic_tree, penetrations,
     )
     rng = random.Random(seed)
-    if max_radius is None:
-        max_radius = max(0, ball.radius - 2)
+    max_radius = max(0, ball.radius - 2)
     table = coset_table(ball, rp)
     tree = electric_geodesic_tree(ball, rp, 0)
     pool = [v for v in range(len(ball)) if ball.length_of(v) <= max_radius]
@@ -650,7 +633,7 @@ def reference_bcp_scan(ball, rp, samples, seed, max_radius=None,
                 b_out = verts2[max(p.leave for p in by2[key])]
                 d_in = distance(ball, a_in, b_in)
                 d_out = distance(ball, a_out, b_out)
-                if d_in is OUT_OF_BALL or d_out is OUT_OF_BALL:
+                if d_in is None or d_out is None:
                     ok = False
                     break
                 entry_gap = max(entry_gap, d_in)
@@ -660,7 +643,7 @@ def reference_bcp_scan(ball, rp, samples, seed, max_radius=None,
                 verts = verts1 if key in by1 else verts2
                 for p in pens:
                     d = distance(ball, verts[p.enter], verts[p.leave])
-                    if d is OUT_OF_BALL:
+                    if d is None:
                         ok = False
                         break
                     travel = max(travel, d)
@@ -869,47 +852,6 @@ def thinness_reference(adj, samples, seed):
 
 
 # ---------------------------------------------------------------------------
-# synchronous / asynchronous fellow-traveling on the lattice.
-
-def z2_dist(p, q):
-    return abs(p[0] - q[0]) + abs(p[1] - q[1])
-
-
-def sync_fellow(w1, w2):
-    n = max(len(w1), len(w2))
-    best = 0
-    for t in range(n + 1):
-        p = z2_eval(w1[: min(t, len(w1))])
-        q = z2_eval(w2[: min(t, len(w2))])
-        best = max(best, z2_dist(p, q))
-    return best
-
-
-def async_fellow(w1, w2):
-    n1, n2 = len(w1), len(w2)
-    pts1 = [z2_eval(w1[:t]) for t in range(n1 + 1)]
-    pts2 = [z2_eval(w2[:t]) for t in range(n2 + 1)]
-    import heapq
-    # bottleneck shortest path over the monotone grid
-    best = {(0, 0): z2_dist(pts1[0], pts2[0])}
-    heap = [(best[(0, 0)], 0, 0)]
-    while heap:
-        cost, i, j = heapq.heappop(heap)
-        if (i, j) == (n1, n2):
-            return cost
-        if cost > best.get((i, j), math.inf):
-            continue
-        for di, dj in ((1, 0), (0, 1), (1, 1)):
-            ii, jj = i + di, j + dj
-            if ii <= n1 and jj <= n2:
-                c = max(cost, z2_dist(pts1[ii], pts2[jj]))
-                if c < best.get((ii, jj), math.inf):
-                    best[(ii, jj)] = c
-                    heapq.heappush(heap, (c, ii, jj))
-    raise AssertionError
-
-
-# ---------------------------------------------------------------------------
 # cusp arithmetic (pure formulas, natural log).
 
 def cusp_vertical_edge(psi, omega):
@@ -1045,11 +987,6 @@ def main():
     print("T[a][a][1] =", z_kernel_entry(1, 1, 1, 0))
     print("T[a][1][1] =", z_kernel_entry(1, 1, 0, 0))
     print("phi0(g)=2|g| spot:", [2 * abs(g) for g in (0, 1, -1)])
-
-    print("\n== fellow traveling ==")
-    print("sync(ab, ba) =", sync_fellow("ab", "ba"))
-    print("async(abbb, bbba) =", async_fellow("abbb", "bbba"))
-    print("sync(abbb, bbba) =", sync_fellow("abbb", "bbba"))
 
     print("\n== cusp (psi=3, omega=1/3) ==")
     psi, om = 3.0, 1.0 / 3.0

@@ -19,7 +19,7 @@ from relhyp.automata import (
     Nfa, determinize, dfa_run, language_equal, live_states, minimize,
     nfa_run, prefix_closed,
 )
-from relhyp.cayley import OUT_OF_BALL, build_ball
+from relhyp.cayley import build_ball
 from relhyp.electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, coset_reduce,
     electric_area_exact, electric_area_upper, electric_length,
@@ -163,7 +163,7 @@ def test_criterion_04_fftp_equals_geodesics(pres_z, pres_f2, pres_z2):
         for n in range(8):
             for w in itertools.product(range(nsym), repeat=n):
                 v = truth.evaluate(w)
-                is_geo = v is not OUT_OF_BALL and truth.length_of(v) == n
+                is_geo = v is not None and truth.length_of(v) == n
                 assert dfa_run(dfa, w) == is_geo, (name, w)
         if name == "Z":
             assert len(live_states(minimize(dfa))) == 3
@@ -352,9 +352,9 @@ def test_criterion_12_surgery_pipeline():
         fillings = [Filling(f.u, f.v, *_pq(f.u, f.v)) for f in wf.fillings]
         nullity, _ = filling_nullity_certificate(filling_matrix(k, fillings))
         assert nullity >= 1
-        _, rank_bound, _ = h1_presentation(k, fillings)  # asserts identity
+        _, rank_bound, _ = h1_presentation(k, fillings)
         m = 0
-        assert rank_bound - m >= nullity
+        assert rank_bound - m == nullity
         done += 1
     done = 0
     while done < 50:

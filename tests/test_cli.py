@@ -1,5 +1,6 @@
 """Command line front end: file parsing, dispatch, report discipline."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from oracle_tools import reference_rref
 from relhyp.cli import (
-    PresentationParseError, UsageError, main, parse_matrix_file,
+    PresentationParseError, UsageError, build_parser, main, parse_matrix_file,
     parse_presentation, parse_slopes, serialize_presentation,
 )
 from fractions import Fraction
@@ -274,6 +275,21 @@ def test_electric_area_help_names_radius_default(capsys):
     assert main(["electric-area", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "ball radius (default: word length, at least 4)" in out
+
+
+def test_budget_help_names_what_it_caps():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    helps = {name: action.help
+             for name, sub in subparsers.choices.items()
+             for action in sub._actions if "--budget" in action.option_strings}
+    assert helps == {
+        "geodesics": "caps the geodesic words listed (default 1000)",
+        "electric-area": "caps the relator insertions searched (default 8)",
+        "bcp-scan": "caps the sampled pairs (default 200)",
+        "thinness": "caps the sampled triples (default 300)",
+        "clip-track": "caps the sampled vertex pairs (default 20)",
+    }
 
 
 def test_electric_area_needs_family(zz, capsys):

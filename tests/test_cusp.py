@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from relhyp.cayley import build_ball
 from relhyp.cusp import (
-    NOT_DECOMPOSABLE, CuspComplex, CuspParams, build_cusp_complex,
+    CuspComplex, CuspParams, build_cusp_complex,
     build_cusped_cayley, clip, decompose_geodesic,
     deepen_replace, delta_constant, dijkstra_distance,
     geodesic_length_closed_form, level_bound, measure_thinness,
@@ -39,7 +39,7 @@ def ball_z12(pres_z):
 
 
 def _z_position(ball, v):
-    w = ball.word_of(v)
+    w = ball.words[v]
     return sum(1 if s == 0 else -1 for s in w)
 
 
@@ -198,7 +198,7 @@ def test_geodesics_decompose_and_level_is_short(ball_z12):
         assert geodesic_path(cx.adj, s, t) == path
         depths = [cx.depth[v] for v in path]
         dec = decompose_geodesic(depths)
-        assert dec is not NOT_DECOMPOSABLE
+        assert dec is not None
         level_depth = depths[0] + dec.descending
         if level_depth < params.depth_cap:
             level_len = dec.level * params.horizontal_length(level_depth)
@@ -246,7 +246,7 @@ def test_decompose_unit():
     assert decompose_geodesic([3]) == (0, 0, 0)
     assert decompose_geodesic([2, 1, 0]) == (0, 0, 2)
     assert not decompose_geodesic([1, 0, 1])
-    assert decompose_geodesic([0, 1, 0, 1]) is NOT_DECOMPOSABLE
+    assert decompose_geodesic([0, 1, 0, 1]) is None
     with pytest.raises(ValueError):
         decompose_geodesic([0, 2])
 
@@ -438,12 +438,13 @@ def test_cusped_cayley_structure_z2(pres_z2):
         + len(ball) * params.depth_cap
     assert cx.n_edges() == want
     # surface edges keep unit length, deeper ones scale
-    for (u, v), w in cx._edge_len.items():
-        du, dv = cx.depth[u], cx.depth[v]
-        if du == dv:
-            assert w == pytest.approx(params.horizontal_length(du))
-        else:
-            assert w == pytest.approx(params.vertical_length())
+    for u, row in enumerate(cx.adj):
+        for v, w in row:
+            du, dv = cx.depth[u], cx.depth[v]
+            if du == dv:
+                assert w == pytest.approx(params.horizontal_length(du))
+            else:
+                assert w == pytest.approx(params.vertical_length())
 
 
 def test_cusped_cayley_depth_zero_is_ball(pres_f2):

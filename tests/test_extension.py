@@ -16,7 +16,7 @@ from relhyp.electric import (
 from relhyp.extension import (
     CocycleTable, _product_table, canonical_section, cocycle_check,
     is_coboundary_table, isoperimetric_estimate, lambda_bound,
-    maximizing_section, maximizing_words_nonbacktracking_check, mul,
+    maximizing_section, maximizing_words_nonbacktracking_check,
     relator_twist_bound, section_to_cocycle, spread_trend,
     weakly_bounded_report,
 )
@@ -45,7 +45,7 @@ def _coords(ball):
     out = {}
     for v in range(len(ball)):
         x = y = 0
-        for s in ball.word_of(v):
+        for s in ball.words[v]:
             if s == 0:
                 x += 1
             elif s == 1:
@@ -70,10 +70,10 @@ def _heisenberg(ball):
 def test_mul(ball_z2_4):
     a = ball_z2_4.evaluate((0,))
     inv = ball_z2_4.evaluate((1,))
-    assert mul(ball_z2_4, a, inv) == 0
-    assert mul(ball_z2_4, 0, a) == a
+    assert ball_product(ball_z2_4, a, inv) == 0
+    assert ball_product(ball_z2_4, 0, a) == a
     far = ball_z2_4.evaluate((0, 0, 0, 0))
-    assert mul(ball_z2_4, far, far) is None
+    assert ball_product(ball_z2_4, far, far) is None
 
 
 def test_cocycle_check_zero_and_heisenberg(ball_z2_4):
@@ -85,7 +85,7 @@ def test_cocycle_check_zero_and_heisenberg(ball_z2_4):
 
 def test_cocycle_check_coboundary(ball_z2_4):
     def sigma(g, h):
-        gh = mul(ball_z2_4, g, h)
+        gh = ball_product(ball_z2_4, g, h)
         if gh is None:
             return None
         return ball_z2_4.length_of(g) + ball_z2_4.length_of(h) \
@@ -103,8 +103,8 @@ def test_cocycle_check_finds_violation(ball_z2_4):
     ok, witness = cocycle_check(bad, ball_z2_4)
     assert not ok
     g, h, k = witness
-    gh = mul(ball_z2_4, g, h)
-    hk = mul(ball_z2_4, h, k)
+    gh = ball_product(ball_z2_4, g, h)
+    hk = ball_product(ball_z2_4, h, k)
     assert bad(g, h) + bad(gh, k) != bad(g, hk) + bad(h, k)
 
 
@@ -127,7 +127,7 @@ def test_electric_section_vanishes_on_parabolic(ball_z2_4, rp_z2):
     par = rp_z2.families[0].symbols()
 
     def ehat(v):
-        return -2 * sum(1 for s in ball_z2_4.word_of(v) if s not in par)
+        return -2 * sum(1 for s in ball_z2_4.words[v] if s not in par)
 
     sig = section_to_cocycle(ehat, ball_z2_4)
     b = ball_z2_4.evaluate((2,))
@@ -162,7 +162,7 @@ def test_weakly_bounded_section_within_declared(ball_z2_4, rp_z2):
     par = rp_z2.families[0].symbols()
 
     def ehat(v):
-        return -2 * sum(1 for s in ball_z2_4.word_of(v) if s not in par)
+        return -2 * sum(1 for s in ball_z2_4.words[v] if s not in par)
 
     sig = section_to_cocycle(ehat, ball_z2_4)
     rep = weakly_bounded_report(sig, ball_z2_4, declared_c=4)
@@ -213,7 +213,7 @@ def test_maximizing_superadditive(ball_z2_4, rp_z2):
     while checked < 150:
         g = rng.randrange(len(ball_z2_4))
         h = rng.randrange(len(ball_z2_4))
-        gh = mul(ball_z2_4, g, h)
+        gh = ball_product(ball_z2_4, g, h)
         if gh is None:
             continue
         assert res.values[gh] >= res.values[g] + res.values[h]
@@ -250,7 +250,7 @@ def test_coboundary_recovery(pres_z2):
     ok, f = is_coboundary_table(diff, ball)
     assert ok
     for (g, h), v in sig.table.items():
-        gh = mul(ball, g, h)
+        gh = ball_product(ball, g, h)
         assert f[g] + f[h] - f[gh] == v - dsig(g, h)
 
 
@@ -278,7 +278,7 @@ Z3 = ("abc", ("abAB", "acAC", "bcBC"))
 def _exponents(ball, v):
     """Exponent sum of each generator in the word of v."""
     vec = [0] * len(ball.generators)
-    for s in ball.word_of(v):
+    for s in ball.words[v]:
         vec[s >> 1] += -1 if s & 1 else 1
     return vec
 
@@ -337,4 +337,4 @@ def test_product_table_matches_mul(gens, relators, radius):
     assert [len(row) for row in prod] == [n] * n
     for g in range(n):
         for h in range(n):
-            assert prod[g][h] == mul(ball, g, h), (g, h)
+            assert prod[g][h] == ball_product(ball, g, h), (g, h)

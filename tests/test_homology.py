@@ -21,7 +21,7 @@ from oracle_tools import reference_rref, reference_snf
 from relhyp.homology import (
     Filling, FillingMatrix, IntMatrix, LinkingMatrix,
     filling_matrix, filling_nullity_certificate, h1_presentation,
-    kernel_rank_report, rank_nullity, snf, surgery_solve, wishful_fillings,
+    kernel_rank, rank_nullity, snf, surgery_solve, wishful_fillings,
 )
 
 
@@ -212,6 +212,8 @@ def test_wishful_frozen():
 
     with pytest.raises(ValueError):
         wishful_fillings([[0, 0], [0, 0]], 10)
+    with pytest.raises(ValueError):
+        wishful_fillings([], 10)
     with pytest.raises(ValueError):  # row cancels at t = 1
         wishful_fillings([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], 1)
 
@@ -323,26 +325,29 @@ def test_h1_errors():
         h1_presentation(k, [Filling(0, 1, p=1, q=0)] * 3)
 
 
-def test_kernel_rank_report():
+def test_kernel_rank_from_h1_presentation():
+    def report(k, fills):
+        return kernel_rank(h1_presentation(k, fills)[1], k.n - len(fills))
+
     k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
     wish = wishful_fillings(k.entries, 100)
     fills = []
     for f in wish.fillings:
         p, q = _pq_for(f.u, f.v)
         fills.append(Filling(f.u, f.v, p=p, q=q))
-    assert kernel_rank_report(k, fills) == 1
+    assert report(k, fills) == 1
 
     zero_k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
-    assert kernel_rank_report(zero_k, []) == 0
+    assert report(zero_k, []) == 0
 
     hopf_fills = [Filling(0, 1, p=1, q=0), Filling(0, 1, p=1, q=0)]
-    assert kernel_rank_report(k, hopf_fills) == 0
+    assert report(k, hopf_fills) == 0
 
 
 def test_sublemma_identity_random():
     """rank(H1 bound) - m equals the meridian-set nullity on generated
-    instances; h1_presentation raises if its internal identity fails, so
-    this drives that check across random skew matrices and fillings."""
+    instances: the identity that cmd_dehn_fill checks, across random skew
+    matrices and fillings."""
     rng = random.Random(7)
     made = 0
     while made < 100:

@@ -1,6 +1,7 @@
 """Import hygiene of the package: no module imports another module's
-private names, every imported name is used, and every public function
-and class is named somewhere."""
+private names, every imported name is used, every public function and
+class is named somewhere, and some call passes every defaulted
+parameter."""
 
 import argparse
 import ast
@@ -108,3 +109,61 @@ def test_every_public_definition_is_named():
                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                  and not stmt.name.startswith("_") and stmt.name not in used]
     assert dead == []
+
+
+def _defaulted_parameters(path):
+    """(callable name, parameter, positional index or None) for every
+    parameter with a default; a method's index counts its receiver, and
+    a class's __init__ is called by the class name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owners = {id(fn): cls for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owners.get(id(fn))
+        name = cls.name if cls and fn.name == "__init__" else fn.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = 1 if cls and not static else 0
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i - skip
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed_parameters(paths):
+    """Callable name -> set of keywords and positional indices that some
+    call passes; "*" when a call spreads a sequence or a mapping."""
+    passed = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            got = passed.setdefault(name, set())
+            for i, arg in enumerate(call.args):
+                got.add("*" if isinstance(arg, ast.Starred) else i)
+            for kw in call.keywords:
+                got.add("*" if kw.arg is None else kw.arg)
+    return passed
+
+
+def test_every_defaulted_parameter_is_set():
+    # a default that no call overrides is a constant spelled as a
+    # parameter: some call in the package or its tests must pass each one
+    modules = sorted(SRC.glob("*.py"))
+    passed = _passed_parameters(modules + sorted(TESTS.glob("*.py")))
+    never = [f"{path.name}: {name}({param})"
+             for path in modules
+             for name, param, index in _defaulted_parameters(path)
+             if not passed.get(name, set()) & {param, index, "*"}]
+    assert never == []
