@@ -255,7 +255,7 @@ class GroupBall:
     ball.  All edges between in-ball elements are present.
     """
 
-    def __init__(self, presentation, radius, generators=None):
+    def __init__(self, presentation, radius, generators):
         self.presentation = presentation
         self.radius = radius
         self.generators = tuple(generators) if generators is not None \

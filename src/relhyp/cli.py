@@ -279,9 +279,12 @@ def _pq_pair(u: int, v: int):
 
 
 def parse_cocycle_file(text: str, rp: RelativePresentation, ball):
-    """Triples "g-word h-word value", one per line; "1" is the identity."""
+    """Triples "g-word h-word value", one per line; "1" is the identity.
+    Each distinct word is parsed once, at its first appearance, so every
+    error names the line and column where its word first appears."""
     ab = rp.base.alphabet
     table = {}
+    vertex = {"1": 0}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         toks = line.split()
@@ -292,19 +295,19 @@ def parse_cocycle_file(text: str, rp: RelativePresentation, ball):
                 f"line {ln}: expected 'g-word h-word value', got {len(toks)} fields")
         verts = []
         for tok in toks[:2]:
-            col = line.index(tok) + 1
-            if tok == "1":
-                verts.append(0)
-                continue
-            try:
-                word = ab.parse(tok)
-            except ValueError as e:
-                raise PresentationParseError(str(e), ln, col) from None
-            v = ball.evaluate(word)
+            v = vertex.get(tok)
             if v is None:
-                raise UsageError(
-                    f"line {ln}: word {tok!r} leaves the radius-{ball.radius} "
-                    f"ball; raise --radius")
+                try:
+                    word = ab.parse(tok)
+                except ValueError as e:
+                    raise PresentationParseError(
+                        str(e), ln, line.index(tok) + 1) from None
+                v = ball.evaluate(word)
+                if v is None:
+                    raise UsageError(
+                        f"line {ln}: word {tok!r} leaves the radius-{ball.radius} "
+                        f"ball; raise --radius")
+                vertex[tok] = v
             verts.append(v)
         try:
             value = int(toks[2])
@@ -661,7 +664,7 @@ def cmd_cocycle_check(args):
     ball = _ball(rp, args.radius)
     table = parse_cocycle_file(_load(args.cocycle), rp, ball)
     n = len(ball)
-    sigma = CocycleTable(table, coverage=len(table) / (n * n) if n else 0.0)
+    sigma = CocycleTable(table, coverage=len(table) / (n * n))
     ok, witness = cocycle_check(sigma, ball)
     coboundary, _ = is_coboundary_table(sigma, ball)
     spread = weakly_bounded_report(sigma, ball)

@@ -231,7 +231,7 @@ def electric_distances_from(ball: GroupBall, rp: RelativePresentation,
 
 
 def electric_geodesic_tree(ball: GroupBall, rp: RelativePresentation,
-                           source: int = 0):
+                           source: int):
     """Canonical electric geodesic words from a source to every vertex.
 
     Dijkstra keyed on (electric length, shortlex of the word), so each

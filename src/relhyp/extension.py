@@ -58,25 +58,28 @@ def _product_table(ball: GroupBall):
 
 def cocycle_check(sigma, ball: GroupBall):
     """Exhaustive cocycle identity scan: returns (True, None) or
-    (False, first failing (g, h, k) triple)."""
+    (False, first failing (g, h, k) triple, in (g, h, k) order).
+
+    sigma is called once on every vertex pair, and the scan reads those
+    dense rows.  A triple counts when gh, hk and (gh)k stay in the ball
+    and sigma is defined at (g, h), (gh, k), (g, hk) and (h, k)."""
     prod = _product_table(ball)
     n = len(ball)
-    for g in range(n):
-        for h, gh in enumerate(prod[g]):
-            if gh is None:
+    S = [[sigma(g, h) for h in range(n)] for g in range(n)]
+    # per h, the k with hk in the ball and sigma(h, k) defined
+    ks = [[(k, hk, s) for k, (hk, s) in enumerate(zip(prod_h, S_h))
+           if hk is not None and s is not None]
+          for prod_h, S_h in zip(prod, S)]
+    for g, (prod_g, S_g) in enumerate(zip(prod, S)):
+        for h, (gh, s_gh) in enumerate(zip(prod_g, S_g)):
+            if gh is None or s_gh is None:
                 continue
-            s_gh = sigma(g, h)
-            if s_gh is None:
-                continue
-            for k, (hk, ghk) in enumerate(zip(prod[h], prod[gh])):
-                if hk is None or ghk is None:
+            prod_gh, S_gh = prod[gh], S[gh]
+            for k, hk, s_hk in ks[h]:
+                left, right = S_gh[k], S_g[hk]
+                if prod_gh[k] is None or left is None or right is None:
                     continue
-                left = sigma(gh, k)
-                right1 = sigma(g, hk)
-                right2 = sigma(h, k)
-                if left is None or right1 is None or right2 is None:
-                    continue
-                if s_gh + left != right1 + right2:
+                if s_gh + left != right + s_hk:
                     return (False, (g, h, k))
     return (True, None)
 

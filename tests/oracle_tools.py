@@ -421,6 +421,28 @@ def ball_product(ball, g, h):
     return v
 
 
+def reference_cocycle_witness(sigma, ball):
+    """First (g, h, k), in that order, where sigma(g, h) + sigma(gh, k)
+    differs from sigma(g, hk) + sigma(h, k), among triples whose products
+    gh, hk and (gh)k are in the ball (by ball_product) and where sigma is
+    defined on all four pairs; None when no triple fails."""
+    n = len(ball)
+    prod = {(g, h): ball_product(ball, g, h)
+            for g in range(n) for h in range(n)}
+    for g in range(n):
+        for h in range(n):
+            gh = prod[g, h]
+            for k in range(n):
+                hk = prod[h, k]
+                if gh is None or hk is None or prod[gh, k] is None:
+                    continue
+                vals = sigma(g, h), sigma(gh, k), sigma(g, hk), sigma(h, k)
+                if None not in vals and \
+                        vals[0] + vals[1] != vals[2] + vals[3]:
+                    return (g, h, k)
+    return None
+
+
 def reference_rref(rows):
     """Reduced row echelon form by plain Fraction Gauss-Jordan; returns
     (matrix, pivot columns)."""

@@ -10,9 +10,11 @@ from math import gcd
 import pytest
 
 from oracle_tools import reference_rref
+from relhyp.cayley import build_ball
 from relhyp.cli import (
-    PresentationParseError, UsageError, build_parser, main, parse_matrix_file,
-    parse_presentation, parse_slopes, serialize_presentation,
+    PresentationParseError, UsageError, build_parser, main,
+    parse_cocycle_file, parse_matrix_file, parse_presentation, parse_slopes,
+    serialize_presentation,
 )
 from fractions import Fraction
 
@@ -520,6 +522,24 @@ def test_cocycle_file_errors(tmp_path, zline, capsys):
         ["cocycle-check", zline, str(c), "--radius", "2"], capsys)
     assert code == 2
     assert "raise --radius" in err
+
+
+def test_cocycle_file_words_parse_once():
+    rp = parse_presentation("[generators] a b\n[relators] abAB\n")
+    ball = build_ball(rp.base, 2)
+    # a bad word after lines that repeat good ones names its own place
+    with pytest.raises(PresentationParseError) as exc:
+        parse_cocycle_file("ab ab 1\nab 1 0\n1 ab 0\n  ab  xq 3\n", rp, ball)
+    assert (exc.value.line, exc.value.col) == (4, 7)
+    # a word that leaves the ball fails where it first appears
+    with pytest.raises(UsageError, match="line 2: word 'aaa' leaves"):
+        parse_cocycle_file("a a 1\na aaa 0\naaa a 0\n", rp, ball)
+    # two spellings of one element are one vertex
+    table = parse_cocycle_file("ab a 1\nba a 1\n", rp, ball)
+    assert table == {(ball.evaluate(rp.base.parse("ab")),
+                      ball.evaluate(rp.base.parse("a"))): 1}
+    with pytest.raises(UsageError, match="line 2: conflicting values"):
+        parse_cocycle_file("ab a 1\nba a 2\n", rp, ball)
 
 
 # ------------------------------------------------------- report hygiene

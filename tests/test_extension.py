@@ -22,7 +22,10 @@ from relhyp.extension import (
 )
 from relhyp.words import Alphabet, Presentation
 
-from oracle_tools import ball_product, reference_is_coboundary
+from oracle_tools import (
+    ball_product, reference_cocycle_witness, reference_is_coboundary, s3_eval,
+    z2_eval, zfreez2_eval,
+)
 
 
 def _zero(g, h):
@@ -338,3 +341,76 @@ def test_product_table_matches_mul(gens, relators, radius):
     for g in range(n):
         for h in range(n):
             assert prod[g][h] == ball_product(ball, g, h), (g, h)
+
+
+# group, presentation, radius, independent evaluator, and the number of
+# counted triples whose product g*(hk) leaves the ball along hk's word
+PARITY_GROUPS = {
+    "z2": (("ab", ("abAB",)), 3, z2_eval, 88),
+    # two transpositions: the radius-2 ball misses aba
+    "s3": (("ab", ("aa", "bb", "ababab")), 2,
+           lambda w: s3_eval(w.translate({ord("b"): "ab", ord("B"): "BA"})),
+           0),
+    # a transposition and a 3-cycle: the radius-2 ball is the whole group
+    "s3-whole": (("ab", ("aa", "bbb", "abab")), 2, s3_eval, 0),
+    "zfz2": (("abc", ("bcBC",)), 2, zfreez2_eval, 52),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GROUPS))
+def test_cocycle_check_witness_matches_brute_force(name):
+    (gens, relators), radius, evaluate, detours = PARITY_GROUPS[name]
+    ball = build_ball(_pres(gens, relators), radius)
+    n = len(ball)
+    rng = random.Random(name)
+    alphabet = ball.presentation.alphabet
+    elem = [evaluate(alphabet.to_str(w)) for w in ball.words]
+    prod = {(g, h): ball_product(ball, g, h)
+            for g in range(n) for h in range(n)}
+    # the coboundary of a seeded rho on group elements: a cocycle on all
+    # pairs, including those whose product leaves the ball
+    rho = {}
+
+    def r(x):
+        return rho.setdefault(x, rng.randint(-3, 3))
+
+    full = {(g, h): r(elem[g]) + r(elem[h])
+            - r(evaluate(alphabet.to_str(ball.words[g] + ball.words[h])))
+            for g in range(n) for h in range(n)}
+    inside = {k: v for k, v in full.items() if prod[k] is not None}
+    outside = sorted(set(full) - set(inside))
+
+    def partial(keep, junk, bumps):
+        t = {k: v for k, v in inside.items() if rng.random() < keep}
+        for k in outside:
+            if rng.random() < junk:
+                t[k] = rng.randint(-2, 2)
+        for k in rng.sample(sorted(t), bumps):
+            t[k] += rng.choice((-1, 1))
+        return t
+
+    tables = [inside, full, partial(0.8, 0.0, 0), partial(1.0, 0.0, 1),
+              partial(0.7, 0.0, 1), partial(0.9, 0.5, 0),
+              partial(0.6, 0.3, 2), partial(1.0, 1.0, 1)]
+    # triples the scan counts though g*(hk) leaves the ball along hk's word
+    detour = [(g, h, k) for (g, h), gh in prod.items() if gh is not None
+              for k in range(n) if prod[h, k] is not None
+              and prod[gh, k] is not None and prod[g, prod[h, k]] is None]
+    assert len(detour) == detours
+    verdicts = []
+    for i, table in enumerate(tables):
+        sigma = CocycleTable(table)
+        witness = reference_cocycle_witness(sigma, ball)
+        assert cocycle_check(sigma, ball) == (witness is None, witness), i
+        verdicts.append(witness is None)
+    assert verdicts[:2] == [True, True] and False in verdicts
+    if detour:
+        # sigma(g, hk) wrong at the first of them, on a pair whose product
+        # leaves the ball, so every failing triple is one of them
+        g, h, k = detour[0]
+        bad = dict(full)
+        bad[g, prod[h, k]] += 1
+        sigma = CocycleTable(bad)
+        witness = reference_cocycle_witness(sigma, ball)
+        assert witness in detour
+        assert cocycle_check(sigma, ball) == (False, witness)
