@@ -400,12 +400,11 @@ def cmd_geodesics(args):
                          f"raise --radius")
     ab = rp.base.alphabet
     words = geodesic_words(ball, v)
-    shown = words if len(words) <= args.budget else words[:args.budget]
     results = {
         "word": args.word,
         "length": ball.length_of(v),
         "count": len(words),
-        "geodesics": [ab.to_str(w) for w in shown],
+        "geodesics": [ab.to_str(w) for w in words[:args.budget]],
         "truncated": len(words) > args.budget,
     }
     if rp.families:
@@ -534,6 +533,10 @@ def cmd_clip_track(args):
         raise UsageError(f"clip depth must lie in [0, {params.depth_cap}]")
     cx = _cusp_complex(rp, args.radius, params)
     gn = clip(cx, n)
+    if len(gn) < 2:
+        raise UsageError(f"clip-track samples vertex pairs, but the clip at "
+                         f"depth {n} keeps {len(gn)} of {len(cx)} vertices; "
+                         f"raise --radius")
     back = {v: cx.ids[gn.keys[v]] for v in range(len(gn))}
     rng = random.Random(args.seed)
     worst = 0.0
@@ -688,6 +691,18 @@ def cmd_cocycle_check(args):
 
 # ----------------------------------------------------------------- main
 
+def _count(text: str) -> int:
+    """argparse type of --budget and --depth-cap: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
                 budget=None):
     """Add the subcommand that cmd_<name> runs, with its shared flags.
@@ -713,13 +728,13 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
                        help="horizontal shrink factor per depth (default 3)")
         p.add_argument("--omega", type=float, default=None,
                        help="vertical scale (default 1/psi)")
-        p.add_argument("--depth-cap", type=int, default=None,
+        p.add_argument("--depth-cap", type=_count, default=None,
                        help="maximum depth of the complex")
     p.add_argument("--seed", type=int, default=seed,
                    help="RNG seed; same seed, same bytes out")
     if budget is not None:
         default, capped = budget
-        p.add_argument("--budget", type=int, default=default,
+        p.add_argument("--budget", type=_count, default=default,
                        help=f"caps the {capped} (default {default})")
     return p
 

@@ -5,9 +5,6 @@ i has horizontal edges of length psi^-i and is tied to the next copy by
 vertical edges of length omega*ln(psi).  All logs are natural: the
 closed-form geodesic length comes from differentiating psi^-D, whose
 derivative carries ln(psi), so no other base is consistent.
-
-Area weights (for the pushdown accounting): a horizontal cell at depth i
-weighs psi^-i, a vertical cell below depth i weighs omega*psi^-i.
 """
 
 from __future__ import annotations
@@ -27,9 +24,7 @@ from .electric import RelativePresentation, coset_table
 class CuspParams:
     psi: float
     omega: float | None = None  # defaults to 1/psi
-    rho_max: int = 4
     depth_cap: int = 4
-    strict_log: bool = False
 
     def __post_init__(self):
         if not self.psi > 1:
@@ -38,22 +33,14 @@ class CuspParams:
             object.__setattr__(self, "omega", 1.0 / self.psi)
         if not self.omega > 0:
             raise ValueError("omega must be positive")
-        if self.rho_max < 1 or self.depth_cap < 0:
-            raise ValueError("rho_max >= 1 and depth_cap >= 0 required")
-        if self.strict_log and not math.log(self.psi) > 1:
-            raise ValueError("strict mode needs ln(psi) > 1")
+        if self.depth_cap < 0:
+            raise ValueError("depth_cap >= 0 required")
 
     def horizontal_length(self, depth: int) -> float:
         return self.psi ** (-depth)
 
     def vertical_length(self) -> float:
         return self.omega * math.log(self.psi)
-
-    def horizontal_cell_area(self, depth: int) -> float:
-        return self.psi ** (-depth)
-
-    def vertical_cell_area(self, depth: int) -> float:
-        return self.omega * self.psi ** (-depth)
 
 
 class CuspComplex:
@@ -442,27 +429,4 @@ def path_hausdorff(cx: CuspComplex, path_a, path_b) -> float:
             if u not in targets:
                 worst = max(worst, min(pick(_dijkstra(cx.adj, u))))
     return worst
-
-
-def pushdown_delta(depth: int, params: CuspParams) -> float:
-    """Guaranteed area saving from pushing one horizontal cell down to
-    this depth: the cell sheds (psi - 1) of scaled area and pays at most
-    rho_max vertical cells."""
-    if depth < 1:
-        raise ValueError("pushdown target depth starts at 1")
-    return (params.psi - 1 - params.rho_max * params.omega * params.psi) \
-        * params.psi ** (-depth)
-
-
-def pushdown_valid(params: CuspParams) -> bool:
-    if params.rho_max * params.omega >= 1:
-        return False
-    return params.omega < 1 / params.rho_max and \
-        params.psi > 1 / (1 - params.rho_max * params.omega)
-
-
-def pushdown_total(params: CuspParams) -> float:
-    """Series total of pushdown savings over all depths from 1."""
-    return (params.psi - 1 - params.rho_max * params.omega * params.psi) \
-        / (params.psi - 1)
 

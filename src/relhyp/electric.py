@@ -137,16 +137,6 @@ def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
     return [Penetration(*r) for r in out]
 
 
-def backtracks(ball: GroupBall, rp: RelativePresentation, word: Word) -> list:
-    """Cosets visited more than once: list of (family, coset, visit times)."""
-    pens = penetrations(ball, rp, word)
-    seen = {}
-    for p in pens:
-        seen.setdefault((p.family, p.coset), []).append((p.enter, p.leave))
-    return [(fam, coset, visits) for (fam, coset), visits in seen.items()
-            if len(visits) > 1]
-
-
 def _family_ball(rp: RelativePresentation, fi: int, radius: int) -> GroupBall:
     fam = rp.families[fi]
     pres = Presentation(rp.base.alphabet, fam.relators)

@@ -5,10 +5,6 @@ An extension of the ball's group by the integers is modeled as pairs
 extension group is ever constructed.  A cocycle sigma is any callable
 on pairs of ball vertices returning an integer, or None where a product
 falls outside the ball.
-
-The maximizing-section height rewards parabolic travel: letters of a
-parabolic family cost nothing, every other letter costs the fixed rate,
-and the cocycle contributions of the lifted word are added on top.
 """
 
 from __future__ import annotations
@@ -17,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import GroupBall
-from .electric import RelativePresentation, backtracks, electric_length
-from .words import relator_forms
 
 
 class CocycleTable:
@@ -97,24 +91,6 @@ def section_to_cocycle(rho, ball: GroupBall) -> CocycleTable:
             if gh is not None:
                 table[g, h] = rho(g) + rho(h) - rho(gh)
     return CocycleTable(table, coverage=len(table) / (n * n))
-
-
-def canonical_section(sigma, ball: GroupBall):
-    """Section from lifting each vertex's canonical word: the second
-    coordinate of (letter, 0) products taken along words[v]."""
-    letter = {s: ball.evaluate((s,)) for s in ball.symbol_moves()}
-    vals = {}
-    for v in range(len(ball)):
-        m = 0
-        cur = 0
-        for s in ball.words[v]:
-            contrib = sigma(cur, letter[s])
-            if contrib is None:
-                raise ValueError(f"cocycle undefined along word of {v}")
-            m += contrib
-            cur = ball.edges[cur][s]
-        vals[v] = m
-    return vals.__getitem__
 
 
 def is_coboundary_table(tau, ball: GroupBall):
@@ -220,132 +196,3 @@ def spread_trend(reports):
     growing = all(a < b for a, b in zip(consts, consts[1:]))
     return {"constants": consts, "unbounded_trend": growing}
 
-
-def relator_twist_bound(rp: RelativePresentation, sigma,
-                        ball: GroupBall) -> int:
-    """Largest |cocycle charge| picked up around a non-parabolic relator
-    loop, maximized over all rotated and inverted forms."""
-    letter = {s: ball.evaluate((s,)) for s in ball.symbol_moves()}
-    best = 0
-    for form in relator_forms(rp.nonparabolic_relators()):
-        m = 0
-        cur = 0
-        ok = True
-        for s in form:
-            contrib = sigma(cur, letter[s])
-            nxt = ball.edges[cur][s]
-            if contrib is None or nxt is None:
-                ok = False
-                break
-            m += contrib
-            cur = nxt
-        if ok:
-            best = max(best, abs(m))
-    return best
-
-
-def isoperimetric_estimate(rp: RelativePresentation) -> Fraction:
-    """Cheap lower-scale estimate of the electric isoperimetric constant:
-    each relator cell has area one and kills its own boundary length."""
-    best = Fraction(0)
-    for r in rp.nonparabolic_relators():
-        el = electric_length(rp, r)
-        if el > 0:
-            best = max(best, Fraction(1, el))
-    return best
-
-
-def lambda_bound(c, t, k):
-    """Distortion bound (c + t*k) / (c - t*k); needs c > t*k."""
-    if not c > t * k:
-        raise ValueError("need c > t*k")
-    return (c + t * k) / (c - t * k)
-
-
-@dataclass
-class MaximizingSection:
-    values: dict         # vertex -> best height
-    witnesses: dict      # vertex -> word attaining it
-    stable: bool         # unchanged when the cap grows by 2
-    c: object
-    cap: int
-    twist_bound: int
-    k_estimate: object
-    precondition_ok: bool
-
-
-def maximizing_section(ball: GroupBall, rp: RelativePresentation,
-                       sigma, c, cap: int) -> MaximizingSection:
-    """Maximize (lifted cocycle charge) - c * (non-parabolic letter
-    count) over in-ball words for every reachable vertex.
-
-    Dynamic program over word length; ties prefer the shorter and then
-    the lexicographically smaller witness.  Values are re-run at cap+2
-    to report stability.
-    """
-    twist = relator_twist_bound(rp, sigma, ball)
-    k_est = isoperimetric_estimate(rp)
-    precondition_ok = c > twist * k_est
-
-    parabolic = set()
-    for fam in rp.families:
-        parabolic |= fam.symbols()
-    letter = {s: ball.evaluate((s,)) for s in ball.symbol_moves()}
-
-    def run(limit):
-        best = {0: (0, ())}
-        frontier = {0: (0, ())}
-        for _ in range(limit):
-            nxt = {}
-            for v, (val, word) in frontier.items():
-                for s, lv in letter.items():
-                    v2 = ball.edges[v][s]
-                    if v2 is None:
-                        continue
-                    contrib = sigma(v, lv)
-                    if contrib is None:
-                        continue
-                    val2 = val + contrib - (0 if s in parabolic else c)
-                    cand = (val2, word + (s,))
-                    cur = nxt.get(v2)
-                    if cur is None or _better(cand, cur):
-                        nxt[v2] = cand
-            for v, cand in nxt.items():
-                cur = best.get(v)
-                if cur is None or _better(cand, cur):
-                    best[v] = cand
-            frontier = nxt
-            if not frontier:
-                break
-        return best
-
-    base = run(cap)
-    grown = run(cap + 2)
-    stable = all(grown.get(v, (None,))[0] == val
-                 for v, (val, _) in base.items()) \
-        and set(grown) == set(base)
-    return MaximizingSection(
-        values={v: val for v, (val, _) in base.items()},
-        witnesses={v: word for v, (_, word) in base.items()},
-        stable=stable, c=c, cap=cap, twist_bound=twist,
-        k_estimate=k_est, precondition_ok=precondition_ok)
-
-
-def _better(cand, cur):
-    """Higher value wins; then shorter witness; then lexicographic."""
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    if len(cand[1]) != len(cur[1]):
-        return len(cand[1]) < len(cur[1])
-    return cand[1] < cur[1]
-
-
-def maximizing_words_nonbacktracking_check(ball: GroupBall,
-                                           rp: RelativePresentation,
-                                           section: MaximizingSection) -> bool:
-    """True when no witness word backtracks into a parabolic coset it
-    already left."""
-    for word in section.witnesses.values():
-        if backtracks(ball, rp, word):
-            return False
-    return True

@@ -231,16 +231,6 @@ def _rref(rows):
     return mat, pivots
 
 
-def rank_nullity(rows):
-    """Exact rank of a set of rational row vectors, and its nullity
-    (row count minus rank)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return (0, 0)
-    _, pivots = _rref(rows)
-    return (len(pivots), len(rows) - len(pivots))
-
-
 @dataclass(frozen=True)
 class LinkingMatrix:
     n: int

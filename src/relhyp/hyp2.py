@@ -1,64 +1,18 @@
-"""Upper half-plane numerics: distances, Buseman functions, horoballs.
+"""Upper half-plane closed forms behind the metric estimates.
 
-Everything is double precision with natural logs.  The preferred boundary
-point is infinity; mobius_to_infinity normalizes any real boundary point
-to it, so horoballs only ever need the form {y > h}.
+Each function evaluates one closed form (the midpoint depth of a long
+geodesic, the gap of a right triangle, the base angle of an ideal
+isosceles triangle, the projection of a tangent geodesic onto a
+horosphere).  The first three also say whether the estimate they back
+holds at the given values.  Everything is double precision with natural
+logs, and horoballs are based at infinity, of the form {y > h}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class HPoint:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > _EPS:
-            raise ValueError(f"point must lie strictly above the axis: y={self.y}")
-
-
-@dataclass(frozen=True)
-class Horoball:
-    """Horoball based at infinity: the region y > height."""
-    height: float
-
-    def __post_init__(self):
-        if not self.height > 0:
-            raise ValueError("horoball height must be positive")
-
-    def contains(self, p: HPoint) -> bool:
-        return p.y > self.height
-
-
-def h_distance(p: HPoint, q: HPoint) -> float:
-    arg = 1.0 + ((p.x - q.x) ** 2 + (p.y - q.y) ** 2) / (2.0 * p.y * q.y)
-    return math.acosh(arg)
-
-
-def buseman_infinity(p: HPoint) -> float:
-    """Buseman function of the upward ray, zero on the horosphere y = 1."""
-    return -math.log(p.y)
-
-
-def geodesic_apex(p: HPoint, q: HPoint) -> float:
-    """Deepest Buseman value on the full geodesic through p and q.
-
-    Non-vertical geodesics are semicircles centered on the axis; the
-    deepest point is the top, at height R, so the value is -ln R.  The
-    vertical geodesic never leaves the endpoints' column and the arc
-    minimum is at its higher endpoint.
-    """
-    if abs(p.x - q.x) <= _EPS:
-        return min(buseman_infinity(p), buseman_infinity(q))
-    c = (q.x ** 2 + q.y ** 2 - p.x ** 2 - p.y ** 2) / (2.0 * (q.x - p.x))
-    radius = math.hypot(p.x - c, p.y)
-    return -math.log(radius)
 
 
 def ideal_midpoint_check(ell: float, big_c: float) -> bool:
@@ -111,12 +65,3 @@ def tangent_projection_diameter(h: float, e1: float, e2: float) -> float:
         raise ValueError("geodesic is not tangent to the horoball")
     return abs(e1 - e2) / h
 
-
-def mobius_to_infinity(b: float):
-    """Isometry of the half-plane sending the boundary point b to infinity
-    (z -> -1/(z - b)).  Returns a function on points."""
-    def apply(p: HPoint) -> HPoint:
-        dx = p.x - b
-        d = dx * dx + p.y * p.y
-        return HPoint(-dx / d, p.y / d)
-    return apply

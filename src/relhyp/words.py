@@ -47,10 +47,6 @@ class Alphabet:
     def __repr__(self):
         return f"Alphabet({list(self.generators)!r})"
 
-    def inverse(self, sym: int) -> int:
-        # the pairing is the low-bit flip
-        return sym ^ 1
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -93,11 +89,6 @@ def cyclic_permute(word: Word, t: int) -> Word:
         return word
     t %= len(word)
     return word[t:] + word[:t]
-
-
-def is_cyclically_reduced(word: Word) -> bool:
-    w = free_reduce(word)
-    return w == word and not (len(w) >= 2 and w[0] == (w[-1] ^ 1))
 
 
 @dataclass(frozen=True)

@@ -905,26 +905,6 @@ def cusp_delta(psi, omega):
     return 4 * omega * psi + (math.log(2) / math.log(psi) + 2) * omega * math.log(psi)
 
 
-def pushdown_delta(psi, omega, rho, depth):
-    return (psi - 1 - rho * omega * psi) * psi ** (-depth)
-
-
-# ---------------------------------------------------------------------------
-# upper half-plane formulas.
-
-def h_dist(p, q):
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return math.acosh(1 + (dx * dx + dy * dy) / (2 * p[1] * q[1]))
-
-
-def apex(p, q):
-    # semicircle through p, q orthogonal to the real axis
-    cx = (q[0] ** 2 + q[1] ** 2 - p[0] ** 2 - p[1] ** 2) / (2 * (q[0] - p[0]))
-    r = math.hypot(p[0] - cx, p[1])
-    return -math.log(r)
-
-
 # ---------------------------------------------------------------------------
 # homology worked example (exact).
 
@@ -946,29 +926,6 @@ def coboundary_sigma(g, h):
     def norm(v):
         return abs(v[0]) + abs(v[1])
     return norm(g) + norm(h) - norm((g[0] + h[0], g[1] + h[1]))
-
-
-def hstar_bruteforce(target, C, cap):
-    # max over words w with wbar = target, |w| <= cap of (0 - C * a-letter count)
-    best = None
-    best_word = None
-    frontier = {("", (0, 0))}
-    seen = set()
-    q = deque([("", (0, 0))])
-    while q:
-        w, v = q.popleft()
-        if v == target:
-            val = -C * sum(1 for c in w if c in "aA")
-            if best is None or val > best or (val == best and (len(w), w) < (len(best_word), best_word)):
-                best, best_word = val, w
-        if len(w) == cap:
-            continue
-        for c in "aAbB":
-            nw, nv = w + c, (v[0] + STEP[c][0], v[1] + STEP[c][1])
-            if (nw, nv) not in seen:
-                seen.add((nw, nv))
-                q.append((nw, nv))
-    return best, best_word
 
 
 def _sphere_sizes(length, radius):
@@ -997,8 +954,6 @@ def main():
     print("\n== penetrations ==")
     print("z2 rel<b> babA runs:", z2_coset_runs("babA"))
     print("f2 rel<b> ab runs:", f2_coset_runs("ab"))
-    print("z2 rel<b> backtracks(babA):",
-          len({r[0] for r in z2_coset_runs("babA")}) < len(z2_coset_runs("babA")))
 
     print("\n== area ==")
     for n in range(1, 5):
@@ -1018,13 +973,8 @@ def main():
     print("level bound =", cusp_level_bound(psi, om))
     print("delta const =", cusp_delta(psi, om))
     print("criterion-9 cap =", cusp_delta(psi, om) + 2)
-    print("pushdown psi=4 omega=1/8 rho=4 depth=1 ->", pushdown_delta(4, 0.125, 4, 1))
 
     print("\n== hyp2 ==")
-    print("d((0,1),(0,2)) =", h_dist((0, 1), (0, 2)), "ln2 =", math.log(2))
-    print("d((0,1),(1,1)) =", h_dist((0, 1), (1, 1)), "acosh(1.5) =", math.acosh(1.5))
-    print("apex((-1,1),(1,1)) =", apex((-1, 1), (1, 1)), "-ln sqrt2 =", -0.5 * math.log(2))
-    print("busemann (0,e) ->", -math.log(math.e), " (0,1/2) ->", -math.log(0.5))
     print("guarantee threshold C=1: 2C+ln16 =", 2 + math.log(16))
     print("ideal isosceles l=3: sin^2 =", 2 / (math.cosh(3) + 1), "4e^-l =", 4 * math.exp(-3))
 
@@ -1037,8 +987,6 @@ def main():
 
     print("\n== extension ==")
     print("sigma(a, A) =", coboundary_sigma((1, 0), (-1, 0)))
-    print("H*((2,0), C=1, cap=6) =", hstar_bruteforce((2, 0), 1, 6))
-    print("H*((0,3), C=1, cap=6) =", hstar_bruteforce((0, 3), 1, 6))
 
 
 if __name__ == "__main__":

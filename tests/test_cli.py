@@ -294,6 +294,40 @@ def test_budget_help_names_what_it_caps():
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ["geodesics", "{p}", "aabb"],
+    ["electric-area", "{p}", "abAB"],
+    ["bcp-scan", "{p}"],
+    ["thinness", "{p}"],
+    ["clip-track", "{p}", "0"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_a_usage_error(argv, zzp, capsys):
+    argv = [a.format(p=zzp) for a in argv] + ["--budget", "-1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "argument --budget: expected an integer >= 0, got '-1'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cusp-distance", "9", "0", "0"],
+    ["thinness", "{p}"],
+    ["clip-track", "{p}", "0"],
+], ids=lambda argv: argv[0])
+def test_negative_depth_cap_is_a_usage_error(argv, zzp, capsys):
+    argv = [a.format(p=zzp) for a in argv] + ["--depth-cap", "-1"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "argument --depth-cap: expected an integer >= 0, got '-1'" in err
+
+
+def test_zero_budget_is_legal(zz, capsys):
+    code, rep, _ = run_cli(["geodesics", zz, "aabb", "--budget", "0"], capsys)
+    assert code == 0
+    assert rep["results"]["count"] == 6
+    assert rep["results"]["geodesics"] == []
+    assert rep["results"]["truncated"] is True
+
+
 def test_electric_area_needs_family(zz, capsys):
     code, _, err = run_cli(["electric-area", zz, "abAB"], capsys)
     assert code == 2
@@ -356,6 +390,13 @@ def test_clip_track_depth_out_of_range(zline, capsys):
         ["clip-track", zline, "9", "--depth-cap", "3"], capsys)
     assert code == 2
     assert "clip depth" in err
+
+
+def test_clip_track_needs_two_clipped_vertices(zz, capsys):
+    code, _, err = run_cli(["clip-track", zz, "0", "--radius", "0"], capsys)
+    assert code == 2
+    assert "keeps 1 of 5 vertices" in err
+    assert "raise --radius" in err
 
 
 def test_hyp2_check_command(capsys):

@@ -2,15 +2,13 @@
 
 Frozen numbers were computed by hand / in oracle_tools.py before this
 module existed: the (1/3)ln3 vertical edge, the closed-form minimum for
-shadow length 9, the thinness of a 12-cycle, vertex counts for the
-layered and cusped-off builds, and the depth-1 pushdown saving 1/4.
+shadow length 9, the thinness of a 12-cycle, and vertex counts for the
+layered and cusped-off builds.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from relhyp.cayley import build_ball
 from relhyp.cusp import (
@@ -18,8 +16,7 @@ from relhyp.cusp import (
     build_cusped_cayley, clip, decompose_geodesic,
     deepen_replace, delta_constant, dijkstra_distance,
     geodesic_length_closed_form, level_bound, measure_thinness,
-    optimal_depth, path_hausdorff, path_length, pushdown_delta,
-    pushdown_total, pushdown_valid,
+    optimal_depth, path_hausdorff, path_length,
 )
 from relhyp.electric import ParabolicFamily, RelativePresentation
 
@@ -49,13 +46,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CuspParams(2.0, omega=0.0)
     with pytest.raises(ValueError):
-        CuspParams(2.0, rho_max=0)
-    with pytest.raises(ValueError):
         CuspParams(2.0, depth_cap=-1)
-    # ln(psi) > 1 needs psi > e
-    with pytest.raises(ValueError):
-        CuspParams(2.5, strict_log=True)
-    CuspParams(3.0, strict_log=True)
 
 
 def test_params_lengths_and_areas(params33):
@@ -64,8 +55,6 @@ def test_params_lengths_and_areas(params33):
         0.3662040962227032, abs=1e-15)
     assert params33.horizontal_length(0) == 1.0
     assert params33.horizontal_length(2) == pytest.approx(1 / 9)
-    assert params33.horizontal_cell_area(3) == pytest.approx(3.0 ** -3)
-    assert params33.vertical_cell_area(2) == pytest.approx((1 / 3) * 3.0 ** -2)
 
 
 def test_layered_build_counts(pres_z):
@@ -495,32 +484,4 @@ def test_deepen_replace(ball_z12):
     deep = cx.ids[chain[0], 2]
     with pytest.raises(ValueError):
         deepen_replace(cx, [deep], 1)
-
-
-def test_pushdown_frozen():
-    params = CuspParams(4.0, omega=1 / 8, rho_max=4, depth_cap=3)
-    assert pushdown_valid(params)
-    assert pushdown_delta(1, params) == pytest.approx(0.25, abs=1e-15)
-    assert pushdown_total(params) == pytest.approx(1 / 3)
-    series = sum(pushdown_delta(d, params) for d in range(1, 200))
-    assert series == pytest.approx(pushdown_total(params), abs=1e-12)
-    with pytest.raises(ValueError):
-        pushdown_delta(0, params)
-    bad = CuspParams(3.0, omega=1 / 3, rho_max=4, depth_cap=3)
-    assert not pushdown_valid(bad)
-    assert pushdown_delta(1, bad) < 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=1.05, max_value=50.0),
-       st.floats(min_value=1e-4, max_value=10.0),
-       st.integers(min_value=1, max_value=6))
-def test_pushdown_positive_iff_valid(psi, omega, rho):
-    params = CuspParams(psi, omega=omega, rho_max=rho, depth_cap=2)
-    deltas = [pushdown_delta(d, params) for d in range(1, 6)]
-    if pushdown_valid(params):
-        assert all(x > 0 for x in deltas)
-    # and validity is necessary once psi(1 - rho*omega) <= 1
-    if psi * (1 - rho * omega) <= 1:
-        assert deltas[0] <= 1e-12
 

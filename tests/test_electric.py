@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from relhyp.cayley import build_ball
 from relhyp.electric import (
-    ParabolicFamily, RelativePresentation, _canonical_splice, backtracks,
-    bcp_scan, coset_reduce, coset_table, electric_area_exact,
+    ParabolicFamily, RelativePresentation, _canonical_splice, bcp_scan,
+    coset_reduce, coset_table, electric_area_exact,
     electric_area_upper, electric_distances_from, electric_geodesic,
     electric_length, is_k_local_electric_geodesic, penetrations,
 )
@@ -100,16 +100,6 @@ def test_penetrations_frozen_f2(ball_f2_8, rp_f2):
     pens = penetrations(ball_f2_8, rp_f2, w)
     assert len(pens) == 2
     assert [(p.enter, p.leave) for p in pens] == [(0, 0), (1, 2)]
-
-
-def test_backtracks(ball_z2_6, rp_z2):
-    alpha = rp_z2.base.alphabet
-    back = backtracks(ball_z2_6, rp_z2, alpha.parse("babA"))
-    assert len(back) == 1
-    fam, coset, visits = back[0]
-    assert (fam, coset) == (0, 0)
-    assert visits == [(0, 1), (4, 4)]
-    assert backtracks(ball_z2_6, rp_z2, alpha.parse("ab")) == []
 
 
 def _z2_coset_runs(word, alpha):

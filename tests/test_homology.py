@@ -5,8 +5,8 @@ wishful pair (100, -1/100) with norm 10001, and the surgery covector
 (-7,7) were worked by hand from the defining formulas before this module
 existed.
 
-The reference tests compare rank_nullity, filling_nullity_certificate and
-surgery_solve with results built from a plain Fraction Gauss-Jordan
+The reference tests compare filling_nullity_certificate (ranks included)
+and surgery_solve with results built from a plain Fraction Gauss-Jordan
 (oracle_tools.reference_rref) on seeded matrices, and snf and
 h1_presentation with oracle_tools.reference_snf.
 """
@@ -21,7 +21,7 @@ from oracle_tools import reference_rref, reference_snf
 from relhyp.homology import (
     Filling, FillingMatrix, IntMatrix, LinkingMatrix,
     filling_matrix, filling_nullity_certificate, h1_presentation,
-    kernel_rank, rank_nullity, snf, surgery_solve, wishful_fillings,
+    kernel_rank, snf, surgery_solve, wishful_fillings,
 )
 
 
@@ -122,20 +122,14 @@ def test_snf_matches_reference():
         assert snf(a) == reference_snf(a)
 
 
-def test_rank_nullity():
-    assert rank_nullity([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (3, 0)
-    assert rank_nullity([[1, 2], [2, 4]]) == (1, 1)
-    assert rank_nullity([]) == (0, 0)
-    assert rank_nullity([[Fraction(1, 2), 1], [1, 2]]) == (1, 1)
-
-
 def test_rank_matches_snf():
     rng = random.Random(1)
     for _ in range(40):
         rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(5)]
         diag = _check_snf(IntMatrix.from_rows(rows))
         snf_rank = sum(1 for x in diag if x != 0)
-        assert rank_nullity(rows)[0] == snf_rank
+        nullity, _ = filling_nullity_certificate(rows)
+        assert len(rows) - nullity == snf_rank
 
 
 def test_linking_matrix_validation():
@@ -169,7 +163,7 @@ def test_filling_matrix_frozen():
     b = filling_matrix(k, [Filling(5, 1), Filling(-1, 5)])
     assert b.rows == ((Fraction(5), Fraction(1)),
                       (Fraction(-1), Fraction(-1, 5)))
-    assert rank_nullity(b.rows) == (1, 1)
+    assert filling_nullity_certificate(b)[0] == 1  # rank 1 of 2 rows
     assert b.unreduced == ()
 
     empty = filling_matrix(k, [None, None])
@@ -180,7 +174,7 @@ def test_filling_matrix_frozen():
     b2 = filling_matrix(zero_k, [Filling(1, 0), Filling(3, 1)])
     assert b2.unreduced == (0,)
     assert b2.rows[0] == (Fraction(1), Fraction(0))
-    assert rank_nullity(b2.rows) == (2, 0)  # diagonal, full rank
+    assert filling_nullity_certificate(b2) == (0, ())  # diagonal, full rank
 
 
 def test_nullity_certificate_frozen():
@@ -455,12 +449,6 @@ def _random_slope(rng):
             return Filling(u, v)
 
 
-def test_rank_nullity_matches_reference():
-    for rows in _reference_matrices():
-        _, pivots = reference_rref(rows)
-        assert rank_nullity(rows) == (len(pivots), len(rows) - len(pivots))
-
-
 def test_nullity_certificate_matches_reference():
     wide_kernels = big_entries = 0
     for rows in _reference_matrices():
@@ -567,7 +555,7 @@ def test_skew_linking_matches_reference(n):
     b = filling_matrix(k, fills)
     assert filling_nullity_certificate(b) == _reference_certificate(b.rows)
     _, pivots = reference_rref(b.rows)
-    assert rank_nullity(b.rows) == (len(pivots), len(b.rows) - len(pivots))
+    assert filling_nullity_certificate(b)[0] == len(b.rows) - len(pivots)
     assert _check_surgery([list(r) for r in k.entries[:n - 1]], (2, -3))
 
 

@@ -1,97 +1,18 @@
 """Half-plane formulas against independently computed values.
 
-The closed forms here (acosh(1.5), -ln sqrt 2, ...) were evaluated in
-oracle_tools.py first and frozen below.
+The thresholds here (2C + ln 16 for the midpoint, sin^2 theta against
+4e^-ell for the ideal isosceles angle) were evaluated in oracle_tools.py
+first; the other values are closed forms frozen by hand.
 """
 
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from relhyp.hyp2 import (
-    Horoball, HPoint, buseman_infinity, geodesic_apex, h_distance,
-    ideal_isosceles_angle, ideal_midpoint_check, mobius_to_infinity,
-    right_triangle_gap, tangent_projection_diameter,
+    ideal_isosceles_angle, ideal_midpoint_check, right_triangle_gap,
+    tangent_projection_diameter,
 )
-
-coords = st.floats(-5, 5, allow_nan=False)
-heights = st.floats(0.05, 5, allow_nan=False)
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        HPoint(0, 0)
-    with pytest.raises(ValueError):
-        HPoint(0, -1)
-    with pytest.raises(ValueError):
-        Horoball(0)
-    assert Horoball(2).contains(HPoint(7, 3))
-    assert not Horoball(2).contains(HPoint(0, 1))
-
-
-def test_distance_frozen():
-    assert h_distance(HPoint(0, 1), HPoint(0, 2)) == pytest.approx(math.log(2), abs=1e-12)
-    assert h_distance(HPoint(0, 1), HPoint(1, 1)) == pytest.approx(0.9624236501192069, abs=1e-12)
-    assert h_distance(HPoint(3, 2), HPoint(3, 2)) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(coords, heights, coords, heights)
-def test_distance_symmetry(x1, y1, x2, y2):
-    p, q = HPoint(x1, y1), HPoint(x2, y2)
-    assert h_distance(p, q) == pytest.approx(h_distance(q, p), abs=1e-12)
-
-
-def test_distance_triangle_inequality():
-    rng = random.Random(11)
-    for _ in range(1000):
-        pts = [HPoint(rng.uniform(-10, 10), rng.uniform(0.1, 10))
-               for _ in range(3)]
-        a = h_distance(pts[0], pts[1])
-        b = h_distance(pts[1], pts[2])
-        c = h_distance(pts[0], pts[2])
-        assert c <= a + b + 1e-9
-
-
-def test_buseman_frozen():
-    assert buseman_infinity(HPoint(5, 1)) == 0
-    assert buseman_infinity(HPoint(0, math.e)) == pytest.approx(-1, abs=1e-12)
-    assert buseman_infinity(HPoint(0, 0.5)) == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_buseman_is_the_ray_limit():
-    rng = random.Random(3)
-    t = 30.0
-    far = HPoint(0, math.exp(t))
-    for _ in range(100):
-        p = HPoint(rng.uniform(-5, 5), rng.uniform(0.1, 5))
-        assert h_distance(p, far) - t == pytest.approx(buseman_infinity(p), abs=1e-9)
-
-
-def test_apex_frozen():
-    assert geodesic_apex(HPoint(-1, 1), HPoint(1, 1)) == \
-        pytest.approx(-0.3465735902799727, abs=1e-12)
-    # vertical: the arc minimum sits at the higher endpoint
-    assert geodesic_apex(HPoint(0, 1), HPoint(0, 2)) == pytest.approx(-math.log(2))
-
-
-def test_apex_monotone_in_separation():
-    prev = 0.0
-    for a in range(1, 11):
-        depth = geodesic_apex(HPoint(-a, 1), HPoint(a, 1))
-        assert depth < prev
-        prev = depth
-
-
-@settings(max_examples=100, deadline=None)
-@given(coords, heights, coords, heights)
-def test_apex_below_endpoints(x1, y1, x2, y2):
-    p, q = HPoint(x1, y1), HPoint(x2, y2)
-    assert geodesic_apex(p, q) <= min(buseman_infinity(p),
-                                      buseman_infinity(q)) + 1e-9
 
 
 def test_midpoint_check_frozen():
@@ -157,18 +78,3 @@ def test_tangent_projection():
     with pytest.raises(ValueError):
         tangent_projection_diameter(1.0, 0.0, 5.0)
 
-
-@settings(max_examples=100, deadline=None)
-@given(coords, heights, coords, heights, st.floats(-3, 3, allow_nan=False))
-def test_mobius_preserves_distance(x1, y1, x2, y2, b):
-    p, q = HPoint(x1, y1), HPoint(x2, y2)
-    f = mobius_to_infinity(b)
-    assert h_distance(f(p), f(q)) == pytest.approx(h_distance(p, q), abs=1e-7)
-
-
-def test_mobius_sends_base_up():
-    f = mobius_to_infinity(2.0)
-    near = f(HPoint(2.0, 1e-6))
-    far = f(HPoint(2.0, 1.0))
-    assert near.y > far.y
-    assert near.y > 1e5

@@ -1,7 +1,7 @@
 """Import hygiene of the package: no module imports another module's
 private names, every imported name is used, every public function and
-class is named somewhere, and some call passes every defaulted
-parameter."""
+class has a user outside its own unit tests, and some call passes every
+defaulted parameter."""
 
 import argparse
 import ast
@@ -92,23 +92,41 @@ def _names_outside_own_definition(path):
     return used
 
 
+# public definitions that no command or acceptance criterion reaches,
+# each kept for the one reason given
+KEPT = {
+    "replay_certificate": "the independent check of the oracle's "
+                          "'trivial' certificates",
+    "path_length": "the oracle that geodesic_path and deepen_replace "
+                   "are checked against",
+    "dijkstra_distance": "the oracle that geodesic_path is checked "
+                         "against",
+    "is_k_local_electric_geodesic": "the public face of the segment "
+                                    "test inside electric_area_upper",
+}
+
+
 def test_every_public_definition_is_named():
+    # a public function or class earns its place through a user: package
+    # code, a subcommand's cmd_<name>, or an acceptance criterion; a unit
+    # test of its own is not a user
     modules = sorted(SRC.glob("*.py"))
     used = set()
-    for path in modules + sorted(TESTS.glob("*.py")):
+    for path in modules + [TESTS / "test_acceptance.py"]:
         used |= _names_outside_own_definition(path)
     # the parser binds each subcommand's cmd_<name> by its string name
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
             used |= {sub.get_default("func").__name__
                      for sub in action.choices.values()}
-    dead = []
+    dead = {}
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        dead += [f"{path.name}: {stmt.name}" for stmt in tree.body
+        dead |= {stmt.name: path.name for stmt in tree.body
                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                 and not stmt.name.startswith("_") and stmt.name not in used]
-    assert dead == []
+                 and not stmt.name.startswith("_") and stmt.name not in used}
+    # a kept name that gains a user leaves KEPT
+    assert sorted(dead) == sorted(KEPT), dead
 
 
 def _defaulted_parameters(path):

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from relhyp.words import (
     Alphabet, Presentation, abelianization, cyclic_permute,
-    free_reduce, is_cyclically_reduced, relator_forms, word_inverse,
+    free_reduce, relator_forms, word_inverse,
 )
 
 AB = Alphabet(["a", "b"])
@@ -72,12 +72,6 @@ def test_cyclic_permute_composes(w, s, t):
     assert cyclic_permute(cyclic_permute(w, s), t) == cyclic_permute(w, s + t)
 
 
-def test_is_cyclically_reduced():
-    assert is_cyclically_reduced(AB.parse("abAB"))
-    assert not is_cyclically_reduced(AB.parse("abA"))
-    assert is_cyclically_reduced(())
-
-
 def test_presentation_validation():
     Presentation(AB, (AB.parse("abAB"),))
     with pytest.raises(ValueError):
@@ -107,5 +101,3 @@ def test_alphabet_validation():
         Alphabet(["a", "a"])
     with pytest.raises(ValueError):
         Alphabet(["A"])
-    assert Alphabet(["a", "b"]).inverse(0) == 1
-    assert Alphabet(["a", "b"]).inverse(3) == 2
