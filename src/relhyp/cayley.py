@@ -28,14 +28,6 @@ class OracleResult:
     certificate: tuple = ()  # (rule table, rewrite chain) for "trivial"
     reason: str = ""
 
-    @property
-    def is_trivial(self):
-        return self.status == "trivial"
-
-    @property
-    def is_nontrivial(self):
-        return self.status == "nontrivial"
-
 
 def _enc(word: Word) -> str:
     # the engine's word: one character per symbol, so str order is shortlex
@@ -385,26 +377,36 @@ def distance(ball: GroupBall, g: int, h: int):
     return None
 
 
-def geodesic_words(ball: GroupBall, g: int) -> list:
-    """All geodesic words for an in-ball element, in lexicographic order."""
-    memo: dict = {0: [()]}
+def geodesic_words(ball: GroupBall, g: int, limit: int):
+    """(count, words): the number of geodesic words of g and the first
+    ``limit`` in lexicographic order, by two passes over the interval [1, g].
+    Counts sum those one sphere closer, once per move, so a torsion pair
+    a, A with a^2 = 1 counts twice (Epstein et al., *Word Processing in
+    Groups*, ch. 2).  The listing walks depth first from the identity and
+    never dead-ends, since every interval vertex reaches g; so the cost
+    follows the interval and the limit, not the count.
+    """
+    edges, length, moves = ball.edges, ball.length_of, ball.symbol_moves()
 
-    def rec(v):
-        if v in memo:
-            return memo[v]
-        out = []
-        lv = ball.length_of(v)
-        for sym in ball.symbol_moves():
-            p = ball.edges[v][sym]
-            # predecessor via the inverse move: p --sym^-1--> v
-            if p is not None and ball.length_of(p) == lv - 1:
-                for w in rec(p):
-                    out.append(w + (sym ^ 1,))
-        out.sort()
-        memo[v] = out
-        return out
+    def inward(v):  # v's neighbours one sphere closer, once per move
+        return [p for p in map(edges[v].__getitem__, moves)
+                if p is not None and length(p) == length(v) - 1]
 
-    return rec(g)
+    spheres = [{g}]  # the interval, sphere by sphere from g inwards
+    for _ in range(length(g)):
+        spheres.append({p for v in spheres[-1] for p in inward(v)})
+    count = {0: 1}
+    for sphere in reversed(spheres[:-1]):
+        count.update((v, sum(count[p] for p in inward(v))) for v in sphere)
+    words, stack = [], [(0, ())]
+    while stack and len(words) < limit:
+        u, w = stack.pop()
+        if u == g:
+            words.append(w)
+        else:
+            stack += [(t, w + (sym,)) for sym in reversed(moves) if
+                      (t := edges[u][sym]) in count and length(t) == len(w) + 1]
+    return count[g], words
 
 
 def sphere_sizes(ball: GroupBall):

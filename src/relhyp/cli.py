@@ -399,20 +399,20 @@ def cmd_geodesics(args):
         raise ValueError(f"word leaves the radius-{ball.radius} ball; "
                          f"raise --radius")
     ab = rp.base.alphabet
-    words = geodesic_words(ball, v)
+    count, words = geodesic_words(ball, v, args.budget)
     results = {
         "word": args.word,
         "length": ball.length_of(v),
-        "count": len(words),
-        "geodesics": [ab.to_str(w) for w in words[:args.budget]],
-        "truncated": len(words) > args.budget,
+        "count": count,
+        "geodesics": [ab.to_str(w) for w in words],
+        "truncated": count > args.budget,
     }
     if rp.families:
         results["electric_length"] = electric_length(rp, word)
         results["electric_distance"] = electric_distances_from(ball, rp, 0)[v]
         results["electric_geodesic"] = ab.to_str(electric_geodesic(ball, rp, v))
     inputs = _inputs(rp, ball.radius, word=args.word, budget=args.budget)
-    return results, inputs, (f"geodesics: {len(words)} words of length "
+    return results, inputs, (f"geodesics: {count} words of length "
                              f"{ball.length_of(v)} for {args.word!r}")
 
 
@@ -467,7 +467,7 @@ def cmd_bcp_scan(args):
     scan = bcp_scan(ball, rp, args.budget, args.seed,
                     identical=args.identical)
     constant = max(scan["max_entry_gap"], scan["max_exit_gap"],
-                   scan["max_unilateral_travel"])
+                   scan["max_unilateral_travel"]) if args.budget else None
     results = dict(scan)
     results["constant"] = constant
     results["identical_control"] = args.identical
@@ -510,10 +510,11 @@ def cmd_thinness(args):
     cx = _cusp_complex(rp, args.radius, params)
     delta_hat = measure_thinness(cx.adj, args.budget, args.seed)
     bound = delta_constant(params)
+    triples = min(math.comb(len(cx), 3), args.budget)
     results = {
         "delta_hat": delta_hat,
         "delta_bound": bound,
-        "within_bound": delta_hat <= bound + 2.0,
+        "within_bound": delta_hat <= bound + 2.0 if triples else None,
         "vertices": len(cx),
         "edges": cx.n_edges(),
         "samples": args.budget,
@@ -522,7 +523,8 @@ def cmd_thinness(args):
     inputs = _inputs(rp, args.radius, samples=args.budget,
                      **_params_echo(params))
     return results, inputs, (f"thinness: delta-hat {delta_hat:.4g} vs bound "
-                             f"{bound:.4g} over {args.budget} triples")
+                             f"{bound:.4g} over {triples} triples" if triples
+                             else "thinness: no triples")
 
 
 def cmd_clip_track(args):
@@ -557,7 +559,7 @@ def cmd_clip_track(args):
     results = {
         "clip_depth": n,
         "pairs": pairs,
-        "max_hausdorff": worst,
+        "max_hausdorff": worst if pairs else None,
         "mean_hausdorff": (total / pairs) if pairs else None,
         "clipped_vertices": len(gn),
         "full_vertices": len(cx),

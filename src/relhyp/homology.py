@@ -34,11 +34,6 @@ class IntMatrix:
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n))
-                               for i in range(n)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")

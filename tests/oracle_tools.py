@@ -108,15 +108,27 @@ def _cyclic_free_product(word, order):
 S3_GENS = {"a": (1, 0, 2), "b": (1, 2, 0)}  # a transposition, a 3-cycle
 
 
-def s3_eval(word):
-    # image of 0, 1, 2 under the letters applied left to right
-    perm = (0, 1, 2)
+def _perm_eval(word, gens):
+    # image of 0..n-1 under the letters applied left to right
+    n = len(gens["a"])
+    perm = tuple(range(n))
     for c in word:
-        g = S3_GENS[c.lower()]
+        g = gens[c.lower()]
         if c.isupper():
-            g = tuple(g.index(i) for i in range(3))
+            g = tuple(g.index(i) for i in range(n))
         perm = tuple(g[i] for i in perm)
     return perm
+
+
+def s3_eval(word):
+    return _perm_eval(word, S3_GENS)
+
+
+D5_GENS = {"a": (1, 2, 3, 4, 0), "b": (0, 4, 3, 2, 1)}  # a rotation, a flip
+
+
+def d5_eval(word):
+    return _perm_eval(word, D5_GENS)
 
 
 def zfreez2_eval(word):

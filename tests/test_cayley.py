@@ -1,5 +1,8 @@
 import inspect
+import itertools
+import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -10,8 +13,8 @@ from relhyp.cayley import (
 from relhyp.words import Alphabet, Presentation, free_reduce
 
 from oracle_tools import (
-    lengths_by_enumeration, s3_eval, z2freez3_eval, z3freez3_eval, z3xz_eval,
-    zfreez2_eval,
+    d5_eval, lengths_by_enumeration, s3_eval, z2freez3_eval, z3freez3_eval,
+    z3xz_eval, zfreez2_eval,
 )
 
 # frozen by tests/oracle_tools.py (independent lattice / reduced-word BFS)
@@ -36,9 +39,9 @@ def test_oracle_strategies(pres_z, pres_f2, pres_z2):
 def test_oracle_free(pres_f2):
     o = WordProblemOracle(pres_f2)
     ab = pres_f2.alphabet
-    assert o.decide(ab.parse("abBA")).is_trivial
+    assert o.decide(ab.parse("abBA")).status == "trivial"
     r = o.decide(ab.parse("ab"))
-    assert r.is_nontrivial and "reduced" in r.reason
+    assert r.status == "nontrivial" and "reduced" in r.reason
 
 
 def test_oracle_free_abelian_certificates(pres_z2):
@@ -47,11 +50,11 @@ def test_oracle_free_abelian_certificates(pres_z2):
     for text in ("abAB", "abaBAA", "bbaABB", "abABabAB"):
         w = ab.parse(text)
         r = o.decide(w)
-        assert r.is_trivial, text
+        assert r.status == "trivial", text
         assert replay_certificate(pres_z2, w, r.certificate) == ()
     r = o.decide(ab.parse("ab"))
-    assert r.is_nontrivial and "abelianization" in r.reason
-    assert o.decide(pres_z2.parse("abAB")).is_trivial
+    assert r.status == "nontrivial" and "abelianization" in r.reason
+    assert o.decide(pres_z2.parse("abAB")).status == "trivial"
 
 
 def test_oracle_bounded_search():
@@ -59,13 +62,13 @@ def test_oracle_bounded_search():
     alpha = Alphabet(["a", "b"])
     p = Presentation(alpha, (alpha.parse("aaa"), alpha.parse("bbb")))
     o = WordProblemOracle(p)
-    assert o.decide(alpha.parse("aaa")).is_trivial
+    assert o.decide(alpha.parse("aaa")).status == "trivial"
     r = o.decide(alpha.parse("aaabbb"))
-    assert r.is_trivial
+    assert r.status == "trivial"
     assert replay_certificate(p, alpha.parse("aaabbb"), r.certificate) == ()
     # abAB is nonempty in the normal form of a complete system
     r = o.decide(alpha.parse("abAB"))
-    assert r.is_nontrivial and "complete" in r.reason
+    assert r.status == "nontrivial" and "complete" in r.reason
     # five rules do not even hold the six axioms
     tiny = WordProblemOracle(p, budget=5)
     assert tiny.decide(alpha.parse("abAB")).status == "unknown"
@@ -147,7 +150,7 @@ def test_trivial_group_certificate_replays():
     pres = Presentation(alpha, (alpha.parse("AbbaBBB"), alpha.parse("BaabAAA")))
     a = alpha.parse("a")
     r = WordProblemOracle(pres).decide(a)
-    assert r.is_trivial
+    assert r.status == "trivial"
     assert replay_certificate(pres, a, r.certificate) == ()
     assert build_ball(pres, 3).words == [()]
     # the axioms are checked against the presentation the replay is given
@@ -218,12 +221,84 @@ def test_geodesic_words(pres_z2, pres_f2):
     b = build_ball(pres_z2, 3)
     ab = pres_z2.alphabet
     v = b.evaluate(ab.parse("ab"))
-    assert geodesic_words(b, v) == [ab.parse("ab"), ab.parse("ba")]
-    v2 = b.evaluate(ab.parse("aabb"))  # distance 4, outside B(3)? no: |.|=4 > 3
+    assert geodesic_words(b, v, 10) == (2, [ab.parse("ab"), ab.parse("ba")])
+    assert geodesic_words(b, v, 1) == (2, [ab.parse("ab")])
     bf = build_ball(pres_f2, 3)
     vf = bf.evaluate(ab.parse("aB"))
-    assert geodesic_words(bf, vf) == [ab.parse("aB")]
-    assert geodesic_words(b, 0) == [()]
+    assert geodesic_words(bf, vf, 10) == (1, [ab.parse("aB")])
+    assert geodesic_words(b, 0, 10) == (1, [()])
+    assert geodesic_words(b, 0, 0) == (1, [])
+
+
+def _limits(count):
+    return sorted({0, 1, max(count - 1, 0), count, count + 1})
+
+
+@pytest.mark.parametrize("relators, evaluate, radius", [
+    (("aa", "bbb", "abab"), s3_eval, 5),
+    (("aaaaa", "bb", "abab"), d5_eval, 5),
+    # a and A are one element, so each torsion step is two moves
+    (("aa", "bbb"), z2freez3_eval, 5),
+], ids=["S3", "D5", "Z2*Z3"])
+def test_geodesic_words_match_brute_force(relators, evaluate, radius):
+    # every word of each length, evaluated in the independent model and
+    # grouped by element, lists each element's geodesics in lex order
+    alpha = Alphabet(["a", "b"])
+    ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, relators))),
+                      radius)
+    moves = ball.symbol_moves()
+    for v in range(len(ball)):
+        n = ball.length_of(v)
+        words = {}
+        for w in itertools.product(moves, repeat=n):
+            words.setdefault(evaluate(alpha.to_str(w)), []).append(w)
+        want = words[evaluate(alpha.to_str(ball.words[v]))]
+        for k in _limits(len(want)):
+            assert geodesic_words(ball, v, k) == (len(want), want[:k])
+
+
+@pytest.mark.parametrize("gens, radius", [("ab", 5), ("abc", 4)],
+                         ids=["Z2", "Z3"])
+def test_geodesic_counts_are_multinomial(gens, radius):
+    alpha = Alphabet(list(gens))
+    rels = [x + y + x.upper() + y.upper()
+            for x, y in itertools.combinations(gens, 2)]
+    ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, rels))),
+                      radius)
+
+    def coords(w):
+        return [w.count(2 * i) - w.count(2 * i + 1) for i in range(len(gens))]
+
+    for v in range(len(ball)):
+        steps = [abs(x) for x in coords(ball.words[v])]
+        count = math.factorial(sum(steps))
+        for x in steps:
+            count //= math.factorial(x)
+        for k in _limits(count):
+            got, words = geodesic_words(ball, v, k)
+            assert got == count
+            assert len(words) == min(k, count)
+            assert words == sorted(set(words))
+            for w in words:
+                assert len(w) == sum(steps)
+                assert coords(w) == coords(ball.words[v])
+
+
+def test_geodesic_words_memory_follows_the_limit(pres_z2):
+    # C(40, 20) geodesics; listing five may not build the rest
+    ball = build_ball(pres_z2, 40)
+    ab = pres_z2.alphabet
+    v = ball.evaluate(ab.parse("a" * 20 + "b" * 20))
+    tracemalloc.start()
+    try:
+        count, words = geodesic_words(ball, v, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.comb(40, 20) == 137846528820
+    assert words[0] == ab.parse("a" * 20 + "b" * 20)
+    assert len(words) == 5
+    assert peak < 1 << 20
 
 
 def test_sub_generator_ball(pres_z2):

@@ -385,6 +385,35 @@ def test_clip_track_command(zline, capsys):
     assert r["clipped_vertices"] < r["full_vertices"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--radius", "8", "--depth-cap", "3", "--budget", "0"],
+    ["--radius", "0", "--depth-cap", "1"],   # a complex of two vertices
+], ids=["zero-budget", "two-vertices"])
+def test_thinness_without_triples_gives_no_verdict(argv, zline, capsys):
+    code, rep, err = run_cli(["thinness", zline] + argv, capsys)
+    assert code == 0
+    assert rep["results"]["within_bound"] is None
+    assert "thinness: no triples" in err
+
+
+def test_clip_track_without_pairs_gives_no_maximum(zline, capsys):
+    code, rep, _ = run_cli(
+        ["clip-track", zline, "1", "--radius", "8", "--depth-cap", "3",
+         "--budget", "0"], capsys)
+    assert code == 0
+    r = rep["results"]
+    assert r["pairs"] == 0
+    assert r["max_hausdorff"] is None and r["mean_hausdorff"] is None
+
+
+def test_bcp_scan_without_pairs_gives_no_constant(zzp, capsys):
+    code, rep, _ = run_cli(
+        ["bcp-scan", zzp, "--radius", "5", "--budget", "0"], capsys)
+    assert code == 0
+    assert rep["results"]["pairs"] == 0
+    assert rep["results"]["constant"] is None
+
+
 def test_clip_track_depth_out_of_range(zline, capsys):
     code, _, err = run_cli(
         ["clip-track", zline, "9", "--depth-cap", "3"], capsys)

@@ -29,12 +29,12 @@ def test_intmatrix_basics():
     a = IntMatrix.from_rows([[2, 1], [1, 1]])
     assert a.det() == 1
     assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-    i2 = IntMatrix.identity(2)
+    i2 = IntMatrix.from_rows([[1, 0], [0, 1]])
     assert (a @ i2).entries == a.entries
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
-        a @ IntMatrix.identity(3)
+        a @ IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_snf_frozen():

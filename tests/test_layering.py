@@ -1,7 +1,7 @@
 """Import hygiene of the package: no module imports another module's
-private names, every imported name is used, every public function and
-class has a user outside its own unit tests, and some call passes every
-defaulted parameter."""
+private names, every imported name is used, every public function,
+class and method has a user outside its own unit tests, and some call
+passes every defaulted parameter."""
 
 import argparse
 import ast
@@ -103,17 +103,37 @@ KEPT = {
                          "against",
     "is_k_local_electric_geodesic": "the public face of the segment "
                                     "test inside electric_area_upper",
+    "WordProblemOracle.decide": "perfbench/spans.py wraps it to count "
+                                "the oracle's verdicts",
 }
 
 
+def _attributes(path):
+    """Attribute names a module reads or calls, except a top-level
+    class's method names inside that method's own body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = set()
+    for stmt in tree.body:
+        is_class = isinstance(stmt, ast.ClassDef)
+        for part in stmt.body if is_class else [stmt]:
+            names = {node.attr for node in ast.walk(part)
+                     if isinstance(node, ast.Attribute)}
+            if is_class and isinstance(part, ast.FunctionDef):
+                names.discard(part.name)
+            used |= names
+    return used
+
+
 def test_every_public_definition_is_named():
-    # a public function or class earns its place through a user: package
-    # code, a subcommand's cmd_<name>, or an acceptance criterion; a unit
-    # test of its own is not a user
+    # a public function, class or method earns its place through a user:
+    # package code, a subcommand's cmd_<name>, or an acceptance criterion;
+    # a unit test of its own is not a user
     modules = sorted(SRC.glob("*.py"))
     used = set()
+    attributes = set()
     for path in modules + [TESTS / "test_acceptance.py"]:
         used |= _names_outside_own_definition(path)
+        attributes |= _attributes(path)
     # the parser binds each subcommand's cmd_<name> by its string name
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -125,6 +145,12 @@ def test_every_public_definition_is_named():
         dead |= {stmt.name: path.name for stmt in tree.body
                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                  and not stmt.name.startswith("_") and stmt.name not in used}
+        # a method is used through an attribute of that name
+        dead |= {f"{cls.name}.{fn.name}": path.name for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef)
+                 and not fn.name.startswith("_")
+                 and fn.name not in attributes}
     # a kept name that gains a user leaves KEPT
     assert sorted(dead) == sorted(KEPT), dead
 
