@@ -33,8 +33,7 @@ from .cayley import (
 )
 from .electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
-    electric_area_upper, electric_distances_from, electric_geodesic,
-    electric_length,
+    electric_area_upper, electric_geodesic, electric_length,
 )
 from .automata import live_states, minimize, prefix_closed
 from .fftp import build_fftp_automaton, neg_electric_height, neg_length_height
@@ -408,9 +407,10 @@ def cmd_geodesics(args):
         "truncated": count > args.budget,
     }
     if rp.families:
+        xi = electric_geodesic(ball, rp, v)
         results["electric_length"] = electric_length(rp, word)
-        results["electric_distance"] = electric_distances_from(ball, rp, 0)[v]
-        results["electric_geodesic"] = ab.to_str(electric_geodesic(ball, rp, v))
+        results["electric_distance"] = electric_length(rp, xi)
+        results["electric_geodesic"] = ab.to_str(xi)
     inputs = _inputs(rp, ball.radius, word=args.word, budget=args.budget)
     return results, inputs, (f"geodesics: {count} words of length "
                              f"{ball.length_of(v)} for {args.word!r}")

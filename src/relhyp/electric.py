@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, groupby
 
-from .cayley import GroupBall, build_ball, distance
+from .cayley import GroupBall, build_ball, distance, least_costs
 from .words import Presentation, Word, free_reduce, relator_forms, word_inverse
 
 
@@ -201,25 +201,6 @@ def _edge_weight(rp: RelativePresentation, sym: int) -> int:
     return 0 if rp._symbol_family[sym] is not None else 1
 
 
-def electric_distances_from(ball: GroupBall, rp: RelativePresentation,
-                            source: int):
-    """0/1 BFS electric distances from one vertex to the whole ball."""
-    dist = [None] * len(ball)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        for sym, t in ball.neighbours(v):
-            w = dist[v] + _edge_weight(rp, sym)
-            if dist[t] is None or w < dist[t]:
-                dist[t] = w
-                if _edge_weight(rp, sym):
-                    q.append(t)
-                else:
-                    q.appendleft(t)
-    return dist
-
-
 def electric_geodesic_tree(ball: GroupBall, rp: RelativePresentation,
                            source: int):
     """Canonical electric geodesic words from a source to every vertex.
@@ -258,21 +239,22 @@ def is_k_local_electric_geodesic(ball, rp: RelativePresentation, word: Word,
 
 def _first_nongeodesic_segment(ball, rp, word, k):
     """Smallest window (then leftmost) with el <= k that fails to be an
-    electric geodesic; None when the word is k-locally geodesic."""
+    electric geodesic; None when the word is k-locally geodesic.  One
+    ``least_costs`` sweep, parabolic moves costing 0 and the others 1,
+    gives the in-ball electric distances between all prefix vertices."""
     verts = ball.prefix_vertices(word)
     prefix_el = list(accumulate((_edge_weight(rp, sym) for sym in word),
                                 initial=0))
+    stops = list(dict.fromkeys(verts))
+    at = [stops.index(v) for v in verts]
+    costs = {sym: _edge_weight(rp, sym) for sym in ball.symbol_moves()}
+    dist = least_costs(ball, costs, stops, stops)
     n = len(word)
-    dist_cache = {}
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             el = prefix_el[j] - prefix_el[i]
-            if el > k:
-                continue
-            if verts[i] not in dist_cache:
-                dist_cache[verts[i]] = electric_distances_from(ball, rp, verts[i])
-            if dist_cache[verts[i]][verts[j]] < el:
+            if el <= k and dist[at[i]][at[j]] < el:
                 return i, j
     return None
 

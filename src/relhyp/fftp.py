@@ -8,7 +8,8 @@ always beaten by a fellow traveller, the per-prefix deficits against
 nearby competitors form a finite state, and the maximizing words are
 exactly the language of a DFA built from a transition kernel over the
 delta-ball, with a single absorbing fail state.  Kernel entries are least
-path costs; one bit-parallel level sweep finds all rows of a letter.
+path costs, a letter costing minus its value; one ``cayley.least_costs``
+sweep finds all rows of a letter.
 
 The deficit state of a prefix u assigns to each g in the delta-ball the
 worst value of H(u) - H(v z_g) over competitors v for u g^-1; the prefix
@@ -23,11 +24,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
 from operator import lshift, or_
 
 from .automata import Dfa
-from .cayley import GroupBall
+from .cayley import GroupBall, least_costs
 from .words import Word, word_inverse
 
 
@@ -90,52 +90,6 @@ def ball_b_delta(ball: GroupBall, delta: int) -> dict:
     return out
 
 
-def _sweep(ball, allowed, h, sources, targets):
-    """rows[i][j]: least cost of a path from sources[i] to targets[j]
-    inside ``allowed``, where a letter costs minus its letter value;
-    math.inf when there is none.  Costs are nonnegative, so a cycle never
-    helps and the least cost over walks is the least over simple paths.
-
-    One level sweep serves every source: bit i of mask[v] means "sources[i]
-    reaches v at cost <= d".  Level d ORs level d - c of each in-neighbour
-    over a letter of cost c >= 1 into the masks of level d - 1, then
-    closes them over cost-0 letters.  Once c_max (the largest letter cost)
-    levels in a row add no bit, no later level can (c_max = 0: level 0 is
-    the last).  An entry is the level at which its bit reaches the target.
-    """
-    costs = {sym: -h.letter_values[sym] for sym in ball.symbol_moves()}
-    c_max = max(costs.values(), default=0)
-    out = {v: [[] for _ in range(c_max + 1)] for v in allowed}
-    for v, by_cost in out.items():
-        for sym, c in costs.items():
-            if (t := ball.edges[v][sym]) in allowed:
-                by_cost[c].append(t)
-    mask = dict.fromkeys(allowed, 0)
-    slot = {t: j for j, t in enumerate(targets)}
-    rows = [[math.inf] * len(targets) for _ in sources]
-    history = deque(maxlen=c_max)  # the masks that levels d-1, d-2, ... grew
-    stack = [(s, 1 << i) for i, s in enumerate(sources)]  # (vertex, bits in)
-    for d in count():
-        grown = {}  # vertex -> its mask before level d
-        while stack:
-            t, m = stack.pop()
-            if m | mask[t] != mask[t]:
-                grown.setdefault(t, mask[t])
-                mask[t] |= m
-                stack.extend((u, mask[t]) for u in out[t][0])
-        for v in grown.keys() & slot.keys():
-            j, new = slot[v], mask[v] & ~grown[v]
-            while new:
-                low = new & -new
-                rows[low.bit_length() - 1][j] = d
-                new ^= low
-        history.append({v: mask[v] for v in grown})
-        if not any(history):
-            return rows
-        stack = [(t, m) for c, level in enumerate(reversed(history), 1)
-                 for v, m in level.items() for t in out[v][c]]
-
-
 def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     """Per-letter table T[x][g][h] of best competitor continuations.
 
@@ -145,8 +99,9 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     Indices follow sorted(delta-ball vertices).
 
     Cost: the rows T[x][g] of one letter are searches over the same set
-    from every g^-1, that is from the whole delta-ball, so one
-    bit-parallel level sweep (``_sweep``) fills all of them at once.
+    from every g^-1, that is from the whole delta-ball, where a letter
+    costs minus its value; so one ``cayley.least_costs`` level sweep
+    fills all of them at once.
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
@@ -160,12 +115,13 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     zwords = [ball.words[v] for v in bdelta]
     heights = [h(z) for z in zwords]
     inverses = [ball.evaluate(word_inverse(z)) for z in zwords]
+    costs = {sym: -value for sym, value in h.letter_values.items()}
     tables = {}
     for x in range(len(ball.presentation.alphabet.symbols)):
         # the delta-ball at x is x times the one at 1
         allowed = set(bdelta).union(ball.evaluate((x,) + z) for z in zwords)
         dsts = [ball.evaluate((x,) + word_inverse(z)) for z in zwords]
-        rows = _sweep(ball, allowed, h, inverses, dsts)
+        rows = least_costs(ball, costs, inverses, dsts, allowed)
         tables[x] = [[base - hh + c for hh, c in zip(heights, row)]
                      for base, row in zip((h((x,)) + hg for hg in heights),
                                           rows)]
@@ -178,7 +134,8 @@ def _initial_state(ball, h, bdelta, top):
     least cost of reaching g^-1 from 1 there, less H(z_g)."""
     zwords = [ball.words[v] for v in bdelta]
     dsts = [ball.evaluate(word_inverse(z)) for z in zwords]
-    (row,) = _sweep(ball, set(bdelta), h, [0], dsts)
+    costs = {sym: -value for sym, value in h.letter_values.items()}
+    (row,) = least_costs(ball, costs, [0], dsts, set(bdelta))
     return tuple(min(c - h(z), top) for c, z in zip(row, zwords))
 
 

@@ -72,14 +72,13 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-def _smith(d, ncols):
+def _smith(d, ncols, u, vt):
     """Smith elimination of the integer rows d (ncols columns), in place.
 
-    Yields each operation as it is applied: ("row_swap", i, j),
-    ("row_addmul", i, j, c) for row i += c * row j, ("row_negate", i),
-    ("col_swap", i, j), ("col_addmul", j, i, c) for col j += c * col i.
-    Once drained, d is diagonal, nonnegative, each entry dividing the
-    next.  snf mirrors the operations on U and V; no list is kept.
+    Once done, d is diagonal, nonnegative, each entry dividing the next.
+    Each row operation d <- E d is mirrored as u <- u E^-1, and each column
+    operation d <- d F as vt <- vt F^-T; both act on columns, and u d vt^T
+    stays the product it started as.  Empty u and vt track nothing.
     """
     m, n = len(d), ncols
     t = 0
@@ -100,26 +99,29 @@ def _smith(d, ncols):
         if not least:
             break
         d[t], d[pr] = d[pr], d[t]
-        yield ("row_swap", t, pr)
-        for row in d:
+        for row in u:
+            row[t], row[pr] = row[pr], row[t]
+        for row in d + vt:
             row[t], row[pc] = row[pc], row[t]
-        yield ("col_swap", t, pc)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            yield ("row_negate", t)
+            for row in u:
+                row[t] = -row[t]
         dirty = False
         for r in range(t + 1, m):
             if d[r][t] != 0:
                 q = d[r][t] // d[t][t]
                 d[r] = [x - q * y for x, y in zip(d[r], d[t])]
-                yield ("row_addmul", r, t, -q)
+                for row in u:
+                    row[t] += q * row[r]
                 dirty = dirty or d[r][t] != 0
         for c in range(t + 1, n):
             if d[t][c] != 0:
                 q = d[t][c] // d[t][t]
                 for row in d:
                     row[c] -= q * row[t]
-                yield ("col_addmul", c, t, -q)
+                for row in vt:
+                    row[t] += q * row[c]
                 dirty = dirty or d[t][c] != 0
         if dirty:
             continue  # remainders became new, smaller pivot candidates
@@ -129,7 +131,8 @@ def _smith(d, ncols):
             for c in range(t + 1, n):
                 if d[r][c] % d[t][t] != 0:
                     d[t] = [x + y for x, y in zip(d[t], d[r])]
-                    yield ("row_addmul", t, r, 1)
+                    for row in u:
+                        row[r] -= row[t]
                     stuck = True
                     break
             if stuck:
@@ -143,36 +146,16 @@ def snf(a: IntMatrix):
     """Smith normal form: returns (U, D, V) with A = U @ D @ V, U and V
     unimodular, D diagonal with each entry dividing the next.
 
-    D comes from _smith; U and V start as identities and take the
-    INVERSE of each of its operations in turn, keeping a = u d v exact
-    throughout.
+    _smith takes D from A, starting from identities for U and V^T, and
+    keeps a = u d v exact throughout.
     """
     m, n = a.rows, a.cols
     d = [list(r) for r in a.entries]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    for op in _smith(d, n):
-        kind = op[0]
-        if kind == "row_swap":
-            _, i, j = op
-            for row in u:
-                row[i], row[j] = row[j], row[i]
-        elif kind == "row_addmul":
-            _, i, j, c = op
-            for row in u:
-                row[j] -= c * row[i]
-        elif kind == "row_negate":
-            i = op[1]
-            for row in u:
-                row[i] = -row[i]
-        elif kind == "col_swap":
-            _, i, j = op
-            v[i], v[j] = v[j], v[i]
-        else:  # col_addmul
-            _, j, i, c = op
-            v[i] = [x - c * y for x, y in zip(v[i], v[j])]
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith(d, n, u, vt)
     return (IntMatrix.from_rows(u), IntMatrix(m, n, tuple(map(tuple, d))),
-            IntMatrix.from_rows(v))
+            IntMatrix.from_rows(zip(*vt)))
 
 
 def _rref(rows):
@@ -548,8 +531,7 @@ def h1_presentation(k: LinkingMatrix, fillings):
                      tuple(zip(*rows)) if rows else ((),) * cols)
     # the alpha rows at the mu columns
     meridians = [list(pres.entries[j][1::2]) for j in range(n)]
-    for _ in _smith(meridians, nf):
-        pass
+    _smith(meridians, nf, [], [])
     diag = [meridians[i][i] for i in range(min(n, nf))]
     nonzero = sum(1 for x in diag if x != 0)
     rank_bound = n - nonzero

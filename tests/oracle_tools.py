@@ -600,17 +600,30 @@ def reference_is_coboundary(tau, ball):
 
 # ---------------------------------------------------------------------------
 # k-local electric geodesic reference for any ball: every window, start-major,
-# one electric distance map per start, as the check was first written.
+# one electric distance map per start from its own 0/1 BFS.
 
 def reference_is_k_local(ball, rp, word, k):
     """True when every window of electric length <= k realizes the in-ball
     electric distance between its endpoints."""
-    from relhyp.electric import electric_distances_from
     verts = [0]
     for sym in word:
         verts.append(ball.edges[verts[-1]][sym])
     for i in range(len(word)):
-        dist = electric_distances_from(ball, rp, verts[i])
+        # parabolic edges weigh 0 and go to the front, the others weigh 1
+        dist = {verts[i]: 0}
+        q = deque([verts[i]])
+        while q:
+            v = q.popleft()
+            for sym, t in enumerate(ball.edges[v]):
+                if t is None:
+                    continue
+                weight = int(rp.family_of_symbol(sym) is None)
+                if dist[v] + weight < dist.get(t, math.inf):
+                    dist[t] = dist[v] + weight
+                    if weight:
+                        q.append(t)
+                    else:
+                        q.appendleft(t)
         el = 0
         for j in range(i + 1, len(word) + 1):
             el += rp.family_of_symbol(word[j - 1]) is None

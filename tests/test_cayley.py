@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
@@ -8,13 +9,13 @@ import pytest
 
 from relhyp.cayley import (
     OracleBudgetError, WordProblemOracle, build_ball, distance,
-    geodesic_words, replay_certificate, sphere_sizes,
+    geodesic_words, least_costs, replay_certificate, sphere_sizes,
 )
 from relhyp.words import Alphabet, Presentation, free_reduce
 
 from oracle_tools import (
-    d5_eval, lengths_by_enumeration, s3_eval, z2freez3_eval, z3freez3_eval,
-    z3xz_eval, zfreez2_eval,
+    d5_eval, lengths_by_enumeration, reference_dijkstra, s3_eval,
+    z2freez3_eval, z3freez3_eval, z3xz_eval, zfreez2_eval,
 )
 
 # frozen by tests/oracle_tools.py (independent lattice / reduced-word BFS)
@@ -215,6 +216,59 @@ def test_distance_matches_group_metric(pres_z2):
                 # only far-apart or uncertifiable pairs are refused
                 assert true > b.radius or (
                     true > 2 and true + b.length_of(g) + b.length_of(h) > 2 * b.radius)
+
+
+def _reference_least_costs(ball, costs, sources, targets, allowed):
+    """Dijkstra over the weighted adjacency of ball.edges inside allowed."""
+    inside = set(range(len(ball)) if allowed is None else allowed)
+    adj = [[(t, c) for sym, c in costs.items()
+            if (t := ball.edges[v][sym]) in inside] if v in inside else []
+           for v in range(len(ball))]
+    rows = []
+    for s in sources:
+        dist = reference_dijkstra(adj, s) if s in inside else [None] * len(adj)
+        rows.append([math.inf if dist[t] is None else dist[t]
+                     for t in targets])
+    return rows
+
+
+@pytest.mark.parametrize("relators", [
+    ("abAB",), (), ("aa", "bbb", "abab"), ("aa", "bbb"),
+], ids=["Z2", "F2", "S3", "Z2*Z3"])
+def test_least_costs_match_dijkstra(relators):
+    alpha = Alphabet(["a", "b"])
+    ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, relators))),
+                      4)
+    vertices = range(len(ball))
+    rng = random.Random(len(ball))
+    for trial in range(60):
+        # costs include 0, and some moves are left out of the map
+        costs = {sym: rng.choice((0, 0, 1, 2, 3))
+                 for sym in ball.symbol_moves() if rng.random() < 0.8}
+        allowed = None if trial % 3 == 0 else {
+            v for v in vertices if rng.random() < 0.7}
+        sources = rng.choices(vertices, k=rng.randint(1, 8))
+        sources.append(sources[0])  # a repeated source
+        targets = rng.sample(vertices, min(len(ball), rng.randint(1, 8)))
+        got = least_costs(ball, costs, sources, targets, allowed)
+        assert got == _reference_least_costs(ball, costs, sources, targets,
+                                             allowed), (costs, allowed)
+    with pytest.raises(ValueError, match="target repeats"):
+        least_costs(ball, {0: 1}, [0], [0, 0])
+
+
+def test_least_costs_stop_once_every_entry_is_found(pres_z2):
+    # the b moves cost 3000, so a sweep that ran until no level adds a bit
+    # would climb past level 3000; a, aa and A are found by level 2
+    ball = build_ball(pres_z2, 4)
+    costs = {0: 1, 1: 1, 2: 3000, 3: 3000}
+    targets = [ball.evaluate(pres_z2.alphabet.parse(w))
+               for w in ("a", "aa", "A")]
+    t0 = time.perf_counter()
+    rows = least_costs(ball, costs, [0, 0], targets)
+    assert time.perf_counter() - t0 < 0.5
+    assert rows == [[1, 2, 1]] * 2
+    assert rows == _reference_least_costs(ball, costs, [0, 0], targets, None)
 
 
 def test_geodesic_words(pres_z2, pres_f2):

@@ -195,6 +195,19 @@ def test_geodesics_command(zzp, capsys):
     assert not r["truncated"]
 
 
+def test_geodesics_electric_distance_is_x_displacement(zzp, capsys):
+    # in Z^2 rel <b> the electric distance of a^x b^y is |x|; the input
+    # A w a reaches w's vertex with two more non-parabolic letters
+    pres = parse_presentation(Z2_REL_B).base
+    for w in build_ball(pres, 3).words:
+        text = pres.alphabet.to_str((1,) + w + (0,))
+        code, rep, _ = run_cli(["geodesics", zzp, text], capsys)
+        assert code == 0
+        x = abs(w.count(0) - w.count(1))
+        assert rep["results"]["electric_length"] == x + 2, text
+        assert rep["results"]["electric_distance"] == x, text
+
+
 def test_geodesics_out_of_ball_is_computational_error(zline, capsys):
     code, _, err = run_cli(
         ["geodesics", zline, "aaaa", "--radius", "2"], capsys)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhyp.cayley import build_ball
+from relhyp.cayley import build_ball, least_costs
 from relhyp.electric import (
     ParabolicFamily, RelativePresentation, _canonical_splice, bcp_scan,
     coset_reduce, coset_table, electric_area_exact,
-    electric_area_upper, electric_distances_from, electric_geodesic,
-    electric_length, is_k_local_electric_geodesic, penetrations,
+    electric_area_upper, electric_geodesic, electric_length,
+    is_k_local_electric_geodesic, penetrations,
 )
 from relhyp.words import (
     Alphabet, Presentation, free_reduce, relator_forms, word_inverse,
@@ -155,12 +155,14 @@ def test_coset_reduce_invariants(ball_z2_8_shared, rp_z2_shared, syms):
 
 
 def test_electric_distance_is_x_displacement(ball_z2_6, rp_z2):
-    dist = electric_distances_from(ball_z2_6, rp_z2, 0)
     alpha = rp_z2.base.alphabet
-    for text, expect in [("bbbbb", 0), ("aabbb", 2), ("AAAA", 4), ("", 0)]:
-        v = ball_z2_6.evaluate(alpha.parse(text))
-        assert v is not None
-        assert dist[v] == expect
+    cases = [("bbbbb", 0), ("aabbb", 2), ("AAAA", 4), ("", 0)]
+    targets = [ball_z2_6.evaluate(alpha.parse(text)) for text, _ in cases]
+    assert None not in targets
+    costs = {sym: int(rp_z2.family_of_symbol(sym) is None)
+             for sym in ball_z2_6.symbol_moves()}
+    (dist,) = least_costs(ball_z2_6, costs, [0], targets)
+    assert dist == [expect for _, expect in cases]
 
 
 def test_electric_geodesic_frozen(ball_z2_6, rp_z2):

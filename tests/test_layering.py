@@ -14,19 +14,26 @@ TESTS = Path(__file__).resolve().parent
 
 
 def _private_imports(path):
+    """Private names imported from another package module, relatively
+    (from .x import _y) or absolutely (from relhyp.x import _y)."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+        if not (isinstance(node, ast.ImportFrom) and node.module):
+            continue
+        if node.level or node.module.split(".")[0] == "relhyp":
             for alias in node.names:
                 if alias.name.startswith("_"):
-                    yield (f"{path.name}:{node.lineno}: "
-                           f"from .{node.module} import {alias.name}")
+                    yield (f"{path.name}:{node.lineno}: from "
+                           f"{'.' * node.level}{node.module} import "
+                           f"{alias.name}")
 
 
 def test_no_private_name_imported_across_modules():
+    # the acceptance criteria use the package as a user would
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    found = [hit for path in modules for hit in _private_imports(path)]
+    found = [hit for path in modules + [TESTS / "test_acceptance.py"]
+             for hit in _private_imports(path)]
     assert found == []
 
 
@@ -99,8 +106,6 @@ KEPT = {
                           "'trivial' certificates",
     "path_length": "the oracle that geodesic_path and deepen_replace "
                    "are checked against",
-    "dijkstra_distance": "the oracle that geodesic_path is checked "
-                         "against",
     "is_k_local_electric_geodesic": "the public face of the segment "
                                     "test inside electric_area_upper",
     "WordProblemOracle.decide": "perfbench/spans.py wraps it to count "
