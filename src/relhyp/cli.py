@@ -694,7 +694,8 @@ def cmd_cocycle_check(args):
 # ----------------------------------------------------------------- main
 
 def _count(text: str) -> int:
-    """argparse type of --budget and --depth-cap: an integer >= 0."""
+    """argparse type of --budget, --depth-cap, --radius and --delta: an
+    integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -721,7 +722,7 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
         p.add_argument("presentation",
                        help="presentation file (format in README)")
         derived = isinstance(radius, str)
-        p.add_argument("--radius", type=int,
+        p.add_argument("--radius", type=_count,
                        default=None if derived else radius,
                        help=(f"ball radius (default: {radius})" if derived
                              else f"ball radius (default {radius})"))
@@ -757,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "fftp-automaton",
                     "build the fellow-traveler word acceptor",
                     radius="delta + 1")
-    p.add_argument("--delta", type=int, default=2,
+    p.add_argument("--delta", type=_count, default=2,
                    help="fellow-traveler distance bound (default 2)")
     p = _subcommand(sub, "electric-area",
                     "exact and certified-upper electric area of a loop",

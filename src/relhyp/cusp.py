@@ -157,55 +157,42 @@ def path_length(cx: CuspComplex, path) -> float:
     return total
 
 
-def dijkstra_distance(cx: CuspComplex, u: int, v: int) -> float:
-    dist = _dijkstra(cx.adj, u, stop_at=v)
-    if dist[v] is None:
-        raise ValueError("vertices are not connected")
-    return dist[v]
+def distance_row(adj, src):
+    """Distances from src to every vertex, inf where unreached.
 
-
-def _dijkstra(adj, src, stop_at=None):
-    """Distances from src, None where unreached; stops once stop_at
-    settles.  A candidate is pushed only when it beats the best one so
-    far; each vertex still settles at the minimum of its candidate sums,
-    in (distance, id) order, so rows and stop_at prefixes do not depend
-    on which candidates were skipped."""
-    dist = [None] * len(adj)
+    A lazy-deletion Dijkstra over one ``best`` list: a candidate is pushed
+    only when it beats the best one so far, and a popped entry above its
+    vertex's best is stale.  Each vertex settles once, at the minimum of
+    its candidate sums, in (distance, id) order."""
     best = [math.inf] * len(adj)
     best[src] = 0.0
     heap = [(0.0, src)]
     while heap:
         d, x = heappop(heap)
-        if dist[x] is not None:
+        if d > best[x]:
             continue
-        dist[x] = d
-        if x == stop_at:
-            break
         for y, w in adj[x]:
             nd = d + w
             if nd < best[y]:
                 best[y] = nd
                 heappush(heap, (nd, y))
-    return dist
+    return best
 
 
 def geodesic_path(adj, src, dst):
-    """Tie-broken shortest vertex path from src to dst; None when dst is
-    unreachable.  The search stops once dst settles.  That gives the path
-    of a full search while every edge is longer than twice the 1e-9
-    tightness tolerance: each tight predecessor is then strictly closer
-    than dst and so already settled."""
-    dist = _dijkstra(adj, src, stop_at=dst)
-    if dist[dst] is None:
+    """Tie-broken shortest vertex path from src to dst over src's full
+    distance row; None when dst is unreachable."""
+    row = distance_row(adj, src)
+    if row[dst] == math.inf:
         return None
-    return _geodesic_path(adj, dist, src, dst)
+    return _geodesic_path(adj, row, src, dst)
 
 
 def _geodesic_path(adj, dist, src, dst, parent=None):
     """Walk back from dst along tight edges, smallest vertex id first.
     Each step must strictly lower dist, so near-zero edges cannot cycle.
 
-    dist is a row from src, None or inf where unreached.  The step from a
+    dist is a row from src, inf where unreached.  The step from a
     vertex depends only on the row, so ``parent`` memoises it per row:
     parent[v] is v's tight predecessor once a walk has left v, -1 before.
     Without one, the walk starts a fresh memo."""
@@ -219,7 +206,7 @@ def _geodesic_path(adj, dist, src, dst, parent=None):
             dc = dist[cur]
             for y, w in adj[cur]:
                 dy = dist[y]
-                if (dy is not None and dy < dc and abs(dy + w - dc) < 1e-9
+                if (dy < dc and abs(dy + w - dc) < 1e-9
                         and (best < 0 or y < best)):
                     best = y
             if best < 0:
@@ -305,11 +292,12 @@ def delta_constant(params: CuspParams) -> float:
 def measure_thinness(adj, samples: int, seed: int) -> float:
     """Empirical triangle thinness of a weighted graph.
 
-    For sampled vertex triples, takes the three tie-broken geodesics and
-    measures the one-sided Hausdorff distance from each side to the union
-    of the other two; returns the worst value seen.  When the triple count
-    is at most ``samples`` the scan is exhaustive, otherwise it draws
-    distinct random triples.  Always a lower bound on the true constant.
+    For sampled vertex triples, takes the three tie-broken geodesics (the
+    walks ``geodesic_path`` takes over full distance rows) and measures
+    the one-sided Hausdorff distance from each side to the union of the
+    other two; returns the worst value seen.  When the triple count is at
+    most ``samples`` the scan is exhaustive, otherwise it draws distinct
+    random triples.  Always a lower bound on the true constant.
 
     Two skips leave the result exact.  A side vertex u that lies on one of
     the other two sides has gap 0, and the worst value is never below 0.
@@ -321,21 +309,14 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
     because floating-point sums along different search orders can differ
     from d(v, u) in the last bits, and the result must not depend on that.
 
-    Rows are kept as array('d'), a quarter of the memory of a list of
-    floats, and every source row carries an array('i') walk-back memo
-    (see ``_geodesic_path``).  Neither changes a value or a path.  A row
-    is the fixpoint d[y] = min over neighbours x of fl(d[x] + w) that
-    ``_dijkstra`` settles, and each array element is the same double as
-    the float it replaces.  Under that fixed row the tight predecessor of
-    v depends on v alone, so a memoised step is the step a fresh walk
-    would take.
+    Rows are kept as array('d'): the doubles of ``distance_row``'s list in
+    a quarter of its memory.  Every source row carries an array('i')
+    walk-back memo (see ``_geodesic_path``).  Neither changes a value or a
+    path: under a fixed row the tight predecessor of v depends on v alone,
+    so a memoised step is the step a fresh walk would take.
     """
     # a shared library (about 0.17 MiB of RSS), so only thinness loads it
     from array import array
-
-    def row(src):  # inf where unreached
-        return array("d", [math.inf if d is None else d
-                           for d in _dijkstra(adj, src)])
 
     n = len(adj)
     rng = random.Random(seed)
@@ -356,7 +337,7 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
         for src in (a, b):
             if parents[src] is None:
                 if rows[src] is None:
-                    rows[src] = row(src)
+                    rows[src] = array("d", distance_row(adj, src))
                 parents[src] = array("i", [-1]) * n
         paths = [_geodesic_path(adj, rows[src], src, dst, parents[src])
                  for src, dst in ((a, b), (b, c), (a, c))]
@@ -372,7 +353,7 @@ def measure_thinness(adj, samples: int, seed: int) -> float:
                     continue
                 du = rows[u]
                 if du is None:
-                    du = rows[u] = row(u)
+                    du = rows[u] = array("d", distance_row(adj, u))
                 if du[x] <= worst or du[y] <= worst:
                     continue
                 worst = max(worst, min(pick(du)))
@@ -427,6 +408,6 @@ def path_hausdorff(cx: CuspComplex, path_a, path_b) -> float:
         pick = itemgetter(*targets, two[0])  # always a tuple
         for u in one:
             if u not in targets:
-                worst = max(worst, min(pick(_dijkstra(cx.adj, u))))
+                worst = max(worst, min(pick(distance_row(cx.adj, u))))
     return worst
 

@@ -61,11 +61,11 @@ def neg_length_height(alphabet) -> HeightFunction:
     return HeightFunction({s: -1 for s in range(len(alphabet.symbols))})
 
 
-def neg_electric_height(rp, scale: int = 1) -> HeightFunction:
-    """H(w) = -scale * (letters outside the parabolic families)."""
+def neg_electric_height(rp) -> HeightFunction:
+    """H(w) = -(letters outside the parabolic families)."""
     values = {}
     for s in range(len(rp.base.alphabet.symbols)):
-        values[s] = 0 if rp.family_of_symbol(s) is not None else -scale
+        values[s] = 0 if rp.family_of_symbol(s) is not None else -1
     return HeightFunction(values)
 
 

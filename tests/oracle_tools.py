@@ -823,9 +823,9 @@ def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
 # Cusp thinness reference for any weighted graph: the push-every-neighbour
 # Dijkstra, the tie-broken walk-back and the full gap scan, as first written.
 
-def reference_dijkstra(adj, src, stop_at=None):
-    """Distances from src, None where unreached; stops once stop_at
-    settles.  Pushes every candidate to an unsettled neighbour."""
+def reference_dijkstra(adj, src):
+    """Distances from src, None where unreached.  Pushes every candidate
+    to an unsettled neighbour."""
     dist = [None] * len(adj)
     heap = [(0.0, src)]
     while heap:
@@ -833,8 +833,6 @@ def reference_dijkstra(adj, src, stop_at=None):
         if dist[x] is not None:
             continue
         dist[x] = d
-        if x == stop_at:
-            break
         for y, w in adj[x]:
             if dist[y] is None:
                 heappush(heap, (d + w, y))

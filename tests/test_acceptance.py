@@ -27,8 +27,8 @@ from relhyp.electric import (
 from relhyp.fftp import build_fftp_automaton, neg_length_height
 from relhyp.cusp import (
     CuspParams, build_cusp_complex, decompose_geodesic, delta_constant,
-    dijkstra_distance, geodesic_length_closed_form, geodesic_path,
-    level_bound, measure_thinness, optimal_depth,
+    distance_row, geodesic_length_closed_form, geodesic_path, level_bound,
+    measure_thinness, optimal_depth,
 )
 from relhyp.hyp2 import (
     ideal_midpoint_check, right_triangle_gap, tangent_projection_diameter,
@@ -217,14 +217,16 @@ def test_criterion_07_cusp_closed_form_vs_dijkstra(z_cusp):
     t0 = time.monotonic()
     params, ball, cx, pos = z_cusp
     n_base = len(ball)
+    rows = {}  # one full distance row per source
 
     def check_pair(u, v):
         bu, iu = cx.keys[u]
         bv, iv = cx.keys[v]
         want_l = abs(pos[bu] - pos[bv])
         want, depth = geodesic_length_closed_form(want_l, iu, iv, params)
-        assert abs(dijkstra_distance(cx, u, v) - want) < 1e-9, (
-            cx.keys[u], cx.keys[v])
+        if u not in rows:
+            rows[u] = distance_row(cx.adj, u)
+        assert abs(rows[u][v] - want) < 1e-9, (cx.keys[u], cx.keys[v])
         if want_l > 0:
             opt = optimal_depth(want_l, params)
             clamped = min(max(opt, max(iu, iv)), params.depth_cap)
@@ -249,8 +251,7 @@ def test_criterion_08_geodesic_decomposition(z_cusp):
     checked = 0
     for _ in range(300):
         u, v = rng.sample(range(len(cx)), 2)
-        # every edge is at least 3^-6 long, so the early-stopping search
-        # gives the tie-broken path of a full one
+        # the smallest-id tight walk back over u's full distance row
         path = geodesic_path(cx.adj, u, v)
         depths = [cx.depth[x] for x in path]
         dec = decompose_geodesic(depths)

@@ -321,16 +321,23 @@ def test_negative_budget_is_a_usage_error(argv, zzp, capsys):
     assert "argument --budget: expected an integer >= 0, got '-1'" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["cusp-distance", "9", "0", "0"],
-    ["thinness", "{p}"],
-    ["clip-track", "{p}", "0"],
-], ids=lambda argv: argv[0])
-def test_negative_depth_cap_is_a_usage_error(argv, zzp, capsys):
-    argv = [a.format(p=zzp) for a in argv] + ["--depth-cap", "-1"]
+# --depth-cap on each command that has it, then the other integer >= 0
+# flags that --budget does not cover
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["cusp-distance", "9", "0", "0"], "--depth-cap",
+                 id="cusp-distance"),
+    pytest.param(["thinness", "{p}"], "--depth-cap", id="thinness"),
+    pytest.param(["clip-track", "{p}", "0"], "--depth-cap", id="clip-track"),
+    pytest.param(["ball", "{p}"], "--radius", id="ball --radius"),
+    pytest.param(["thinness", "{p}"], "--radius", id="thinness --radius"),
+    pytest.param(["fftp-automaton", "{p}"], "--delta",
+                 id="fftp-automaton --delta"),
+])
+def test_negative_depth_cap_is_a_usage_error(argv, flag, zzp, capsys):
+    argv = [a.format(p=zzp) for a in argv] + [flag, "-1"]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert "argument --depth-cap: expected an integer >= 0, got '-1'" in err
+    assert f"argument {flag}: expected an integer >= 0, got '-1'" in err
 
 
 def test_zero_budget_is_legal(zz, capsys):
@@ -396,6 +403,16 @@ def test_clip_track_command(zline, capsys):
     assert r["pairs"] == 8
     assert r["max_hausdorff"] >= 0.0
     assert r["clipped_vertices"] < r["full_vertices"]
+    # at psi = 10^4 the depth-3 and depth-4 edges are 1e-12 and 1e-16 long,
+    # below the 1e-9 tightness tolerance of the walk back
+    code, rep, _ = run_cli(
+        ["clip-track", zline, "3", "--radius", "8", "--depth-cap", "4",
+         "--psi", "10000", "--budget", "8"], capsys)
+    assert code == 0
+    r = rep["results"]
+    assert (r["clip_depth"], r["pairs"]) == (3, 8)
+    assert (r["clipped_vertices"], r["full_vertices"]) == (17 * 4, 17 * 5)
+    assert (rep["inputs"]["psi"], rep["inputs"]["depth_cap"]) == (1e4, 4)
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,9 +14,9 @@ from relhyp.cayley import build_ball
 from relhyp.cusp import (
     CuspComplex, CuspParams, build_cusp_complex,
     build_cusped_cayley, clip, decompose_geodesic,
-    deepen_replace, delta_constant, dijkstra_distance,
-    geodesic_length_closed_form, level_bound, measure_thinness,
-    optimal_depth, path_hausdorff, path_length,
+    deepen_replace, delta_constant, distance_row, geodesic_length_closed_form,
+    geodesic_path, level_bound, measure_thinness, optimal_depth,
+    path_hausdorff, path_length,
 )
 from relhyp.electric import ParabolicFamily, RelativePresentation
 
@@ -155,11 +155,11 @@ def test_dijkstra_matches_closed_form(ball_z12):
     pos = {v: _z_position(ball_z12, v) for v in range(len(ball_z12))}
     # exhaustive over surface pairs
     for u in range(len(ball_z12)):
+        row = distance_row(cx.adj, cx.ids[u, 0])
         for v in range(u + 1, len(ball_z12)):
             want = geodesic_length_closed_form(
                 abs(pos[u] - pos[v]), 0, 0, params)[0]
-            got = dijkstra_distance(cx, cx.ids[u, 0], cx.ids[v, 0])
-            assert got == pytest.approx(want, abs=1e-9)
+            assert row[cx.ids[v, 0]] == pytest.approx(want, abs=1e-9)
     # sampled mixed-depth pairs
     import random
     rng = random.Random(5)
@@ -168,23 +168,21 @@ def test_dijkstra_matches_closed_form(ball_z12):
         i, k = rng.randrange(5), rng.randrange(5)
         want = geodesic_length_closed_form(
             abs(pos[u] - pos[v]), i, k, params)[0]
-        got = dijkstra_distance(cx, cx.ids[u, i], cx.ids[v, k])
+        got = distance_row(cx.adj, cx.ids[u, i])[cx.ids[v, k]]
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_geodesics_decompose_and_level_is_short(ball_z12):
     import random
-    from relhyp.cusp import _dijkstra, _geodesic_path, geodesic_path
     params = CuspParams(3.0, depth_cap=4)
     cx = build_cusp_complex(ball_z12, params)
     rng = random.Random(9)
     assert geodesic_path([[], []], 0, 1) is None
     for _ in range(60):
         s, t = rng.randrange(len(cx)), rng.randrange(len(cx))
-        dist = _dijkstra(cx.adj, s)
-        path = _geodesic_path(cx.adj, dist, s, t)
-        # the search that stops at t walks back along the same path
-        assert geodesic_path(cx.adj, s, t) == path
+        path = geodesic_path(cx.adj, s, t)
+        assert path == reference_walk_back(
+            cx.adj, reference_dijkstra(cx.adj, s), s, t)
         depths = [cx.depth[v] for v in path]
         dec = decompose_geodesic(depths)
         assert dec is not None
@@ -197,10 +195,10 @@ def test_geodesics_decompose_and_level_is_short(ball_z12):
 
 def test_geodesic_path_descends_past_near_zero_edges(pres_z):
     # psi=1e4 at depth 4 gives horizontal edges of 1e-16, far below the
-    # 1e-9 tightness tolerance; the walk-back must still reach src
+    # 1e-9 tightness tolerance; the walk-back must still reach src, and
+    # over a full row it is the tie-broken walk of the reference
     import random
     import signal
-    from relhyp.cusp import geodesic_path
 
     def too_slow(signum, frame):
         raise TimeoutError
@@ -223,7 +221,9 @@ def test_geodesic_path_descends_past_near_zero_edges(pres_z):
                 signal.setitimer(signal.ITIMER_REAL, 0)
             assert path[0] == s and path[-1] == t
             assert path_length(cx, path) == pytest.approx(
-                dijkstra_distance(cx, s, t), abs=1e-8)
+                distance_row(cx.adj, s)[t], abs=1e-8)
+            assert path == reference_walk_back(
+                cx.adj, reference_dijkstra(cx.adj, s), s, t)
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert hung == []
@@ -356,24 +356,21 @@ def test_thinness_disconnected_raises():
 
 def test_dijkstra_matches_push_every_neighbour():
     import random
-    from relhyp.cusp import _dijkstra, geodesic_path
     rng = random.Random(21)
     for trial in range(120):
         n = rng.randrange(2, 30)
         adj = _random_adj(rng, n, rng.randrange(0, 3 * n),
                           components=1 + trial % 3)
         for src in range(n):
-            full = _dijkstra(adj, src)
-            assert full == reference_dijkstra(adj, src)
+            want = reference_dijkstra(adj, src)
+            assert distance_row(adj, src) == [
+                math.inf if d is None else d for d in want]
             dst = rng.randrange(n)
-            assert (_dijkstra(adj, src, stop_at=dst)
-                    == reference_dijkstra(adj, src, stop_at=dst))
-            if full[dst] is None:
+            if want[dst] is None:
                 assert geodesic_path(adj, src, dst) is None
             else:
-                want = reference_walk_back(
-                    adj, reference_dijkstra(adj, src, stop_at=dst), src, dst)
-                assert geodesic_path(adj, src, dst) == want
+                assert geodesic_path(adj, src, dst) == reference_walk_back(
+                    adj, want, src, dst)
 
 
 def test_path_hausdorff_matches_full_rows(ball_z12):

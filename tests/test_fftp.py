@@ -89,8 +89,8 @@ def test_height_is_sum_of_letter_values(pres_z2):
     assert neg_length_height(pres_z2.alphabet).K == 2
     b = pres_z2.alphabet.index("b")
     rp = RelativePresentation(pres_z2, (ParabolicFamily("P", (b,)),))
-    assert neg_electric_height(rp, 3).K == 4
-    assert neg_electric_height(rp, 3)((0, b, b)) == -3
+    assert neg_electric_height(rp).K == 2
+    assert neg_electric_height(rp)((0, b, b, 1)) == -2
 
 
 def _element_height(alphabet):
@@ -202,7 +202,8 @@ def _presentation(gens, relators):
 
 def test_automaton_matches_dense_reference():
     # (generators, relators, parabolic letters, deltas); a relative case
-    # runs the electric height at scales 1 and 3 besides neg-length
+    # runs the electric height, and the same height at scale 3 (K = 4),
+    # besides neg-length
     cases = [
         ("a", (), "", (1, 2, 3)),
         ("ab", ("abAB",), "", (2, 3, 4)),
@@ -221,7 +222,9 @@ def test_automaton_matches_dense_reference():
             family = ParabolicFamily(
                 "P", tuple(pres.alphabet.index(c) for c in parabolic))
             rp = RelativePresentation(pres, (family,))
-            heights += [neg_electric_height(rp, 1), neg_electric_height(rp, 3)]
+            electric = neg_electric_height(rp)
+            heights += [electric, HeightFunction(
+                {s: 3 * v for s, v in electric.letter_values.items()})]
         if gens == "ab" and relators == ("abAB",):
             heights.append(_element_height(pres.alphabet))
         for delta in deltas:
