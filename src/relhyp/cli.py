@@ -18,6 +18,7 @@ carry a line and column.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -716,8 +717,6 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
     (default, what it caps) brings --budget.
     """
     p = sub.add_parser(name, help=summary)
-    # looked up on every call, so that a rebound cli.cmd_<name> is the one run
-    p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     if radius is not None:
         p.add_argument("presentation",
                        help="presentation file (format in README)")
@@ -742,7 +741,9 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The relhyp parser, built once per process: ``main`` reuses it."""
     top = argparse.ArgumentParser(
         prog="relhyp",
         description="Discrete machinery for relatively hyperbolic groups.")
@@ -803,9 +804,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # looked up on every call, so that a rebound cli.cmd_<name> is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()
     try:
-        results, inputs, summary = args.func(args)
+        results, inputs, summary = command(args)
     except UsageError as e:
         print(f"relhyp: error: {e}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ nearby competitors form a finite state, and the maximizing words are
 exactly the language of a DFA built from a transition kernel over the
 delta-ball, with a single absorbing fail state.  Kernel entries are least
 path costs, a letter costing minus its value; one ``cayley.least_costs``
-sweep finds all rows of a letter.
+sweep finds all rows of a letter, and the same sweep, transposed, finds
+those of its inverse (see ``transition_kernel``).
 
 The deficit state of a prefix u assigns to each g in the delta-ball the
 worst value of H(u) - H(v z_g) over competitors v for u g^-1; the prefix
@@ -24,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from operator import lshift, or_
+from operator import or_
 
 from .automata import Dfa
 from .cayley import GroupBall, least_costs
@@ -102,12 +103,24 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     from every g^-1, that is from the whole delta-ball, where a letter
     costs minus its value; so one ``cayley.least_costs`` level sweep
     fills all of them at once.
+
+    One sweep serves a letter and its inverse.  Write U_x for the union
+    of the delta-balls at 1 and at x, and C_c[x][g][h] for the least
+    c-cost of a path from z_g^-1 to x.z_h^-1 inside U_x.  Left
+    multiplication by x^-1 maps U_x onto U_{x^-1}, and reversing a path
+    swaps its ends and inverts its letters, so C_c[x^-1] is the transpose
+    of C_cbar[x], where cbar(s) = c(s^-1); the ball keeps every edge
+    between two of its vertices, so this holds inside it.  Letters pair as
+    x, x ^ 1; when the height scores each letter as its inverse, cbar = c
+    and the sweep of x is reused, and otherwise x is swept once more
+    under cbar.
     """
     if delta < 1:
         raise ValueError("delta must be at least 1")
     if ball.radius < delta + 1:
         raise ValueError("need ball radius >= delta + 1")
-    for sym, name in enumerate(ball.presentation.alphabet.symbols):
+    symbols = ball.presentation.alphabet.symbols
+    for sym, name in enumerate(symbols):
         if sym not in h.letter_values:
             raise ValueError(f"the height has no letter value for symbol "
                              f"{sym} ({name})")
@@ -116,15 +129,19 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     heights = [h(z) for z in zwords]
     inverses = [ball.evaluate(word_inverse(z)) for z in zwords]
     costs = {sym: -value for sym, value in h.letter_values.items()}
+    flipped = {sym ^ 1: c for sym, c in costs.items()}
     tables = {}
-    for x in range(len(ball.presentation.alphabet.symbols)):
+    for x in range(0, len(symbols), 2):
         # the delta-ball at x is x times the one at 1
         allowed = set(bdelta).union(ball.evaluate((x,) + z) for z in zwords)
         dsts = [ball.evaluate((x,) + word_inverse(z)) for z in zwords]
         rows = least_costs(ball, costs, inverses, dsts, allowed)
-        tables[x] = [[base - hh + c for hh, c in zip(heights, row)]
-                     for base, row in zip((h((x,)) + hg for hg in heights),
-                                          rows)]
+        bar = rows if flipped == costs else least_costs(
+            ball, flipped, inverses, dsts, allowed)
+        for y, least in ((x, rows), (x ^ 1, zip(*bar))):
+            tables[y] = [[base - hh + c for hh, c in zip(heights, row)]
+                         for base, row in zip((h((y,)) + hg for hg in heights),
+                                              least)]
     return {"order": bdelta, "table": tables}
 
 
@@ -139,10 +156,13 @@ def _initial_state(ball, h, bdelta, top):
     return tuple(min(c - h(z), top) for c, z in zip(row, zwords))
 
 
+_BIT_COUNTS = bytes(i.bit_count() for i in range(256))  # by byte value
+
+
 class _Thermometer:
     """Deficit vectors over n coordinates as packed thermometer codes (see
-    ``build_fftp_automaton``); ``rows[x][g]`` packs the kernel row
-    T[x][g][.]."""
+    ``build_fftp_automaton``); ``rows[g]`` packs the kernel rows T[x][g][.]
+    of every letter x side by side, letter 0 in the lowest n lanes."""
 
     def __init__(self, tables, n, top):
         values = set()
@@ -159,12 +179,14 @@ class _Thermometer:
         for v in values | {top, math.inf}:
             lanes.setdefault(v, empty)
         self._lane = lanes.__getitem__
-        self._n = n
         self._width = width
         self._top = top
-        self._keep = self._fill(n, (1 << levels) - 1)
+        self._letters = len(tables)
+        self._size = n * width  # bytes of one letter's code
+        self._keep = self._fill(self._letters * n, (1 << levels) - 1)
         self._neg = self._fill(n, (1 << -lo) - 1)
-        self.rows = [[self.encode(row) for row in table] for table in tables]
+        self.rows = [self.encode([v for table in tables for v in table[g]])
+                     for g in range(n)]
 
     def _fill(self, n, lane):
         return int.from_bytes(lane.to_bytes(self._width, "little") * n, "little")
@@ -174,17 +196,31 @@ class _Thermometer:
 
     def decode(self, code: int) -> tuple:
         """The clamped vector of a masked code: a lane holding value v < top
-        has top - v bits set."""
+        has top - v bits set, summed over its bytes' bit counts."""
         w, top = self._width, self._top
-        raw = code.to_bytes(self._n * w, "little")
-        return tuple(top - int.from_bytes(raw[i:i + w], "little").bit_count()
-                     for i in range(0, len(raw), w))
+        bits = code.to_bytes(self._size, "little").translate(_BIT_COUNTS)
+        return tuple(top - b for b in map(sum, zip(*[iter(bits)] * w)))
 
-    def step(self, rows, cur):
-        """Masked code of the next state from one letter's packed kernel
-        rows, or None when a coordinate drops below zero."""
-        code = reduce(or_, map(lshift, rows, cur)) & self._keep
-        return None if code & self._neg else code
+    @staticmethod
+    def groups(vec) -> tuple:
+        """(value, coordinates) for each distinct value of a vector."""
+        by_value = {}
+        for g, v in enumerate(vec):
+            by_value.setdefault(v, []).append(g)
+        return tuple(by_value.items())
+
+    def step(self, groups):
+        """Masked codes of the next states, one per letter, from the
+        current state's ``groups``; None for a letter after which a
+        coordinate drops below zero."""
+        rows, size, neg = self.rows, self._size, self._neg
+        code = 0
+        for c, coords in groups:
+            code |= reduce(or_, map(rows.__getitem__, coords)) << c
+        raw = (code & self._keep).to_bytes(self._letters * size, "little")
+        keys = [int.from_bytes(raw[i:i + size], "little")
+                for i in range(0, len(raw), size)]
+        return [None if key & neg else key for key in keys]
 
 
 def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
@@ -199,11 +235,11 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
 
     Each step is the (min, +) product next[h] = min over g of cur[g] +
     T[x][g][h], clamped at top = 2*K*delta, done bit-parallel on
-    thermometer codes.  A vector is one int with one lane of W bits per
-    coordinate, W a multiple of 8.  Bit b of a lane means "value <= lo + b"
-    for the levels lo .. top-1, where lo = min(0, least finite kernel
-    entry), and top guard bits sit above those levels.  A value >= top, or
-    inf, is an empty lane.  Then:
+    thermometer codes.  A vector is one int with one lane of whole bytes
+    per coordinate.  Bit b of a lane means "value <= lo + b" for the
+    levels lo .. top-1, where lo = min(0, least finite kernel entry), and
+    at least top guard bits sit above those levels.  A value >= top, or inf,
+    is an empty lane.  Then:
 
     - the OR of two codes is their coordinatewise min, since a lane's set
       bits are exactly the levels at or above its value;
@@ -213,8 +249,16 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
       and masking with KEEP (the levels below top) clamps it at top;
     - the prefix fails iff the code meets NEG, the levels below 0.
 
-    A masked code determines its clamped vector, so it keys the states;
-    each new state is decoded once for its shift amounts.
+    A shift distributes over OR, so a step ORs the rows of the
+    coordinates that share a deficit value first and shifts once per
+    distinct value: OR over c of ((OR over g with cur[g] = c of
+    T[x][g][.]) << c).  States take a few distinct values over many
+    coordinates.  Since no shift carries out of a lane, the packed rows
+    of all letters sit side by side in one int per g, and one step
+    gives the next code of every letter, cut apart afterwards.  A masked
+    code determines its clamped vector, so it keys the states; each new
+    state is decoded once, by per-byte bit counts, and its coordinates
+    are grouped by value once.
     """
     kern = transition_kernel(ball, delta, h)
     bdelta = kern["order"]
@@ -230,12 +274,11 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     states = {codes.encode(init): 0}
     order = [init]
     rows = []
-    q = deque([init])
+    q = deque([codes.groups(init)])
     while q:
         cur = q.popleft()
         row = []
-        for packed in codes.rows:
-            key = codes.step(packed, cur)
+        for key in codes.step(cur):
             if key is None:
                 row.append(-1)  # patched to the fail state below
                 continue
@@ -246,7 +289,7 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
                 states[key] = len(order)
                 vec = codes.decode(key)
                 order.append(vec)
-                q.append(vec)
+                q.append(codes.groups(vec))
             row.append(states[key])
         rows.append(row)
     fail = len(rows)

@@ -676,6 +676,30 @@ def test_usage_errors_exit_2(zz, capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_dispatch_follows_rebinding(
+        zz, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    code, rep, _ = run_cli(["ball", "--radius", "2", zz], capsys)
+    assert code == 0 and rep["results"]["vertices"] == 13
+    # main looks cmd_<name> up at call time, so a rebound one runs
+    seen = []
+
+    def stand_in(args):
+        seen.append(args.radius)
+        return {"stand_in": True}, {}, "stand-in"
+
+    monkeypatch.setattr("relhyp.cli.cmd_ball", stand_in)
+    code, rep, _ = run_cli(["ball", "--radius", "1", zz], capsys)
+    assert (code, seen, rep["results"]) == (0, [1], {"stand_in": True})
+    monkeypatch.undo()
+    # the reused parser still reports usage errors, and then runs again
+    assert main(["ball", "--radius", "x", zz]) == 2
+    assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+    code, rep, _ = run_cli(["ball", "--radius", "2", zz], capsys)
+    assert code == 0 and rep["results"]["vertices"] == 13
+
+
 def test_console_entry_subprocess(tmp_path):
     p = tmp_path / "zz.pres"
     p.write_text("[generators] a b\n[relators] abAB\n")

@@ -5,19 +5,20 @@ group were frozen in oracle_tools.py before this module was written.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhyp.automata import Dfa, dfa_run, language_equal, live_states, minimize, prefix_closed
-from relhyp.cayley import build_ball
+from relhyp.cayley import build_ball, least_costs
 from relhyp.electric import ParabolicFamily, RelativePresentation
 from relhyp.fftp import (
     HeightFunction, _Thermometer, ball_b_delta, build_fftp_automaton,
     neg_electric_height, neg_length_height, transition_kernel,
 )
-from relhyp.words import Alphabet, Presentation
+from relhyp.words import Alphabet, Presentation, word_inverse
 
 from oracle_tools import (
     maximizing_words_bruteforce, reference_build_fftp_automaton,
@@ -118,6 +119,15 @@ MIXED = ({"a": -3, "A": -3, "b": -1, "B": -1},
          {"a": -2, "A": -2, "b": 0, "B": 0})
 S3 = ("aa", "bbb", "abab")
 Z3XZ = ("aaa", "abAB")
+D5 = ("aaaaa", "bb", "abab")
+ZFREEZ2 = ("bcBC",)  # Z * Z^2, the Z^2 on b and c
+
+
+def _asymmetric(gens):
+    """Letter values that score a letter and its inverse apart, so the
+    kernel sweeps each letter pair twice."""
+    values = {"a": -2, "A": -1, "b": 0, "B": -1, "c": -1, "C": 0}
+    return {c: v for c, v in values.items() if c.lower() in gens}
 
 
 def test_kernel_matches_pairwise_reference():
@@ -137,7 +147,12 @@ def test_kernel_matches_pairwise_reference():
     ] + [(gens, relators, values, (1, 2))
          for gens, relators in (("ab", ()), ("ab", ("abAB",)), ("ab", S3),
                                 ("ab", Z3XZ))
-         for values in MIXED]
+         for values in MIXED] + [
+        # Z * Z^2 stops at delta 2: the reference takes 33 s at delta 3
+        (gens, relators, _asymmetric(gens), deltas)
+        for gens, relators, deltas in (
+            ("ab", ("abAB",), (1, 2, 3)), ("ab", S3, (1, 2, 3)),
+            ("ab", D5, (1, 2, 3)), ("abc", ZFREEZ2, (1, 2)))]
     for gens, relators, spec, deltas in cases:
         pres = _presentation(gens, relators)
         h = _height(pres, spec)
@@ -151,6 +166,36 @@ def test_kernel_matches_pairwise_reference():
                          for v in reference_initial_state(ball, delta, h))
             assert build_fftp_automaton(ball, delta, h).state_vectors[0] \
                 == init, case
+
+
+def test_least_costs_transpose_for_inverse_letters():
+    # C_c[x^-1] is the transpose of C_cbar[x], where C_c[x][g][h] is the
+    # least c-cost from z_g^-1 to x z_h^-1 inside the delta-balls at 1
+    # and x, and cbar(s) = c(s^-1); costs 0-3 drawn per letter
+    rng = random.Random(5)
+    groups = [("ab", ()), ("ab", ("abAB",)), ("ab", S3), ("ab", D5),
+              ("ab", Z3XZ), ("abc", ZFREEZ2)]
+    for trial in range(48):
+        gens, relators = groups[trial % len(groups)]
+        pres = _presentation(gens, relators)
+        delta = rng.choice((1, 2))
+        ball = build_ball(pres, delta + 1)
+        nsym = len(pres.alphabet.symbols)
+        costs = {s: rng.randint(0, 3) for s in range(nsym)}
+        flipped = {s ^ 1: c for s, c in costs.items()}
+        order = sorted(ball_b_delta(ball, delta))
+        zwords = [ball.words[v] for v in order]
+        sources = [ball.evaluate(word_inverse(z)) for z in zwords]
+
+        def matrix(x, cost):
+            allowed = set(order) | {ball.evaluate((x,) + z) for z in zwords}
+            targets = [ball.evaluate((x,) + word_inverse(z)) for z in zwords]
+            return least_costs(ball, cost, sources, targets, allowed)
+
+        for x in range(0, nsym, 2):
+            assert matrix(x ^ 1, costs) == \
+                [list(col) for col in zip(*matrix(x, flipped))], \
+                (gens, relators, delta, costs, x)
 
 
 def test_kernel_names_a_missing_letter(pres_z):
@@ -203,7 +248,8 @@ def _presentation(gens, relators):
 def test_automaton_matches_dense_reference():
     # (generators, relators, parabolic letters, deltas); a relative case
     # runs the electric height, and the same height at scale 3 (K = 4),
-    # besides neg-length
+    # besides neg-length; Z^2 also runs the element height and one that
+    # scores a letter and its inverse apart
     cases = [
         ("a", (), "", (1, 2, 3)),
         ("ab", ("abAB",), "", (2, 3, 4)),
@@ -226,7 +272,8 @@ def test_automaton_matches_dense_reference():
             heights += [electric, HeightFunction(
                 {s: 3 * v for s, v in electric.letter_values.items()})]
         if gens == "ab" and relators == ("abAB",):
-            heights.append(_element_height(pres.alphabet))
+            heights += [_element_height(pres.alphabet),
+                        _height(pres, _asymmetric(gens))]
         for delta in deltas:
             ball = build_ball(pres, delta + 1)
             for h in heights:
@@ -242,23 +289,27 @@ def test_automaton_matches_dense_reference():
 @given(st.data())
 def test_thermometer_step_matches_min_plus(data):
     # tables no shipped kernel produces: unreachable (inf) entries and
-    # entries far below -top, against any states in [0, top]
+    # entries far below -top, against any states in [0, top]; top up to 24
+    # draws lanes of 1 to 15 bytes, some wider than 64 bits, and up to
+    # three letters share each packed row
     n = data.draw(st.integers(1, 6))
-    top = data.draw(st.integers(1, 12))
+    top = data.draw(st.integers(1, 24))
     entry = st.one_of(st.just(math.inf), st.integers(-3 * top, 3 * top))
-    table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                               min_size=n, max_size=n))
+    table = st.lists(st.lists(entry, min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    tables = data.draw(st.lists(table, min_size=1, max_size=3))
     cur = tuple(data.draw(st.lists(st.integers(0, top), min_size=n,
                                    max_size=n)))
-    codes = _Thermometer([table], n, top)
+    codes = _Thermometer(tables, n, top)
     assert codes.decode(codes.encode(cur)) == cur
-    want = reference_min_plus_step(cur, list(zip(*table)), top)
-    got = codes.step(codes.rows[0], cur)
-    if want is None:
-        assert got is None
-    else:
-        assert got == codes.encode(want)
-        assert codes.decode(got) == want
+    for table, got in zip(tables, codes.step(codes.groups(cur)),
+                          strict=True):
+        want = reference_min_plus_step(cur, list(zip(*table)), top)
+        if want is None:
+            assert got is None
+        else:
+            assert got == codes.encode(want)
+            assert codes.decode(got) == want
 
 
 def test_automaton_rejects_fractional_kernel():

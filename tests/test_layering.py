@@ -139,11 +139,11 @@ def test_every_public_definition_is_named():
     for path in modules + [TESTS / "test_acceptance.py"]:
         used |= _names_outside_own_definition(path)
         attributes |= _attributes(path)
-    # the parser binds each subcommand's cmd_<name> by its string name
+    # main runs each subcommand's cmd_<name> by its string name
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            used |= {sub.get_default("func").__name__
-                     for sub in action.choices.values()}
+            used |= {"cmd_" + name.replace("-", "_")
+                     for name in action.choices}
     dead = {}
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
