@@ -25,7 +25,6 @@ import random
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .words import Alphabet, Presentation, free_reduce
@@ -191,8 +190,8 @@ def serialize_presentation(rp: RelativePresentation) -> str:
 
 
 def parse_matrix_file(text: str):
-    """Plain text matrix: first line "rows cols", then entry rows.
-    Entries are integers or p/q rationals."""
+    """Plain text matrix: first line "rows cols", then rows of integer
+    entries."""
     lines = text.splitlines()
     header = None
     body_at = 0
@@ -227,18 +226,15 @@ def parse_matrix_file(text: str):
 
 def _parse_entry(tok: str, line: int, col: int):
     try:
-        if "/" in tok:
-            p, q = tok.split("/", 1)
-            return Fraction(int(p), int(q))
         return int(tok)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(
-            f"line {line}, column {col}: bad matrix entry {tok!r}") from None
+    except ValueError:
+        raise UsageError(f"line {line}, column {col}: bad matrix entry "
+                         f"{tok!r}; entries must be integers") from None
 
 
 def parse_slopes(text: str):
     """Dehn filling slopes, one per line: "u/v", "u" (v=1), or "*"
-    for an unfilled component.  (p,q) with p*v + q*u = 1 is derived."""
+    for an unfilled component."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].strip()
@@ -254,28 +250,10 @@ def parse_slopes(text: str):
         except ValueError:
             raise UsageError(f"line {ln}: bad slope {tok!r}") from None
         try:
-            p, q = _pq_pair(u, v)
-            out.append(Filling(u, v, p, q))
-        except (ValueError, ZeroDivisionError) as e:
+            out.append(Filling(u, v))
+        except ValueError as e:
             raise UsageError(f"line {ln}: slope {tok!r}: {e}") from None
     return out
-
-
-def _pq_pair(u: int, v: int):
-    """Some (p, q) with p*v + q*u = 1, via the extended Euclid run."""
-    old_r, r = u, v
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r == -1:
-        old_r, old_s, old_t = 1, -old_s, -old_t
-    if old_r != 1:
-        raise ValueError(f"slope {u}/{v} is not primitive (gcd {abs(old_r)})")
-    return old_t, old_s   # p*v + q*u = old_t*v + old_s*u = 1
 
 
 def parse_cocycle_file(text: str, rp: RelativePresentation, ball):
@@ -620,8 +598,6 @@ def cmd_hyp2_check(args):
 
 def cmd_dehn_fill(args):
     rows = parse_matrix_file(_load(args.linking_matrix))
-    if any(isinstance(x, Fraction) for row in rows for x in row):
-        raise UsageError("linking matrix entries must be integers")
     if not rows or len(rows) != len(rows[0]):
         raise UsageError("linking matrix must be square")
     try:
@@ -638,7 +614,7 @@ def cmd_dehn_fill(args):
     trailing_unfilled = all(f is not None for f in fillings[:len(filled)])
     h1 = None
     if trailing_unfilled:
-        pres, rank_bound, torsion = h1_presentation(k, filled)
+        rank_bound, torsion = h1_presentation(k, filled)
         # fm is also the filling matrix of the prefix h1 fills, so its
         # nullity must meet the rank identity
         if rank_bound - (k.n - len(filled)) != nullity:
@@ -647,7 +623,9 @@ def cmd_dehn_fill(args):
             "rank_lower_bound": rank_bound,
             "torsion": list(torsion),
             "kernel_rank": kernel_rank(rank_bound, k.n - len(filled)),
-            "presentation_shape": [pres.rows, pres.cols],
+            # lambda and mu of each filled torus, over the alphas and
+            # one e per filled torus
+            "presentation_shape": [k.n + len(filled), 2 * len(filled)],
         }
     results = {
         "components": k.n,

@@ -44,29 +44,27 @@ class CuspParams:
 
 
 class CuspComplex:
-    """Weighted graph with one depth per vertex and a shadow map onto the
-    depth-0 layer.  Vertices are numbered in insertion order; builders
-    insert base-vertex-major so the numbering is reproducible."""
+    """Weighted graph with one depth per vertex.  Vertices are numbered in
+    insertion order; builders insert base-vertex-major so the numbering is
+    reproducible, and each key names its base vertex."""
 
     def __init__(self, params: CuspParams):
         self.params = params
         self.ids: dict = {}
         self.keys: list = []
         self.depth: list = []
-        self.shadow: list = []
         self.adj: list = []
 
     def __len__(self):
         return len(self.keys)
 
-    def add_vertex(self, key, depth: int, shadow: int) -> int:
+    def add_vertex(self, key, depth: int) -> int:
         if key in self.ids:
             raise ValueError(f"duplicate vertex {key}")
         vid = len(self.keys)
         self.ids[key] = vid
         self.keys.append(key)
         self.depth.append(depth)
-        self.shadow.append(shadow)
         self.adj.append([])
         return vid
 
@@ -75,9 +73,6 @@ class CuspComplex:
             return  # self-loops never matter for the metric
         self.adj[u].append((v, length))
         self.adj[v].append((u, length))
-
-    def edge_length(self, u: int, v: int):
-        return next((w for t, w in self.adj[u] if t == v), None)
 
     def n_edges(self) -> int:
         return sum(map(len, self.adj)) // 2
@@ -99,7 +94,7 @@ def build_cusp_complex(h_ball: GroupBall, params: CuspParams) -> CuspComplex:
     n_levels = params.depth_cap + 1
     for b in range(len(h_ball)):
         for i in range(n_levels):
-            cx.add_vertex((b, i), i, b)
+            cx.add_vertex((b, i), i)
     for u, v in _base_edges(h_ball):
         for i in range(n_levels):
             cx.add_edge(cx.ids[u, i], cx.ids[v, i], params.horizontal_length(i))
@@ -117,7 +112,7 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
     join consecutive copies of each coset vertex."""
     cx = CuspComplex(params)
     for b in range(len(g_ball)):
-        cx.add_vertex(("g", b), 0, b)
+        cx.add_vertex(("g", b), 0)
     for u, v in _base_edges(g_ball):
         cx.add_edge(cx.ids["g", u], cx.ids["g", v], 1.0)
     tables = coset_table(g_ball, rp)
@@ -125,7 +120,7 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
         syms = fam.symbols()
         for b in range(len(g_ball)):
             for i in range(1, params.depth_cap + 1):
-                cx.add_vertex((fi, b, i), i, b)
+                cx.add_vertex((fi, b, i), i)
         for b in range(len(g_ball)):
             below = cx.ids["g", b]
             for i in range(1, params.depth_cap + 1):
@@ -145,16 +140,6 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
                     cx.add_edge(cx.ids[fi, u, i], cx.ids[fi, v, i],
                                 params.horizontal_length(i))
     return cx
-
-
-def path_length(cx: CuspComplex, path) -> float:
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        w = cx.edge_length(u, v)
-        if w is None:
-            raise ValueError(f"vertices {u} and {v} are not adjacent")
-        total += w
-    return total
 
 
 def distance_row(adj, src):
@@ -366,7 +351,7 @@ def clip(cx: CuspComplex, n: int) -> CuspComplex:
     keep = [v for v in range(len(cx)) if cx.depth[v] <= n]
     remap = {}
     for v in keep:
-        remap[v] = out.add_vertex(cx.keys[v], cx.depth[v], cx.shadow[v])
+        remap[v] = out.add_vertex(cx.keys[v], cx.depth[v])
     for v in keep:
         for u, w in cx.adj[v]:
             if u in remap and v < u:

@@ -230,18 +230,13 @@ def electric_geodesic(ball, rp: RelativePresentation, target: int) -> Word:
     return tree[target][1]
 
 
-def is_k_local_electric_geodesic(ball, rp: RelativePresentation, word: Word,
-                                 k: int) -> bool:
-    """Every subword of electric length <= k realizes the electric distance
-    between its endpoint vertices (distances measured inside the ball)."""
-    return _first_nongeodesic_segment(ball, rp, word, k) is None
-
-
 def _first_nongeodesic_segment(ball, rp, word, k):
     """Smallest window (then leftmost) with el <= k that fails to be an
-    electric geodesic; None when the word is k-locally geodesic.  One
-    ``least_costs`` sweep, parabolic moves costing 0 and the others 1,
-    gives the in-ball electric distances between all prefix vertices."""
+    electric geodesic; None when the word is k-locally geodesic, every
+    subword of el <= k realizing the electric distance between its end
+    vertices inside the ball.  One ``least_costs`` sweep, parabolic moves
+    costing 0 and the others 1, gives those distances between all prefix
+    vertices."""
     verts = ball.prefix_vertices(word)
     prefix_el = list(accumulate((_edge_weight(rp, sym) for sym in word),
                                 initial=0))

@@ -71,22 +71,19 @@ def neg_electric_height(rp) -> HeightFunction:
 
 
 def ball_b_delta(ball: GroupBall, delta: int) -> dict:
-    """Vertices of the delta-ball with their chosen representative words.
+    """Vertices of the delta-ball with their shortlex geodesic words.
 
-    The representative of g is its shortlex geodesic, whose prefixes never
-    leave the delta-ball (verified).  The identity gets the empty word.
+    The ball numbers its vertices breadth first, so word lengths never
+    fall along the vertex order: the delta-ball is the vertices 0..k-1,
+    and every prefix of a word is an earlier vertex in it.  The identity
+    gets the empty word.
     """
     if delta > ball.radius:
         raise ValueError("delta exceeds the ball radius")
     out = {}
-    for v in range(len(ball)):
-        if ball.length_of(v) > delta:
-            continue
-        z = ball.words[v]
-        for t in range(len(z) + 1):
-            u = ball.evaluate(z[:t])
-            if ball.length_of(u) > delta:
-                raise ValueError(f"representative of vertex {v} leaves the ball")
+    for v, z in enumerate(ball.words):
+        if len(z) > delta:
+            break
         out[v] = z
     return out
 
@@ -97,7 +94,11 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
     T[x][g][h] is the least value of H(x) - H(z_g^-1 w z_h) + H(z_g z_g^-1)
     over injective connecting paths w from g^-1 to x.h^-1 inside the union
     of the delta-balls at 1 and at x; +inf (math.inf) when no path exists.
-    Indices follow sorted(delta-ball vertices).
+    Indices follow the delta-ball's vertices in order.  Under the key
+    "initial" goes the deficit vector of the empty word, unclamped:
+    competitors are the words that stay inside the delta-ball, so
+    coordinate g is the least cost of reaching g^-1 from 1 there, less
+    H(z_g), and +inf when nothing reaches it.
 
     Cost: the rows T[x][g] of one letter are searches over the same set
     from every g^-1, that is from the whole delta-ball, where a letter
@@ -124,8 +125,9 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
         if sym not in h.letter_values:
             raise ValueError(f"the height has no letter value for symbol "
                              f"{sym} ({name})")
-    bdelta = sorted(ball_b_delta(ball, delta))
-    zwords = [ball.words[v] for v in bdelta]
+    ball_delta = ball_b_delta(ball, delta)
+    bdelta = list(ball_delta)
+    zwords = list(ball_delta.values())
     heights = [h(z) for z in zwords]
     inverses = [ball.evaluate(word_inverse(z)) for z in zwords]
     costs = {sym: -value for sym, value in h.letter_values.items()}
@@ -142,18 +144,9 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
             tables[y] = [[base - hh + c for hh, c in zip(heights, row)]
                          for base, row in zip((h((y,)) + hg for hg in heights),
                                               least)]
-    return {"order": bdelta, "table": tables}
-
-
-def _initial_state(ball, h, bdelta, top):
-    """Deficit vector of the empty word, clamped at top: competitors are
-    the words that stay inside the delta-ball, so coordinate g is the
-    least cost of reaching g^-1 from 1 there, less H(z_g)."""
-    zwords = [ball.words[v] for v in bdelta]
-    dsts = [ball.evaluate(word_inverse(z)) for z in zwords]
-    costs = {sym: -value for sym, value in h.letter_values.items()}
-    (row,) = least_costs(ball, costs, [0], dsts, set(bdelta))
-    return tuple(min(c - h(z), top) for c, z in zip(row, zwords))
+    (start,) = least_costs(ball, costs, [0], inverses, set(bdelta))
+    initial = [c - hg for c, hg in zip(start, heights)]
+    return {"order": bdelta, "table": tables, "initial": initial}
 
 
 _BIT_COUNTS = bytes(i.bit_count() for i in range(256))  # by byte value
@@ -261,13 +254,12 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     are grouped by value once.
     """
     kern = transition_kernel(ball, delta, h)
-    bdelta = kern["order"]
     top = 2 * h.K * delta
     symbols = range(len(ball.presentation.alphabet.symbols))
-    codes = _Thermometer([kern["table"][x] for x in symbols], len(bdelta), top)
+    codes = _Thermometer([kern["table"][x] for x in symbols],
+                         len(kern["order"]), top)
+    init = tuple(min(v, top) for v in kern["initial"])
     del kern  # the packed rows replace the table
-
-    init = _initial_state(ball, h, bdelta, top)
     if any(v < 0 for v in init):
         raise ValueError("the empty word is not maximizing for this height")
 

@@ -242,18 +242,17 @@ class LinkingMatrix:
 
 @dataclass(frozen=True)
 class Filling:
+    """The slope u/v of a Dehn filling.  The longitude's image (p, q),
+    with p*v + q*u = 1, is not stored: no invariant here depends on it
+    (see h1_presentation)."""
     u: int
     v: int
-    p: int = None
-    q: int = None
 
     def __post_init__(self):
-        if gcd(self.u, self.v) != 1:
-            raise ValueError(f"({self.u},{self.v}) is not coprime")
-        if (self.p is None) != (self.q is None):
-            raise ValueError("p and q come together")
-        if self.p is not None and self.p * self.v + self.q * self.u != 1:
-            raise ValueError("need p*v + q*u = 1")
+        g = gcd(self.u, self.v)
+        if g != 1:
+            raise ValueError(f"slope {self.u}/{self.v} is not primitive "
+                             f"(gcd {g})")
 
     def ratio(self):
         if self.v == 0:
@@ -489,54 +488,32 @@ def _solve_exact(mat, rhs):
 
 
 def h1_presentation(k: LinkingMatrix, fillings):
-    """Integer presentation of the filled manifold's first homology.
+    """Free-rank lower bound and torsion of the filled manifold's first
+    homology, as (rank_bound, torsion).
 
-    Rows of the gluing map: for each filled torus i,
+    Filling torus i glues in two relations, in the basis (alpha_1..alpha_n,
+    e_1..e_nf):
       lambda_i -> p_i*alpha_i + q_i*sum_j k_ij*alpha_j + e_i
       mu_i     -> u_i*alpha_i + v_i*sum_j k_ij*alpha_j
-    in the basis (alpha_1..alpha_n, e_1..e_{n-m}).  Returns the
-    presentation matrix (columns are relations), the free-rank lower
-    bound for H_1 of the filled manifold, and its diagonal torsion.
-
-    The invariants come from the Smith form of the n x nf meridian block
-    M[j][i] = v_i*k_ij + [i == j]*u_i alone.  e_i occurs only in
-    lambda_i, with coefficient 1, so row operations against e_i's row
-    clear the rest of lambda_i's column: each lambda_i splits off a
-    unit factor, leaving M.  Smith forms are unique, so the free rank
-    is n minus M's nonzero diagonal entries and the torsion is M's
-    entries above 1.
+    e_i occurs only in lambda_i, with coefficient 1, so row operations
+    against e_i's row clear the rest of lambda_i's column: each lambda_i
+    splits off a unit factor, and (p_i, q_i) never reach an invariant.
+    What is left is the n x nf meridian block
+    M[j][i] = v_i*k_ij + [i == j]*u_i.  Smith forms are unique, so the
+    free rank is n minus M's nonzero diagonal entries and the torsion is
+    M's entries above 1.
     """
     n = k.n
     nf = len(fillings)
-    m = n - nf
-    if m < 0:
+    if nf > n:
         raise ValueError("more fillings than components")
-    rows = []
-    for i, f in enumerate(fillings):
-        if f is None or f.p is None:
-            raise ValueError(f"filling {i} needs its (p,q) pair")
-        lam = [0] * (n + nf)
-        mu = [0] * (n + nf)
-        for j in range(n):
-            lam[j] = f.q * k.entries[i][j]
-            mu[j] = f.v * k.entries[i][j]
-        lam[i] += f.p
-        mu[i] += f.u
-        lam[n + i] = 1
-        rows.append(tuple(lam))
-        rows.append(tuple(mu))
-    cols = n + nf  # = 2n - m
-    # relations become columns of the presentation
-    pres = IntMatrix(cols, len(rows),
-                     tuple(zip(*rows)) if rows else ((),) * cols)
-    # the alpha rows at the mu columns
-    meridians = [list(pres.entries[j][1::2]) for j in range(n)]
+    meridians = [[f.v * k.entries[i][j] + (f.u if i == j else 0)
+                  for i, f in enumerate(fillings)] for j in range(n)]
     _smith(meridians, nf, [], [])
-    diag = [meridians[i][i] for i in range(min(n, nf))]
-    nonzero = sum(1 for x in diag if x != 0)
-    rank_bound = n - nonzero
+    diag = [meridians[i][i] for i in range(nf)]
+    rank_bound = n - sum(1 for x in diag if x != 0)
     torsion = tuple(x for x in diag if x > 1)
-    return (pres, rank_bound, torsion)
+    return (rank_bound, torsion)
 
 
 def kernel_rank(rank_bound: int, unfilled: int) -> int:

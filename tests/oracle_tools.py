@@ -281,8 +281,9 @@ def _best_additive(ball, allowed, weights, src, dst):
 
 
 def reference_kernel(ball, delta, h):
-    """{"order", "table"} with table[x][gi][hi] as transition_kernel
-    defines it, one search per entry."""
+    """{"order", "table", "initial"} with table[x][gi][hi] as
+    transition_kernel defines it, one search per entry, and initial from
+    reference_initial_state with +inf for None."""
     nsym = len(ball.presentation.alphabet.symbols)
     weights = h.letter_values
     order = sorted(v for v in range(len(ball)) if ball.length_of(v) <= delta)
@@ -305,7 +306,9 @@ def reference_kernel(ball, delta, h):
                     row.append(h((x,)) + h(zg) - h(zh) - sup)
             table.append(row)
         tables[x] = table
-    return {"order": order, "table": tables}
+    initial = [math.inf if v is None else v
+               for v in reference_initial_state(ball, delta, h)]
+    return {"order": order, "table": tables, "initial": initial}
 
 
 def reference_initial_state(ball, delta, h):
@@ -572,6 +575,49 @@ def reference_snf(a):
             IntMatrix.from_rows(v))
 
 
+def _longitude_pair(u, v):
+    """Some (p, q) with p*v + q*u = 1, by the extended Euclid run."""
+    old_r, r = v, u
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r == -1:
+        old_r, old_s, old_t = 1, -old_s, -old_t
+    assert old_r == 1, (u, v)
+    return old_s, old_t
+
+
+def reference_h1_presentation(k, fillings, turns=0):
+    """The whole presentation matrix of the filled manifold's first
+    homology, columns being relations: for each filled torus i,
+      lambda_i -> p_i*alpha_i + q_i*sum_j k_ij*alpha_j + e_i
+      mu_i     -> u_i*alpha_i + v_i*sum_j k_ij*alpha_j
+    in the basis (alpha_1..alpha_n, e_1..e_nf).  (p_i, q_i) is the
+    extended Euclid pair moved by turns*(u_i, -v_i), which keeps
+    p_i*v_i + q_i*u_i = 1, so different turns glue the same slopes
+    with different longitudes."""
+    from relhyp.homology import IntMatrix
+
+    n, nf = k.n, len(fillings)
+    rows = []
+    for i, f in enumerate(fillings):
+        p, q = _longitude_pair(f.u, f.v)
+        p, q = p + turns * f.u, q - turns * f.v
+        assert p * f.v + q * f.u == 1
+        lam = [q * x for x in k.entries[i]] + [0] * nf
+        mu = [f.v * x for x in k.entries[i]] + [0] * nf
+        lam[i] += p
+        mu[i] += f.u
+        lam[n + i] = 1
+        rows += [lam, mu]
+    cols = list(zip(*rows)) if rows else [()] * (n + nf)
+    return IntMatrix(n + nf, len(rows), tuple(cols))
+
+
 def reference_is_coboundary(tau, ball):
     """(True, {v: Fraction}) when tau(g,h) = f(g) + f(h) - f(gh) is
     solvable over every defined in-ball pair, else (False, None)."""
@@ -820,8 +866,21 @@ def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
 
 
 # ---------------------------------------------------------------------------
-# Cusp thinness reference for any weighted graph: the push-every-neighbour
-# Dijkstra, the tie-broken walk-back and the full gap scan, as first written.
+# Cusp references: the length of a path read off its edges, and for any
+# weighted graph the push-every-neighbour Dijkstra, the tie-broken walk-back
+# and the full thinness gap scan, as first written.
+
+def path_length(cx, path):
+    """Sum of the edge lengths along a vertex path of a cusp complex;
+    ValueError at the first pair of consecutive vertices with no edge."""
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        w = next((w for t, w in cx.adj[u] if t == v), None)
+        if w is None:
+            raise ValueError(f"vertices {u} and {v} are not adjacent")
+        total += w
+    return total
+
 
 def reference_dijkstra(adj, src):
     """Distances from src, None where unreached.  Pushes every candidate

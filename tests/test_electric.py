@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from relhyp.cayley import build_ball, least_costs
 from relhyp.electric import (
-    ParabolicFamily, RelativePresentation, _canonical_splice, bcp_scan,
-    coset_reduce, coset_table, electric_area_exact,
-    electric_area_upper, electric_geodesic, electric_length,
-    is_k_local_electric_geodesic, penetrations,
+    ParabolicFamily, RelativePresentation, _canonical_splice,
+    _first_nongeodesic_segment, bcp_scan, coset_reduce, coset_table,
+    electric_area_exact, electric_area_upper, electric_geodesic,
+    electric_length, penetrations,
 )
 from relhyp.words import (
     Alphabet, Presentation, free_reduce, relator_forms, word_inverse,
@@ -175,14 +175,18 @@ def test_electric_geodesic_frozen(ball_z2_6, rp_z2):
     assert ball_z2_6.evaluate(w) == v
 
 
+def _is_k_local(ball, rp, word, k):
+    return _first_nongeodesic_segment(ball, rp, word, k) is None
+
+
 def test_k_local_electric_geodesic(ball_z2_6, rp_z2):
     alpha = rp_z2.base.alphabet
-    assert is_k_local_electric_geodesic(ball_z2_6, rp_z2, alpha.parse("bbbbb"), 3)
-    assert is_k_local_electric_geodesic(ball_z2_6, rp_z2, alpha.parse("ab"), 2)
+    assert _is_k_local(ball_z2_6, rp_z2, alpha.parse("bbbbb"), 3)
+    assert _is_k_local(ball_z2_6, rp_z2, alpha.parse("ab"), 2)
     # abbbA closes up in the x direction: el 2 window with distance 0
-    assert not is_k_local_electric_geodesic(ball_z2_6, rp_z2, alpha.parse("abbbA"), 2)
+    assert not _is_k_local(ball_z2_6, rp_z2, alpha.parse("abbbA"), 2)
     # but no window of el <= 1 fails
-    assert is_k_local_electric_geodesic(ball_z2_6, rp_z2, alpha.parse("abbbA"), 1)
+    assert _is_k_local(ball_z2_6, rp_z2, alpha.parse("abbbA"), 1)
 
 
 def test_k_local_matches_every_window(ball_z2_8_shared, rp_z2_shared,
@@ -195,7 +199,7 @@ def test_k_local_matches_every_window(ball_z2_8_shared, rp_z2_shared,
             w = tuple(rng.randrange(nsym)
                       for _ in range(rng.randint(0, ball.radius)))
             for k in (1, 2, 3):
-                got = is_k_local_electric_geodesic(ball, rp, w, k)
+                got = _is_k_local(ball, rp, w, k)
                 assert got == reference_is_k_local(ball, rp, w, k), (w, k)
                 verdicts.add(got)
     assert verdicts == {True, False}

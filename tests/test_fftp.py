@@ -22,7 +22,7 @@ from relhyp.words import Alphabet, Presentation, word_inverse
 
 from oracle_tools import (
     maximizing_words_bruteforce, reference_build_fftp_automaton,
-    reference_initial_state, reference_kernel, reference_min_plus_step,
+    reference_kernel, reference_min_plus_step,
 )
 
 
@@ -159,11 +159,10 @@ def test_kernel_matches_pairwise_reference():
         for delta in deltas:
             ball = build_ball(pres, delta + 1)
             case = (gens, relators, spec, delta)
-            assert transition_kernel(ball, delta, h) == \
-                reference_kernel(ball, delta, h), case
+            ref = reference_kernel(ball, delta, h)
+            assert transition_kernel(ball, delta, h) == ref, case
             top = 2 * h.K * delta
-            init = tuple(top if v is None else min(v, top)
-                         for v in reference_initial_state(ball, delta, h))
+            init = tuple(min(v, top) for v in ref["initial"])
             assert build_fftp_automaton(ball, delta, h).state_vectors[0] \
                 == init, case
 

@@ -7,8 +7,9 @@ existed.
 
 The reference tests compare filling_nullity_certificate (ranks included)
 and surgery_solve with results built from a plain Fraction Gauss-Jordan
-(oracle_tools.reference_rref) on seeded matrices, and snf and
-h1_presentation with oracle_tools.reference_snf.
+(oracle_tools.reference_rref) on seeded matrices, snf with
+oracle_tools.reference_snf, and h1_presentation with reference_snf of
+the whole presentation (oracle_tools.reference_h1_presentation).
 """
 
 import random
@@ -17,7 +18,9 @@ from math import gcd, lcm
 
 import pytest
 
-from oracle_tools import reference_rref, reference_snf
+from oracle_tools import (
+    reference_h1_presentation, reference_rref, reference_snf,
+)
 from relhyp.homology import (
     Filling, FillingMatrix, IntMatrix, LinkingMatrix,
     filling_matrix, filling_nullity_certificate, h1_presentation,
@@ -149,13 +152,9 @@ def test_filling_validation():
     f = Filling(5, 1)
     assert f.ratio() == 5
     assert Filling(1, 0).ratio() is None
-    Filling(0, 1, p=1, q=0)
-    with pytest.raises(ValueError):
+    Filling(0, 1)
+    with pytest.raises(ValueError, match="not primitive"):
         Filling(2, 4)
-    with pytest.raises(ValueError):
-        Filling(2, 1, p=1, q=1)  # p*v + q*u = 3
-    with pytest.raises(ValueError):
-        Filling(2, 1, p=1)
 
 
 def test_filling_matrix_frozen():
@@ -266,75 +265,51 @@ def test_surgery_errors():
         surgery_solve([[0, 1, 1], [-1, 0, 1]], (0,))
 
 
-def _pq_for(u, v):
-    # extended euclid: p*v + q*u = 1
-    old_r, r = v, u
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r == -1:
-        old_r, old_s, old_t = 1, -old_s, -old_t
-    assert old_r == 1
-    return old_s, old_t
-
-
 def test_h1_presentation_frozen():
     k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
-    fills = [Filling(0, 1, p=1, q=0), Filling(0, 1, p=1, q=0)]
-    pres, bound, torsion = h1_presentation(k, fills)
-    assert (pres.rows, pres.cols) == (4, 4)
+    fills = [Filling(0, 1), Filling(0, 1)]
+    bound, torsion = h1_presentation(k, fills)
     assert bound == 0
     assert torsion == ()
 
     # meridian refill gives back the sphere
-    fills = [Filling(1, 0, p=0, q=1), Filling(1, 0, p=0, q=1)]
-    _, bound, torsion = h1_presentation(k, fills)
+    fills = [Filling(1, 0), Filling(1, 0)]
+    bound, torsion = h1_presentation(k, fills)
     assert bound == 0 and torsion == ()
 
     # single unknot component, (2,1) surgery: a lens space
     k1 = LinkingMatrix.from_rows([[0]])
-    _, bound, torsion = h1_presentation(k1, [Filling(2, 1, p=1, q=0)])
+    bound, torsion = h1_presentation(k1, [Filling(2, 1)])
     assert bound == 0
     assert torsion == (2,)
 
 
 def test_h1_no_fillings():
     k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
-    pres, bound, torsion = h1_presentation(k, [])
-    assert (pres.rows, pres.cols) == (2, 0)
+    bound, torsion = h1_presentation(k, [])
     assert bound == 2 and torsion == ()
-    _, bound, _ = h1_presentation(LinkingMatrix.from_rows([[0]]), [])
+    bound, _ = h1_presentation(LinkingMatrix.from_rows([[0]]), [])
     assert bound == 1
 
 
 def test_h1_errors():
     k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
-    with pytest.raises(ValueError):
-        h1_presentation(k, [Filling(0, 1), Filling(0, 1)])  # missing (p,q)
-    with pytest.raises(ValueError):
-        h1_presentation(k, [Filling(0, 1, p=1, q=0)] * 3)
+    with pytest.raises(ValueError, match="more fillings"):
+        h1_presentation(k, [Filling(0, 1)] * 3)
 
 
 def test_kernel_rank_from_h1_presentation():
     def report(k, fills):
-        return kernel_rank(h1_presentation(k, fills)[1], k.n - len(fills))
+        return kernel_rank(h1_presentation(k, fills)[0], k.n - len(fills))
 
     k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
     wish = wishful_fillings(k.entries, 100)
-    fills = []
-    for f in wish.fillings:
-        p, q = _pq_for(f.u, f.v)
-        fills.append(Filling(f.u, f.v, p=p, q=q))
-    assert report(k, fills) == 1
+    assert report(k, list(wish.fillings)) == 1
 
     zero_k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
     assert report(zero_k, []) == 0
 
-    hopf_fills = [Filling(0, 1, p=1, q=0), Filling(0, 1, p=1, q=0)]
+    hopf_fills = [Filling(0, 1), Filling(0, 1)]
     assert report(k, hopf_fills) == 0
 
 
@@ -360,9 +335,8 @@ def test_sublemma_identity_random():
                 u, v = rng.randint(-6, 6), rng.randint(0, 6)
                 if gcd(u, v) == 1:
                     break
-            p, q = _pq_for(u, v)
-            fills.append(Filling(u, v, p=p, q=q))
-        _, bound, _ = h1_presentation(k, fills)
+            fills.append(Filling(u, v))
+        bound, _ = h1_presentation(k, fills)
         m = n - nf
         b = filling_matrix(k, fills)
         nullity, _ = filling_nullity_certificate(b)
@@ -579,7 +553,8 @@ _SLOPES = ((1, 0), (1, 1), (-1, 1), (1, -1), (2, 1), (-3, 2),
 
 def test_h1_presentation_matches_reference():
     """h1_presentation's invariants, read from the meridian block, equal
-    those of reference_snf on the whole presentation."""
+    those of reference_snf on the whole presentation, built with two
+    different longitude pairs (p, q) per slope."""
     rng = random.Random(10)
     torsion_cases = rank_cases = 0
     for convention in ("skew", "symmetric"):
@@ -592,14 +567,16 @@ def test_h1_presentation_matches_reference():
                     # free rank beyond the unfilled components
                     u, v = (0, 1) if rng.random() < 0.3 else \
                         rng.choice(_SLOPES)
-                    p, q = _pq_for(u, v)
-                    fills.append(Filling(u, v, p=p, q=q))
-                pres, bound, torsion = h1_presentation(k, fills)
-                assert (pres.rows, pres.cols) == (n + nf, 2 * nf)
-                _, d, _ = reference_snf(pres)
-                diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-                assert bound == pres.rows - sum(1 for x in diag if x != 0)
-                assert torsion == tuple(x for x in diag if x > 1)
+                    fills.append(Filling(u, v))
+                bound, torsion = h1_presentation(k, fills)
+                for turns in (0, 1):
+                    pres = reference_h1_presentation(k, fills, turns)
+                    assert (pres.rows, pres.cols) == (n + nf, 2 * nf)
+                    _, d, _ = reference_snf(pres)
+                    diag = [d.entries[i][i]
+                            for i in range(min(d.rows, d.cols))]
+                    assert bound == pres.rows - sum(1 for x in diag if x)
+                    assert torsion == tuple(x for x in diag if x > 1)
                 torsion_cases += torsion != ()
                 rank_cases += bound > n - nf
     assert torsion_cases >= 20

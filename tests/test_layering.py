@@ -104,10 +104,6 @@ def _names_outside_own_definition(path):
 KEPT = {
     "replay_certificate": "the independent check of the oracle's "
                           "'trivial' certificates",
-    "path_length": "the oracle that geodesic_path and deepen_replace "
-                   "are checked against",
-    "is_k_local_electric_geodesic": "the public face of the segment "
-                                    "test inside electric_area_upper",
     "WordProblemOracle.decide": "perfbench/spans.py wraps it to count "
                                 "the oracle's verdicts",
 }
