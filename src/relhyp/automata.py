@@ -33,9 +33,6 @@ class Dfa:
             if not 0 <= s < self.n:
                 raise ValueError("accept state out of range")
 
-    def step(self, state, sym):
-        return self.transitions[state][sym]
-
 
 class Nfa:
     def __init__(self, n, transitions, accept, symbols, initial):
@@ -101,16 +98,21 @@ def determinize(nfa: Nfa) -> Dfa:
     return Dfa(rows, accept, nfa.symbols, initial=0)
 
 
-def accessible_states(dfa: Dfa):
-    seen = {dfa.initial}
-    q = deque([dfa.initial])
-    while q:
-        s = q.popleft()
-        for t in dfa.transitions[s]:
+def _reach(starts, successors):
+    """The states reachable from starts, where successors[s] lists the
+    states one step on from s."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for t in successors[stack.pop()]:
             if t not in seen:
                 seen.add(t)
-                q.append(t)
+                stack.append(t)
     return seen
+
+
+def accessible_states(dfa: Dfa):
+    return _reach({dfa.initial}, dfa.transitions)
 
 
 def coaccessible_states(dfa: Dfa):
@@ -118,15 +120,7 @@ def coaccessible_states(dfa: Dfa):
     for s, row in enumerate(dfa.transitions):
         for t in row:
             back[t].append(s)
-    seen = set(dfa.accept)
-    q = deque(seen)
-    while q:
-        s = q.popleft()
-        for p in back[s]:
-            if p not in seen:
-                seen.add(p)
-                q.append(p)
-    return seen
+    return _reach(dfa.accept, back)
 
 
 def live_states(dfa: Dfa):
@@ -143,67 +137,33 @@ def prune_inaccessible(dfa: Dfa) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft partition refinement on the accessible part."""
+    """Moore partition refinement on the accessible part.
+
+    Blocks start as accept and reject.  Each round numbers the distinct
+    signatures (own block, then successors' blocks in symbol order) by
+    first appearance, so blocks are numbered by their least states.  A
+    round only splits blocks, and the first that splits none ends the
+    refinement.  Each round but the last adds a block, so rounds <= final
+    blocks, each O(n k).  A chain of n states with only the last
+    accepting needs n - 1 rounds.
+    """
     dfa = prune_inaccessible(dfa)
-    k = len(dfa.symbols)
-    back = [[set() for _ in range(k)] for _ in range(dfa.n)]
-    for s, row in enumerate(dfa.transitions):
-        for sym, t in enumerate(row):
-            back[t][sym].add(s)
-
-    acc = set(dfa.accept)
-    rej = set(range(dfa.n)) - acc
-    partition = [blk for blk in (acc, rej) if blk]
-    block_of = {}
-    for i, blk in enumerate(partition):
-        for s in blk:
-            block_of[s] = i
-    # seed the worklist with the smaller half (that's the Hopcroft trick)
-    work = deque()
-    if len(partition) == 2:
-        work.append(min(range(2), key=lambda i: len(partition[i])))
-    else:
-        work.append(0)
-    queued = {w for w in work}
-
-    while work:
-        splitter = work.popleft()
-        queued.discard(splitter)
-        splitter_states = set(partition[splitter])
-        for sym in range(k):
-            pre = set()
-            for t in splitter_states:
-                pre |= back[t][sym]
-            touched = {}
-            for s in pre:
-                touched.setdefault(block_of[s], set()).add(s)
-            for bi, inside in touched.items():
-                blk = partition[bi]
-                if len(inside) == len(blk):
-                    continue
-                rest = blk - inside
-                partition[bi] = inside
-                partition.append(rest)
-                ni = len(partition) - 1
-                for s in rest:
-                    block_of[s] = ni
-                if bi in queued:
-                    work.append(ni)
-                    queued.add(ni)
-                else:
-                    smaller = bi if len(inside) <= len(rest) else ni
-                    work.append(smaller)
-                    queued.add(smaller)
-
-    order = sorted(range(len(partition)), key=lambda i: min(partition[i]))
-    newindex = {old: new for new, old in enumerate(order)}
-    rep = {newindex[old]: min(partition[old]) for old in order}
-    rows = []
-    for i in range(len(order)):
-        s = rep[i]
-        rows.append([newindex[block_of[dfa.transitions[s][sym]]] for sym in range(k)])
-    accept = {newindex[i] for i, blk in enumerate(partition) if next(iter(blk)) in dfa.accept}
-    return Dfa(rows, accept, dfa.symbols, initial=newindex[block_of[dfa.initial]])
+    block = [s in dfa.accept for s in range(dfa.n)]
+    count = len(set(block))
+    while True:
+        ids = {}
+        block = [ids.setdefault((block[s], *[block[t] for t in row]),
+                                len(ids))
+                 for s, row in enumerate(dfa.transitions)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+    # the partition is stable: a block's states all have the same row of
+    # blocks, and the dict keeps the blocks in order
+    rows = [[block[t] for t in row]
+            for row in dict(zip(block, dfa.transitions)).values()]
+    accept = {block[s] for s in dfa.accept}
+    return Dfa(rows, accept, dfa.symbols, initial=block[dfa.initial])
 
 
 def language_equal(d1: Dfa, d2: Dfa):

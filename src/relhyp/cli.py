@@ -71,6 +71,13 @@ class PresentationParseError(UsageError):
 _TOKEN = re.compile(r"\S+")   # a whitespace-separated token, as str.split
 
 
+def _integer(text: str):
+    """The integer text spells as [+-]?[0-9]+, else None: int() would also
+    take other scripts' digits, underscores and surrounding whitespace."""
+    digits = text[1:] if text[:1] in "+-" else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def parse_presentation(text: str) -> RelativePresentation:
     """Parse the sectioned presentation format; symbol order = file order."""
     gens: list = []
@@ -192,44 +199,38 @@ def serialize_presentation(rp: RelativePresentation) -> str:
 def parse_matrix_file(text: str):
     """Plain text matrix: first line "rows cols", then rows of integer
     entries."""
-    lines = text.splitlines()
-    header = None
-    body_at = 0
-    for ln, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            header = (stripped, ln)
-            body_at = ln
-            break
-    if header is None:
-        raise UsageError("empty matrix file")
-    parts = header[0].split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise UsageError(
-            f'line {header[1]}: matrix header must be "rows cols"')
-    nrows, ncols = int(parts[0]), int(parts[1])
+    shape = None
     rows = []
-    for ln in range(body_at, len(lines)):
-        line = lines[ln].split("#", 1)[0]
-        if not line.strip():
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = list(_TOKEN.finditer(raw.split("#", 1)[0]))
+        if not toks:
             continue
-        row = [_parse_entry(m.group(), ln + 1, m.start() + 1)
-               for m in _TOKEN.finditer(line)]
-        if len(row) != ncols:
+        if shape is None:
+            shape = [_integer(m.group()) for m in toks]
+            bad = [m for m, d in zip(toks, shape) if d is None or d < 0]
+            if bad or len(shape) != 2:
+                raise PresentationParseError(
+                    'matrix header must be "rows cols"', ln,
+                    (bad or toks)[0].start() + 1)
+            continue
+        row = [_parse_entry(m.group(), ln, m.start() + 1) for m in toks]
+        if len(row) != shape[1]:
             raise UsageError(
-                f"line {ln + 1}: expected {ncols} entries, got {len(row)}")
+                f"line {ln}: expected {shape[1]} entries, got {len(row)}")
         rows.append(tuple(row))
-    if len(rows) != nrows:
-        raise UsageError(f"expected {nrows} rows, got {len(rows)}")
+    if shape is None:
+        raise UsageError("empty matrix file")
+    if len(rows) != shape[0]:
+        raise UsageError(f"expected {shape[0]} rows, got {len(rows)}")
     return rows
 
 
 def _parse_entry(tok: str, line: int, col: int):
-    try:
-        return int(tok)
-    except ValueError:
-        raise UsageError(f"line {line}, column {col}: bad matrix entry "
-                         f"{tok!r}; entries must be integers") from None
+    value = _integer(tok)
+    if value is None:
+        raise PresentationParseError(
+            f"bad matrix entry {tok!r}; entries must be integers", line, col)
+    return value
 
 
 def parse_slopes(text: str):
@@ -243,12 +244,13 @@ def parse_slopes(text: str):
         if tok == "*":
             out.append(None)
             continue
+        col = raw.index(tok) + 1
         u_s, _, v_s = tok.partition("/")
-        try:
-            u = int(u_s)
-            v = int(v_s) if v_s else 1
-        except ValueError:
-            raise UsageError(f"line {ln}: bad slope {tok!r}") from None
+        u, v = _integer(u_s), _integer(v_s) if v_s else 1
+        if u is None or v is None:
+            raise PresentationParseError(
+                f"bad slope {tok!r}", ln,
+                col if u is None else col + len(u_s) + 1)
         try:
             out.append(Filling(u, v))
         except ValueError as e:
@@ -287,10 +289,11 @@ def parse_cocycle_file(text: str, rp: RelativePresentation, ball):
                         f"ball; raise --radius")
                 vertex[tok] = v
             verts.append(v)
-        try:
-            value = int(toks[2])
-        except ValueError:
-            raise UsageError(f"line {ln}: bad value {toks[2]!r}") from None
+        value = _integer(toks[2])
+        if value is None:
+            # the last token: no later match fits before the line ends
+            raise PresentationParseError(
+                f"bad value {toks[2]!r}", ln, line.rindex(toks[2]) + 1)
         key = (verts[0], verts[1])
         if key in table and table[key] != value:
             raise UsageError(
@@ -609,7 +612,7 @@ def cmd_dehn_fill(args):
         raise UsageError(f"{k.n} components need {k.n} slope lines "
                          f"(use * for unfilled), got {len(fillings)}")
     fm = filling_matrix(k, fillings)
-    nullity, basis = filling_nullity_certificate(fm)
+    nullity, basis = filling_nullity_certificate(fm.rows)
     filled = [f for f in fillings if f is not None]
     trailing_unfilled = all(f is not None for f in fillings[:len(filled)])
     h1 = None
@@ -675,10 +678,7 @@ def cmd_cocycle_check(args):
 def _count(text: str) -> int:
     """argparse type of --budget, --depth-cap, --radius and --delta: an
     integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
+    value = _integer(text)
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")

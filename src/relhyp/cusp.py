@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from .cayley import GroupBall
-from .electric import RelativePresentation, coset_table
+from .electric import RelativePresentation
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
         cx.add_vertex(("g", b), 0)
     for u, v in _base_edges(g_ball):
         cx.add_edge(cx.ids["g", u], cx.ids["g", v], 1.0)
-    tables = coset_table(g_ball, rp)
     for fi, fam in enumerate(rp.families):
         syms = fam.symbols()
         for b in range(len(g_ball)):
@@ -134,8 +133,6 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
                 if v is None or v == u or (min(u, v), max(u, v)) in seen:
                     continue
                 seen.add((min(u, v), max(u, v)))
-                if tables[fi][u] != tables[fi][v]:
-                    raise AssertionError("parabolic edge crosses cosets")
                 for i in range(1, params.depth_cap + 1):
                     cx.add_edge(cx.ids[fi, u, i], cx.ids[fi, v, i],
                                 params.horizontal_length(i))

@@ -22,6 +22,7 @@ mattering).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -70,22 +71,16 @@ def neg_electric_height(rp) -> HeightFunction:
     return HeightFunction(values)
 
 
-def ball_b_delta(ball: GroupBall, delta: int) -> dict:
-    """Vertices of the delta-ball with their shortlex geodesic words.
+def ball_b_delta(ball: GroupBall, delta: int) -> int:
+    """The number k of vertices in the delta-ball.
 
     The ball numbers its vertices breadth first, so word lengths never
     fall along the vertex order: the delta-ball is the vertices 0..k-1,
-    and every prefix of a word is an earlier vertex in it.  The identity
-    gets the empty word.
+    and every prefix of a word is an earlier vertex in it.
     """
     if delta > ball.radius:
         raise ValueError("delta exceeds the ball radius")
-    out = {}
-    for v, z in enumerate(ball.words):
-        if len(z) > delta:
-            break
-        out[v] = z
-    return out
+    return bisect_right(ball.words, delta, key=len)
 
 
 def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
@@ -125,9 +120,8 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
         if sym not in h.letter_values:
             raise ValueError(f"the height has no letter value for symbol "
                              f"{sym} ({name})")
-    ball_delta = ball_b_delta(ball, delta)
-    bdelta = list(ball_delta)
-    zwords = list(ball_delta.values())
+    bdelta = range(ball_b_delta(ball, delta))
+    zwords = ball.words[:len(bdelta)]
     heights = [h(z) for z in zwords]
     inverses = [ball.evaluate(word_inverse(z)) for z in zwords]
     costs = {sym: -value for sym, value in h.letter_values.items()}
@@ -146,7 +140,7 @@ def transition_kernel(ball: GroupBall, delta: int, h: HeightFunction) -> dict:
                                               least)]
     (start,) = least_costs(ball, costs, [0], inverses, set(bdelta))
     initial = [c - hg for c, hg in zip(start, heights)]
-    return {"order": bdelta, "table": tables, "initial": initial}
+    return {"table": tables, "initial": initial}
 
 
 _BIT_COUNTS = bytes(i.bit_count() for i in range(256))  # by byte value
@@ -257,7 +251,7 @@ def build_fftp_automaton(ball: GroupBall, delta: int, h: HeightFunction,
     top = 2 * h.K * delta
     symbols = range(len(ball.presentation.alphabet.symbols))
     codes = _Thermometer([kern["table"][x] for x in symbols],
-                         len(kern["order"]), top)
+                         len(kern["initial"]), top)
     init = tuple(min(v, top) for v in kern["initial"])
     del kern  # the packed rows replace the table
     if any(v < 0 for v in init):

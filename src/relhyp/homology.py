@@ -231,11 +231,6 @@ class LinkingMatrix:
                     raise ValueError(f"{self.convention} symmetry violated "
                                      f"at ({i},{j})")
 
-    @classmethod
-    def from_rows(cls, rows, convention="skew"):
-        return cls(len(rows), tuple(tuple(int(x) for x in r) for r in rows),
-                   convention)
-
     def row(self, i):
         return self.entries[i]
 
@@ -312,10 +307,9 @@ def _primitive(vec):
     return tuple(ints)
 
 
-def filling_nullity_certificate(b):
-    """Left-kernel basis of the filling matrix: (nullity, primitive
+def filling_nullity_certificate(rows):
+    """Left-kernel basis of the filling matrix rows B: (nullity, primitive
     integer vectors alpha with alpha . B = 0)."""
-    rows = b.rows if isinstance(b, FillingMatrix) else tuple(b)
     if not rows:
         return (0, ())
     ncols = len(rows[0])

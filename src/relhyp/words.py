@@ -109,9 +109,6 @@ class Presentation:
                     raise ValueError(f"relator symbol out of range: {sym}")
         object.__setattr__(self, "relators", rels)
 
-    def parse(self, text: str) -> Word:
-        return self.alphabet.parse(text)
-
 
 def relator_forms(relators) -> tuple:
     """All cyclic rotations of each relator and of its inverse, deduplicated.

@@ -281,7 +281,7 @@ def _best_additive(ball, allowed, weights, src, dst):
 
 
 def reference_kernel(ball, delta, h):
-    """{"order", "table", "initial"} with table[x][gi][hi] as
+    """{"table", "initial"} with table[x][gi][hi] as
     transition_kernel defines it, one search per entry, and initial from
     reference_initial_state with +inf for None."""
     nsym = len(ball.presentation.alphabet.symbols)
@@ -308,7 +308,7 @@ def reference_kernel(ball, delta, h):
         tables[x] = table
     initial = [math.inf if v is None else v
                for v in reference_initial_state(ball, delta, h)]
-    return {"order": order, "table": tables, "initial": initial}
+    return {"table": tables, "initial": initial}
 
 
 def reference_initial_state(ball, delta, h):
@@ -420,6 +420,51 @@ def maximizing_words_bruteforce(ball, h, g, len_cap):
         if not frontier:
             break
     return out
+
+
+# ---------------------------------------------------------------------------
+# DFA minimization by table filling: pairwise distinguishability, nothing
+# shared with the partition refinement in relhyp.automata.minimize.
+
+def reference_minimize(transitions, accept, initial):
+    """(transitions, accept, initial) of the minimal DFA of the accessible
+    part, states numbered by the least original state they merge and each
+    taking that state's row, as relhyp.automata.minimize numbers them.
+
+    A pair of states is apart when one accepts and the other does not, or
+    when some letter takes it to an apart pair; marking runs backwards
+    from the accept/reject pairs along the inverse edges, pair by pair.
+    """
+    reach = {initial}
+    stack = [initial]
+    while stack:
+        for t in transitions[stack.pop()]:
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    states = sorted(reach)
+    into = {}   # (state, letter) -> the states that letter takes there
+    for s in states:
+        for sym, t in enumerate(transitions[s]):
+            into.setdefault((t, sym), []).append(s)
+    apart = {(p, q) for p in states for q in states
+             if (p in accept) != (q in accept)}
+    work = list(apart)
+    while work:
+        p, q = work.pop()
+        for sym in range(len(transitions[initial])):
+            for a in into.get((p, sym), ()):
+                for b in into.get((q, sym), ()):
+                    if (a, b) not in apart:
+                        apart.add((a, b))
+                        work.append((a, b))
+    least = {q: min(p for p in states if (p, q) not in apart)
+             for q in states}
+    reps = sorted(set(least.values()))
+    number = {r: i for i, r in enumerate(reps)}
+    rows = [[number[least[t]] for t in transitions[r]] for r in reps]
+    return (rows, {number[r] for r in reps if r in accept},
+            number[least[initial]])
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ def test_criterion_12_surgery_pipeline():
             continue
         k = LinkingMatrix(n, tuple(tuple(r) for r in entries))
         fillings = list(wf.fillings)
-        nullity, _ = filling_nullity_certificate(filling_matrix(k, fillings))
+        nullity, _ = filling_nullity_certificate(
+            filling_matrix(k, fillings).rows)
         assert nullity >= 1
         rank_bound, _ = h1_presentation(k, fillings)
         m = 0

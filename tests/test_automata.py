@@ -7,6 +7,8 @@ from relhyp.automata import (
     nfa_run, prefix_closed, prune_inaccessible,
 )
 
+from oracle_tools import reference_minimize
+
 SYMS = ("a", "A", "b", "B")
 
 
@@ -140,6 +142,46 @@ def test_minimize_idempotent_random():
         assert m1.n == m2.n
         eq, cex = language_equal(m1, d)
         assert eq, cex
+
+
+def random_dfa(rng):
+    # few accepting states and short rows, so that states often merge
+    n = rng.randint(1, 12)
+    k = rng.randint(1, 3)
+    rows = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    accept = {s for s in range(n) if rng.random() < 0.3}
+    return Dfa(rows, accept, tuple("xyz"[:k]), initial=rng.randrange(n))
+
+
+def chain_dfa(n):
+    # x steps along the chain, y stays put; only the last state accepts,
+    # so every state is distinct and each refinement round splits one off
+    rows = [[min(s + 1, n - 1), s] for s in range(n)]
+    return Dfa(rows, {n - 1}, ("x", "y"))
+
+
+def test_minimize_matches_table_filling():
+    rng = random.Random(24)
+    cases = [random_dfa(rng) for _ in range(400)]
+    cases += [determinize(random_nfa(rng)) for _ in range(100)]
+    cases += [
+        Dfa([[0, 0]], {0}, ("x", "y")),  # one state
+        Dfa([[0]], set(), ("x",)),
+        chain_dfa(200),
+        # states 1 and 3 are unreachable from the initial state 2; 0 and 4
+        # merge, and state 2 comes out as block 1
+        Dfa([[4, 2], [0, 1], [0, 4], [3, 3], [0, 2]], {0, 1, 4}, ("x", "y"),
+            initial=2),
+    ]
+    for d in cases:
+        m = minimize(d)
+        want = reference_minimize(d.transitions, d.accept, d.initial)
+        assert (m.transitions, set(m.accept), m.initial) == want, \
+            (d.transitions, sorted(d.accept), d.initial)
+    assert minimize(chain_dfa(200)).n == 200
+    m = minimize(cases[-1])
+    assert (m.transitions, set(m.accept), m.initial) == \
+        ([[0, 1], [0, 0]], {0}, 1)
 
 
 def test_language_equal_counterexample_shortest():

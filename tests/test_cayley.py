@@ -55,7 +55,7 @@ def test_oracle_free_abelian_certificates(pres_z2):
         assert replay_certificate(pres_z2, w, r.certificate) == ()
     r = o.decide(ab.parse("ab"))
     assert r.status == "nontrivial" and "abelianization" in r.reason
-    assert o.decide(pres_z2.parse("abAB")).status == "trivial"
+    assert o.decide(pres_z2.alphabet.parse("abAB")).status == "trivial"
 
 
 def test_oracle_bounded_search():

@@ -569,6 +569,47 @@ def test_dehn_fill_input_validation(tmp_path, capsys):
     assert "slope lines" in err
 
 
+# int() also reads other scripts' digits and underscores; every integer
+# in an input file or flag is ASCII digits with an optional sign
+@pytest.mark.parametrize("matrix, slopes, message", [
+    pytest.param("\u00b2 2\n0 1\n-1 0\n", "1\n1\n",
+                 'line 1, column 1: matrix header must be "rows cols"',
+                 id="superscript header"),
+    pytest.param("2 2\n0 1_0\n-1_0 0\n", "1\n1\n",
+                 "line 2, column 3: bad matrix entry '1_0'",
+                 id="underscore entry"),
+    pytest.param("2 2\n0 1\n-1 0\n", "1\n\u0663/1\n",
+                 "line 2, column 1: bad slope '\u0663/1'",
+                 id="arabic-indic slope"),
+    pytest.param("2 2\n0 1\n-1 0\n", "1\n 2/1_1\n",
+                 "line 2, column 4: bad slope '2/1_1'",
+                 id="underscore slope denominator"),
+])
+def test_dehn_fill_reads_ascii_integers(matrix, slopes, message, tmp_path,
+                                        capsys):
+    k = tmp_path / "k.mat"
+    k.write_text(matrix, encoding="utf-8")
+    s = tmp_path / "s.txt"
+    s.write_text(slopes, encoding="utf-8")
+    code, _, err = run_cli(["dehn-fill", str(k), str(s)], capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_cocycle_value_reads_ascii_integers(tmp_path, zz, capsys):
+    c = tmp_path / "c.txt"
+    c.write_text("a a 1\na  A  1_0\n", encoding="utf-8")
+    code, _, err = run_cli(["cocycle-check", zz, str(c)], capsys)
+    assert code == 2
+    assert "line 2, column 7: bad value '1_0'" in err
+
+
+def test_radius_reads_ascii_integers(zz, capsys):
+    code, _, err = run_cli(["ball", zz, "--radius", "1_0"], capsys)
+    assert code == 2
+    assert "argument --radius: expected an integer >= 0, got '1_0'" in err
+
+
 def test_cocycle_check_command(tmp_path, zz, capsys):
     c = tmp_path / "c.txt"
     c.write_text("a a 1\na A 0\n1 a 0\n")
@@ -639,8 +680,8 @@ def test_cocycle_file_words_parse_once():
         parse_cocycle_file("a a 1\na aaa 0\naaa a 0\n", rp, ball)
     # two spellings of one element are one vertex
     table = parse_cocycle_file("ab a 1\nba a 1\n", rp, ball)
-    assert table == {(ball.evaluate(rp.base.parse("ab")),
-                      ball.evaluate(rp.base.parse("a"))): 1}
+    assert table == {(ball.evaluate(rp.base.alphabet.parse("ab")),
+                      ball.evaluate(rp.base.alphabet.parse("a"))): 1}
     with pytest.raises(UsageError, match="line 2: conflicting values"):
         parse_cocycle_file("ab a 1\nba a 2\n", rp, ball)
 

@@ -136,14 +136,14 @@ def test_rank_matches_snf():
 
 
 def test_linking_matrix_validation():
-    LinkingMatrix.from_rows([[0, 1], [-1, 0]])
-    LinkingMatrix.from_rows([[0, 1], [1, 0]], convention="symmetric")
+    LinkingMatrix(2, ((0, 1), (-1, 0)))
+    LinkingMatrix(2, ((0, 1), (1, 0)), "symmetric")
     with pytest.raises(ValueError):
-        LinkingMatrix.from_rows([[1, 0], [0, 0]])
+        LinkingMatrix(2, ((1, 0), (0, 0)))
     with pytest.raises(ValueError):
-        LinkingMatrix.from_rows([[0, 1], [1, 0]])  # skew wants -1
+        LinkingMatrix(2, ((0, 1), (1, 0)))  # skew wants -1
     with pytest.raises(ValueError):
-        LinkingMatrix.from_rows([[0, 1], [-1, 0]], convention="other")
+        LinkingMatrix(2, ((0, 1), (-1, 0)), "other")
     with pytest.raises(ValueError):
         LinkingMatrix(2, ((0, 1),), "skew")
 
@@ -158,28 +158,29 @@ def test_filling_validation():
 
 
 def test_filling_matrix_frozen():
-    k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
+    k = LinkingMatrix(2, ((0, 1), (-1, 0)))
     b = filling_matrix(k, [Filling(5, 1), Filling(-1, 5)])
     assert b.rows == ((Fraction(5), Fraction(1)),
                       (Fraction(-1), Fraction(-1, 5)))
-    assert filling_nullity_certificate(b)[0] == 1  # rank 1 of 2 rows
+    assert filling_nullity_certificate(b.rows)[0] == 1  # rank 1 of 2 rows
     assert b.unreduced == ()
 
     empty = filling_matrix(k, [None, None])
     assert empty.rows == ()
-    assert filling_nullity_certificate(empty) == (0, ())
+    assert filling_nullity_certificate(empty.rows) == (0, ())
 
-    zero_k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
+    zero_k = LinkingMatrix(2, ((0, 0), (0, 0)))
     b2 = filling_matrix(zero_k, [Filling(1, 0), Filling(3, 1)])
     assert b2.unreduced == (0,)
     assert b2.rows[0] == (Fraction(1), Fraction(0))
-    assert filling_nullity_certificate(b2) == (0, ())  # diagonal, full rank
+    # diagonal, full rank
+    assert filling_nullity_certificate(b2.rows) == (0, ())
 
 
 def test_nullity_certificate_frozen():
-    k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
+    k = LinkingMatrix(2, ((0, 1), (-1, 0)))
     b = filling_matrix(k, [Filling(5, 1), Filling(-1, 5)])
-    nullity, basis = filling_nullity_certificate(b)
+    nullity, basis = filling_nullity_certificate(b.rows)
     assert nullity == 1
     assert basis == ((1, 5),)
     # certificate really kills every column
@@ -266,7 +267,7 @@ def test_surgery_errors():
 
 
 def test_h1_presentation_frozen():
-    k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
+    k = LinkingMatrix(2, ((0, 1), (-1, 0)))
     fills = [Filling(0, 1), Filling(0, 1)]
     bound, torsion = h1_presentation(k, fills)
     assert bound == 0
@@ -278,22 +279,22 @@ def test_h1_presentation_frozen():
     assert bound == 0 and torsion == ()
 
     # single unknot component, (2,1) surgery: a lens space
-    k1 = LinkingMatrix.from_rows([[0]])
+    k1 = LinkingMatrix(1, ((0,),))
     bound, torsion = h1_presentation(k1, [Filling(2, 1)])
     assert bound == 0
     assert torsion == (2,)
 
 
 def test_h1_no_fillings():
-    k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
+    k = LinkingMatrix(2, ((0, 0), (0, 0)))
     bound, torsion = h1_presentation(k, [])
     assert bound == 2 and torsion == ()
-    bound, _ = h1_presentation(LinkingMatrix.from_rows([[0]]), [])
+    bound, _ = h1_presentation(LinkingMatrix(1, ((0,),)), [])
     assert bound == 1
 
 
 def test_h1_errors():
-    k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
+    k = LinkingMatrix(2, ((0, 1), (-1, 0)))
     with pytest.raises(ValueError, match="more fillings"):
         h1_presentation(k, [Filling(0, 1)] * 3)
 
@@ -302,11 +303,11 @@ def test_kernel_rank_from_h1_presentation():
     def report(k, fills):
         return kernel_rank(h1_presentation(k, fills)[0], k.n - len(fills))
 
-    k = LinkingMatrix.from_rows([[0, 1], [-1, 0]])
+    k = LinkingMatrix(2, ((0, 1), (-1, 0)))
     wish = wishful_fillings(k.entries, 100)
     assert report(k, list(wish.fillings)) == 1
 
-    zero_k = LinkingMatrix.from_rows([[0, 0], [0, 0]])
+    zero_k = LinkingMatrix(2, ((0, 0), (0, 0)))
     assert report(zero_k, []) == 0
 
     hopf_fills = [Filling(0, 1), Filling(0, 1)]
@@ -327,7 +328,7 @@ def test_sublemma_identity_random():
                 x = rng.randint(-3, 3)
                 rows[i][j] = x
                 rows[j][i] = -x
-        k = LinkingMatrix.from_rows(rows)
+        k = LinkingMatrix(n, tuple(map(tuple, rows)))
         nf = rng.randint(0, n)
         fills = []
         for i in range(nf):
@@ -339,7 +340,7 @@ def test_sublemma_identity_random():
         bound, _ = h1_presentation(k, fills)
         m = n - nf
         b = filling_matrix(k, fills)
-        nullity, _ = filling_nullity_certificate(b)
+        nullity, _ = filling_nullity_certificate(b.rows)
         assert bound - m == nullity
         made += 1
 
@@ -523,13 +524,14 @@ def test_surgery_matches_reference():
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_skew_linking_matches_reference(n):
     rng = random.Random(n)
-    k = LinkingMatrix.from_rows(_random_skew(rng, n))
+    k = LinkingMatrix(n, tuple(map(tuple, _random_skew(rng, n))))
     fills = [None if rng.random() < 0.15 else _random_slope(rng)
              for _ in range(n)]
     b = filling_matrix(k, fills)
-    assert filling_nullity_certificate(b) == _reference_certificate(b.rows)
+    assert filling_nullity_certificate(b.rows) == \
+        _reference_certificate(b.rows)
     _, pivots = reference_rref(b.rows)
-    assert filling_nullity_certificate(b)[0] == len(b.rows) - len(pivots)
+    assert filling_nullity_certificate(b.rows)[0] == len(b.rows) - len(pivots)
     assert _check_surgery([list(r) for r in k.entries[:n - 1]], (2, -3))
 
 
@@ -543,7 +545,7 @@ def _random_linking(rng, n, convention):
             x = 0 if rng.random() < zeros else rng.choice((1, -1, 2, -2))
             rows[i][j] = x
             rows[j][i] = -x if convention == "skew" else x
-    return LinkingMatrix.from_rows(rows, convention)
+    return LinkingMatrix(n, tuple(map(tuple, rows)), convention)
 
 
 # 1/0, negative u and negative v, and larger torsion slopes

@@ -1,7 +1,8 @@
 """Import hygiene of the package: no module imports another module's
 private names, every imported name is used, every public function,
-class and method has a user outside its own unit tests, and some call
-passes every defaulted parameter."""
+class and method has a user outside its own unit tests, no two classes
+share a public method name, and some call passes every defaulted
+parameter."""
 
 import argparse
 import ast
@@ -154,6 +155,24 @@ def test_every_public_definition_is_named():
                  and fn.name not in attributes}
     # a kept name that gains a user leaves KEPT
     assert sorted(dead) == sorted(KEPT), dead
+
+
+def test_no_two_classes_share_a_public_method_name():
+    # the check above finds a method's users by attribute name alone, so a
+    # name that two classes define hides an unused one behind the other
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) \
+                            and not fn.name.startswith("_"):
+                        owners.setdefault(fn.name, []).append(
+                            f"{path.name}:{cls.name}")
+    shared = {name: where for name, where in owners.items()
+              if len(where) > 1}
+    assert shared == {}
 
 
 def _defaulted_parameters(path):
