@@ -249,18 +249,11 @@ class GroupBall:
     ball.  All edges between in-ball elements are present.
     """
 
-    def __init__(self, presentation, radius, generators):
+    def __init__(self, presentation, radius):
         self.presentation = presentation
         self.radius = radius
-        self.generators = tuple(generators) if generators is not None \
-            else presentation.alphabet.generator_indices()
         self.words: list = []
         self.edges: list = []
-        moves = set()
-        for g in self.generators:
-            moves.add(g)
-            moves.add(g ^ 1)
-        self._moves = tuple(sorted(moves))
 
     def __len__(self):
         return len(self.words)
@@ -269,8 +262,8 @@ class GroupBall:
         return len(self.words[v])
 
     def symbol_moves(self):
-        # generator symbols and their inverses, in alphabet order
-        return self._moves
+        # every symbol, in alphabet order
+        return range(len(self.presentation.alphabet.symbols))
 
     def evaluate(self, word: Word):
         """Walk a word from the identity; None when any prefix leaves."""
@@ -299,9 +292,7 @@ class GroupBall:
                 yield sym, t
 
 
-def build_ball(presentation: Presentation, radius: int,
-               oracle: WordProblemOracle | None = None,
-               generators=None) -> GroupBall:
+def build_ball(presentation: Presentation, radius: int) -> GroupBall:
     """Breadth-first ball construction keyed by the oracle's normal forms.
 
     Raises OracleBudgetError, before building anything, when the oracle's
@@ -311,15 +302,13 @@ def build_ball(presentation: Presentation, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if oracle is None:
-        oracle = WordProblemOracle(presentation)
+    oracle = WordProblemOracle(presentation)
     if not oracle.complete:
         raise OracleBudgetError(
             f"Knuth-Bendix completion did not finish within its budget of "
             f"{oracle.budget} rules ({len(oracle._lhs)} active)")
-    ball = GroupBall(presentation, radius, generators)
+    ball = GroupBall(presentation, radius)
     nsyms = len(presentation.alphabet.symbols)
-    moves = ball.symbol_moves()
     ball.words.append(())
     ball.edges.append([None] * nsyms)
     keys = [""]  # normal form of each vertex, in the oracle's encoding
@@ -327,7 +316,7 @@ def build_ball(presentation: Presentation, radius: int,
     u = 0
     while u < len(ball.words):
         wu, ku, row = ball.words[u], keys[u], ball.edges[u]
-        for sym in moves:
+        for sym in range(nsyms):
             if row[sym] is not None:
                 continue
             key = oracle._rewrite(chr(sym), ku)[0]

@@ -461,8 +461,6 @@ def cmd_bcp_scan(args):
 def cmd_cusp_distance(args):
     if args.shadow_length < 0:
         raise UsageError("shadow length must be >= 0")
-    if args.depth_i < 0 or args.depth_k < 0:
-        raise UsageError("depths must be >= 0")
     cap = args.depth_cap
     if cap is None:
         cap = max(args.depth_i, args.depth_k)
@@ -513,7 +511,7 @@ def cmd_clip_track(args):
     rp = _rp_from_args(args)
     params = _cusp_params(args)
     n = args.clip_depth
-    if n < 0 or n > params.depth_cap:
+    if n > params.depth_cap:
         raise UsageError(f"clip depth must lie in [0, {params.depth_cap}]")
     cx = _cusp_complex(rp, args.radius, params)
     gn = clip(cx, n)
@@ -675,9 +673,17 @@ def cmd_cocycle_check(args):
 
 # ----------------------------------------------------------------- main
 
+def _signed(text: str) -> int:
+    """argparse type of --seed: an integer."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _count(text: str) -> int:
-    """argparse type of --budget, --depth-cap, --radius and --delta: an
-    integer >= 0."""
+    """argparse type of --budget, --depth-cap, --radius, --delta and the
+    depth positionals: an integer >= 0."""
     value = _integer(text)
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(
@@ -710,7 +716,7 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
                        help="vertical scale (default 1/psi)")
         p.add_argument("--depth-cap", type=_count, default=None,
                        help="maximum depth of the complex")
-    p.add_argument("--seed", type=int, default=seed,
+    p.add_argument("--seed", type=_signed, default=seed,
                    help="RNG seed; same seed, same bytes out")
     if budget is not None:
         default, capped = budget
@@ -753,8 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
                     cusp=True)
     p.add_argument("shadow_length", type=float,
                    help="horizontal separation measured at depth 0")
-    p.add_argument("depth_i", type=int, help="depth of the first endpoint")
-    p.add_argument("depth_k", type=int, help="depth of the second endpoint")
+    p.add_argument("depth_i", type=_count, help="depth of the first endpoint")
+    p.add_argument("depth_k", type=_count,
+                   help="depth of the second endpoint")
     _subcommand(sub, "thinness", "measure thin-triangle delta on a cusp complex",
                 radius=6, cusp=True, seed=0,
                 budget=(300, "sampled triples"))
@@ -762,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "clipped-geodesic tracking against full geodesics",
                     radius=6, cusp=True, seed=0,
                     budget=(20, "sampled vertex pairs"))
-    p.add_argument("clip_depth", type=int,
+    p.add_argument("clip_depth", type=_count,
                    help="keep vertices at depth <= this")
     _subcommand(sub, "hyp2-check", "run the half-plane inequality sweeps")
     p = _subcommand(sub, "dehn-fill",

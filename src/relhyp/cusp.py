@@ -78,11 +78,14 @@ class CuspComplex:
         return sum(map(len, self.adj)) // 2
 
 
-def _base_edges(ball: GroupBall):
+def _base_edges(ball: GroupBall, moves):
+    """Each in-ball edge over the given moves once, as (u, v) with u < v,
+    in ascending order; self-loops are dropped."""
     seen = set()
     for u in range(len(ball)):
-        for _, v in ball.neighbours(u):
-            if (min(u, v), max(u, v)) not in seen and u != v:
+        for sym in moves:
+            v = ball.edges[u][sym]
+            if v is not None and v != u:
                 seen.add((min(u, v), max(u, v)))
     return sorted(seen)
 
@@ -95,7 +98,7 @@ def build_cusp_complex(h_ball: GroupBall, params: CuspParams) -> CuspComplex:
     for b in range(len(h_ball)):
         for i in range(n_levels):
             cx.add_vertex((b, i), i)
-    for u, v in _base_edges(h_ball):
+    for u, v in _base_edges(h_ball, h_ball.symbol_moves()):
         for i in range(n_levels):
             cx.add_edge(cx.ids[u, i], cx.ids[v, i], params.horizontal_length(i))
     for b in range(len(h_ball)):
@@ -113,10 +116,9 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
     cx = CuspComplex(params)
     for b in range(len(g_ball)):
         cx.add_vertex(("g", b), 0)
-    for u, v in _base_edges(g_ball):
+    for u, v in _base_edges(g_ball, g_ball.symbol_moves()):
         cx.add_edge(cx.ids["g", u], cx.ids["g", v], 1.0)
     for fi, fam in enumerate(rp.families):
-        syms = fam.symbols()
         for b in range(len(g_ball)):
             for i in range(1, params.depth_cap + 1):
                 cx.add_vertex((fi, b, i), i)
@@ -126,16 +128,10 @@ def build_cusped_cayley(g_ball: GroupBall, rp: RelativePresentation,
                 here = cx.ids[fi, b, i]
                 cx.add_edge(below, here, params.vertical_length())
                 below = here
-        seen = set()
-        for u in range(len(g_ball)):
-            for sym in syms:
-                v = g_ball.edges[u][sym]
-                if v is None or v == u or (min(u, v), max(u, v)) in seen:
-                    continue
-                seen.add((min(u, v), max(u, v)))
-                for i in range(1, params.depth_cap + 1):
-                    cx.add_edge(cx.ids[fi, u, i], cx.ids[fi, v, i],
-                                params.horizontal_length(i))
+        for u, v in _base_edges(g_ball, fam.symbols()):
+            for i in range(1, params.depth_cap + 1):
+                cx.add_edge(cx.ids[fi, u, i], cx.ids[fi, v, i],
+                            params.horizontal_length(i))
     return cx
 
 

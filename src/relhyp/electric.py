@@ -61,13 +61,15 @@ class RelativePresentation:
                     raise ValueError(f"family relator {r} missing from the presentation")
                 if not set(r) <= syms:
                     raise ValueError(f"family relator {r} uses outside letters")
-        # symbol -> family index (None for free letters); not a field, so
-        # equality, hashing and serialization see only base and families
+        # symbol -> family index (None for free letters), and family index
+        # -> its ball as grown so far; not fields, so equality, hashing and
+        # serialization see only base and families
         table = [None] * len(self.base.alphabet.symbols)
         for i, fam in enumerate(self.families):
             for sym in fam.symbols():
                 table[sym] = i
         object.__setattr__(self, "_symbol_family", tuple(table))
+        object.__setattr__(self, "_family_balls", {})
 
     def family_of_symbol(self, sym: int):
         return self._symbol_family[sym]
@@ -138,32 +140,37 @@ def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
 
 
 def _family_ball(rp: RelativePresentation, fi: int, radius: int) -> GroupBall:
+    """Ball of family fi's group P, presented as the quotient of the whole
+    alphabet that kills every other generator: P * F(others) / <<others>>
+    is P.  Outside letters are self-loops; a shortlex-least word never
+    contains a letter equal to 1, so words and family edges are those of
+    P's own Cayley ball."""
     fam = rp.families[fi]
-    pres = Presentation(rp.base.alphabet, fam.relators)
-    return build_ball(pres, radius, generators=fam.generators)
+    alphabet = rp.base.alphabet
+    killed = tuple((g,) for g in alphabet.generator_indices()
+                   if g not in fam.generators)
+    return build_ball(Presentation(alphabet, fam.relators + killed), radius)
 
 
-def _family_step(rp: RelativePresentation, cache, fi: int, v: int,
-                 sym: int) -> int:
-    """The vertex of v times sym in the ball of family fi (cached in
-    ``cache``).
+def _family_step(rp: RelativePresentation, fi: int, v: int, sym: int) -> int:
+    """The vertex of v times sym in the ball of family fi, kept on rp.
 
     A step that leaves the ball rebuilds it at twice the radius, so a run
     of length L costs O(log L) rebuilds.  Ball vertex ids and words are
     breadth-first and do not depend on the radius, so v stays valid.
     """
-    fb = cache.get(fi)
+    fb = rp._family_balls.get(fi)
     t = None if fb is None else fb.edges[v][sym]
     if t is None:
         radius = 2 * fb.radius if fb is not None else 2
-        fb = cache[fi] = _family_ball(rp, fi, radius)
+        fb = rp._family_balls[fi] = _family_ball(rp, fi, radius)
         t = fb.edges[v][sym]
     return t
 
 
-def _reduce_runs(rp: RelativePresentation, word: Word, cache):
+def _reduce_runs(rp: RelativePresentation, word: Word):
     """Replace each maximal single-family run by its shortlex word in the
-    family ball (cached per family in ``cache``).
+    family ball.
 
     Returns (reduced word, changed); changed lists (start, stop,
     replacement) for every run whose word changed, with start and stop
@@ -177,8 +184,8 @@ def _reduce_runs(rp: RelativePresentation, word: Word, cache):
         if fi is not None:
             v = 0
             for sym in seg:
-                v = _family_step(rp, cache, fi, v, sym)
-            rep = cache[fi].words[v]
+                v = _family_step(rp, fi, v, sym)
+            rep = rp._family_balls[fi].words[v]
             if rep != seg:
                 changed.append((len(out), len(out) + len(seg), rep))
                 seg = rep
@@ -186,15 +193,14 @@ def _reduce_runs(rp: RelativePresentation, word: Word, cache):
     return tuple(out), changed
 
 
-def coset_reduce(rp: RelativePresentation, word: Word, cache=None) -> Word:
+def coset_reduce(rp: RelativePresentation, word: Word) -> Word:
     """Replace every maximal parabolic run by its shortlex parabolic geodesic.
 
     Preserves the evaluation, the electric length and the electric area;
     non-parabolic letters are never touched (in particular no free
-    reduction happens across run boundaries).  cache maps a family to
-    its parabolic ball and may be shared between calls.
+    reduction happens across run boundaries).
     """
-    return _reduce_runs(rp, word, {} if cache is None else cache)[0]
+    return _reduce_runs(rp, word)[0]
 
 
 def _edge_weight(rp: RelativePresentation, sym: int) -> int:
@@ -258,14 +264,14 @@ def _first_nongeodesic_segment(ball, rp, word, k):
 # electric area
 
 def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
-                      right: Word, cache) -> Word:
+                      right: Word) -> Word:
     """Normal form of left + middle + right in the free product of the
     parabolics with the remaining free letters (Lyndon-Schupp IV.1).
 
     Precondition: left + right is already in normal form, i.e. freely
     reduced with every maximal single-family run equal to its word in the
-    family ball (cached per family in ``cache``).  With left and right
-    empty this is the normal form of any word.
+    family ball.  With left and right empty this is the normal form of
+    any word.
 
     One pass over a stack: a free letter cancels the free inverse on top
     or is pushed; a family letter moves the vertex of the trailing
@@ -280,6 +286,7 @@ def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
     it meets the stack.
     """
     fam = rp._symbol_family
+    balls = rp._family_balls
     out = list(left)
     top = None  # family of the open syllable; its letters are not in out
     v = 0  # the open syllable's vertex in that family's ball
@@ -300,12 +307,12 @@ def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
                     touches = False
                 if not touches:
                     if top is not None:
-                        out.extend(cache[top].words[v])
+                        out.extend(balls[top].words[v])
                     out.extend(right[j - m:])
                     return tuple(out)
         if f is None:
             if top is not None:
-                out.extend(cache[top].words[v])
+                out.extend(balls[top].words[v])
                 top = None
             if out and out[-1] == sym ^ 1:
                 out.pop()
@@ -314,21 +321,21 @@ def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
             continue
         if top != f:
             if top is not None:
-                out.extend(cache[top].words[v])
+                out.extend(balls[top].words[v])
             # reopen the trailing syllable of family f, if there is one
             i = len(out)
             while i and fam[out[i - 1]] == f:
                 i -= 1
             v = 0
             for s in out[i:]:
-                v = _family_step(rp, cache, f, v, s)
+                v = _family_step(rp, f, v, s)
             del out[i:]
             top = f
-        v = _family_step(rp, cache, f, v, sym)
+        v = _family_step(rp, f, v, sym)
         if v == 0:
             top = None
     if top is not None:
-        out.extend(cache[top].words[v])
+        out.extend(balls[top].words[v])
     return tuple(out)
 
 
@@ -351,8 +358,7 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
         raise ValueError("no non-parabolic relators to insert")
-    cache: dict = {}
-    start = _canonical_splice(rp, (), tuple(word), (), cache)
+    start = _canonical_splice(rp, (), tuple(word), ())
     if not start:
         return 0
     cap = len(start) + 2 * max(len(f) for f in forms)
@@ -380,8 +386,7 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                     nodes += 1
                     if nodes > node_budget:
                         return best
-                    cand = _canonical_splice(rp, cur[:pos], form, cur[pos:],
-                                             cache)
+                    cand = _canonical_splice(rp, cur[:pos], form, cur[pos:])
                     if len(cand) > cap or cand in dist[side]:
                         continue
                     dist[side][cand] = depth[side]
@@ -409,12 +414,11 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int):
         raise ValueError("word leaves the ball; grow the radius")
     if v_end != 0:
         raise ValueError("electric area needs a loop")
-    cache: dict = {}
     cur = tuple(word)
     moves = []
     total = 0
     while True:
-        cur, changed = _reduce_runs(rp, cur, cache)
+        cur, changed = _reduce_runs(rp, cur)
         moves.extend({"op": "coset-reduce", "start": i, "stop": j,
                       "replacement": rep} for i, j, rep in changed)
         if not cur:

@@ -290,13 +290,9 @@ def filling_matrix(k: LinkingMatrix, fillings) -> FillingMatrix:
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector with its
     first nonzero entry positive."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:
@@ -356,9 +352,7 @@ def wishful_fillings(k_block, t) -> WishfulFillings:
                              "hypothesis violated")
     ft = Fraction(t)
     raw = [ft ** i for i in range(ncols)]
-    denom = 1
-    for x in raw:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in raw))
     tau = tuple(int(x * denom) for x in raw)
     ratios = []
     fillings = []

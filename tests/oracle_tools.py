@@ -818,8 +818,11 @@ def _reference_family_ball(rp, fi, radius):
     from relhyp.cayley import build_ball
     from relhyp.words import Presentation
     fam = rp.families[fi]
-    pres = Presentation(rp.base.alphabet, fam.relators)
-    return build_ball(pres, radius, generators=fam.generators)
+    alphabet = rp.base.alphabet
+    # the family's group is the quotient that kills every other generator
+    killed = tuple((g,) for g in alphabet.generator_indices()
+                   if g not in fam.generators)
+    return build_ball(Presentation(alphabet, fam.relators + killed), radius)
 
 
 def _reference_reduce_runs(rp, word, cache):

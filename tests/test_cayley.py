@@ -128,12 +128,6 @@ def test_ball_zero_radius(pres_z2):
     assert len(b) == 1 and b.words[0] == ()
 
 
-def test_oracle_abort_surfaces(pres_z2):
-    starved = WordProblemOracle(pres_z2, budget=2)
-    with pytest.raises(OracleBudgetError):
-        build_ball(pres_z2, 2, oracle=starved)
-
-
 def test_heisenberg_aborts_naming_the_budget():
     # no finite complete shortlex system: completion runs into its budget
     alpha = Alphabet(["a", "b", "c"])
@@ -354,9 +348,3 @@ def test_geodesic_words_memory_follows_the_limit(pres_z2):
     assert len(words) == 5
     assert peak < 1 << 20
 
-
-def test_sub_generator_ball(pres_z2):
-    # the <b> line inside Z^2, generated by symbol index 2
-    b = build_ball(pres_z2, 4, generators=(2,))
-    assert len(b) == 9
-    assert all(set(w) <= {2, 3} for w in b.words)

@@ -610,6 +610,35 @@ def test_radius_reads_ascii_integers(zz, capsys):
     assert "argument --radius: expected an integer >= 0, got '1_0'" in err
 
 
+# the integer positionals, each spelled 1_0 and then -1
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["cusp-distance", "9", "{n}", "0"], "depth_i", id="depth_i"),
+    pytest.param(["cusp-distance", "9", "0", "{n}"], "depth_k", id="depth_k"),
+    pytest.param(["clip-track", "{p}", "{n}"], "clip_depth",
+                 id="clip_depth"),
+])
+@pytest.mark.parametrize("n", ["1_0", "-1"])
+def test_depth_positionals_read_counts(argv, name, n, zline, capsys):
+    argv = [a.format(p=zline, n=n) for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"argument {name}: expected an integer >= 0, got '{n}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cusp-distance", "9", "0", "0"],
+    ["bcp-scan", "{p}", "--budget", "1"],
+], ids=lambda argv: argv[0])
+def test_seed_reads_ascii_integers(argv, zzp, capsys):
+    argv = [a.format(p=zzp) for a in argv]
+    code, _, err = run_cli(argv + ["--seed", "1_0"], capsys)
+    assert code == 2
+    assert "argument --seed: expected an integer, got '1_0'" in err
+    # a seed may be negative
+    code, rep, _ = run_cli(argv + ["--seed", "-3"], capsys)
+    assert code == 0 and rep["seed"] == -3
+
+
 def test_cocycle_check_command(tmp_path, zz, capsys):
     c = tmp_path / "c.txt"
     c.write_text("a a 1\na A 0\n1 a 0\n")

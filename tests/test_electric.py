@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relhyp.cayley import build_ball, least_costs
+from relhyp.cayley import build_ball, least_costs, sphere_sizes
 from relhyp.electric import (
-    ParabolicFamily, RelativePresentation, _canonical_splice,
+    ParabolicFamily, RelativePresentation, _canonical_splice, _family_ball,
     _first_nongeodesic_segment, bcp_scan, coset_reduce, coset_table,
     electric_area_exact, electric_area_upper, electric_geodesic,
     electric_length, penetrations,
@@ -436,22 +436,42 @@ def _longest_syllable(rp, word):
                 if f is not None), default=0)
 
 
+def test_family_ball_is_the_quotient_ball():
+    # Z * Z^2 rel Z^2: killing a leaves Z^2 on b and c
+    rp = RELATIVE_CASES["zfz2-rel-z2"]()
+    alpha = rp.base.alphabet
+    ball = _family_ball(rp, 0, 4)
+    assert sphere_sizes(ball) == [1, 4, 8, 12, 16]
+    # each word is its point's l1 geodesic in b, c coordinates
+    points = set()
+    for w in ball.words:
+        assert set(alpha.to_str(w)) <= set("bBcC")
+        x = w.count(alpha.index("b")) - w.count(alpha.index("B"))
+        y = w.count(alpha.index("c")) - w.count(alpha.index("C"))
+        assert len(w) == abs(x) + abs(y)
+        points.add((x, y))
+    assert len(points) == len(ball)
+    outside = alpha.parse("aA")
+    assert all(row[s] == v for v, row in enumerate(ball.edges)
+               for s in outside)
+
+
 @pytest.mark.parametrize("case", sorted(RELATIVE_CASES))
 def test_normal_form_matches_reference_on_random_words(case):
     rp = RELATIVE_CASES[case]()
     rng = random.Random(8)
     nsym = len(rp.base.alphabet.symbols)
-    shared = {}
     longest = 0
     for _ in range(300):
         w = _random_word(rng, nsym, 18)
         want = reference_canonicalize(rp, w, {})
-        # a fresh cache makes every long syllable grow its family ball
-        assert _canonical_splice(rp, (), w, (), {}) == want, w
-        assert _canonical_splice(rp, (), w, (), shared) == want, w
+        # a fresh presentation makes every long syllable grow its family
+        # ball; rp keeps the balls earlier words grew
+        assert _canonical_splice(RELATIVE_CASES[case](), (), w, ()) == want, w
+        assert _canonical_splice(rp, (), w, ()) == want, w
         longest = max(longest, _longest_syllable(rp, want))
-    # syllables long enough that a fresh cache grows its family ball
-    # while walking them
+    # syllables long enough that a fresh presentation grows its family
+    # ball while walking them
     assert longest >= 4
 
 
@@ -461,7 +481,7 @@ def test_every_single_insertion_matches_reference(case):
     rng = random.Random(9)
     nsym = len(rp.base.alphabet.symbols)
     forms = relator_forms(rp.base.relators)
-    cache, ref_cache = {}, {}
+    ref_cache = {}
     spliced = into_left = into_right = 0
     for _ in range(40):
         word = reference_canonicalize(rp, _random_word(rng, nsym, 12), ref_cache)
@@ -469,7 +489,7 @@ def test_every_single_insertion_matches_reference(case):
         for pos in range(len(word) + 1):
             left, right = word[:pos], word[pos:]
             for middle in middles:
-                got = _canonical_splice(rp, left, middle, right, cache)
+                got = _canonical_splice(rp, left, middle, right)
                 want = reference_canonicalize(rp, left + middle + right,
                                               ref_cache)
                 assert got == want, (word, pos, middle)

@@ -210,7 +210,7 @@ Z3 = ("abc", ("abAB", "acAC", "bcBC"))
 
 def _exponents(ball, v):
     """Exponent sum of each generator in the word of v."""
-    vec = [0] * len(ball.generators)
+    vec = [0] * len(ball.presentation.alphabet.generators)
     for s in ball.words[v]:
         vec[s >> 1] += -1 if s & 1 else 1
     return vec

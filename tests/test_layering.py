@@ -1,7 +1,7 @@
 """Import hygiene of the package: no module imports another module's
 private names, every imported name is used, every public function,
 class and method has a user outside its own unit tests, no two classes
-share a public method name, and some call passes every defaulted
+share a public method name, and some user passes every defaulted
 parameter."""
 
 import argparse
@@ -221,13 +221,32 @@ def _passed_parameters(paths):
     return passed
 
 
+# defaulted parameters that only unit tests set, each kept for the one
+# reason given
+SET_BY_TESTS = {
+    "WordProblemOracle(budget)": "the rule budget waits for its flag "
+                                 "(ROADMAP item 1)",
+    "electric_area_exact(node_budget)": "the search-node budget waits for "
+                                        "its flag (ROADMAP item 1)",
+    "build_fftp_automaton(state_cap)": "the state cap waits for its flag "
+                                       "(ROADMAP item 1)",
+    "main(argv)": "the console script calls main() to read sys.argv; "
+                  "tests and the benchmark pass argv",
+    "surgery_solve(requested)": "the free choice of -alpha . x_j in the "
+                                "surgery construction, which no command "
+                                "exposes yet",
+}
+
+
 def test_every_defaulted_parameter_is_set():
-    # a default that no call overrides is a constant spelled as a
-    # parameter: some call in the package or its tests must pass each one
+    # a default that no user overrides is a constant spelled as a
+    # parameter: package code, a subcommand's cmd_<name> or an acceptance
+    # criterion must pass each one; a unit test is not a user
     modules = sorted(SRC.glob("*.py"))
-    passed = _passed_parameters(modules + sorted(TESTS.glob("*.py")))
-    never = [f"{path.name}: {name}({param})"
+    passed = _passed_parameters(modules + [TESTS / "test_acceptance.py"])
+    never = [f"{name}({param})"
              for path in modules
              for name, param, index in _defaulted_parameters(path)
              if not passed.get(name, set()) & {param, index, "*"}]
-    assert never == []
+    # a kept default that gains a user leaves SET_BY_TESTS
+    assert sorted(never) == sorted(SET_BY_TESTS)
