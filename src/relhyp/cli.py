@@ -39,8 +39,8 @@ from .electric import (
 from .automata import live_states, minimize, prefix_closed
 from .fftp import build_fftp_automaton, neg_electric_height, neg_length_height
 from .cusp import (
-    CuspParams, build_cusp_complex, build_cusped_cayley, clip, deepen_replace,
-    delta_constant, geodesic_length_closed_form, geodesic_path, level_bound,
+    CuspParams, DistanceRows, build_cusp_complex, build_cusped_cayley, clip,
+    deepen_replace, delta_constant, geodesic_length_closed_form, level_bound,
     measure_thinness, optimal_depth, path_hausdorff,
 )
 from .hyp2 import (
@@ -476,21 +476,26 @@ def cmd_bcp_scan(args):
 def cmd_cusp_distance(args):
     if args.shadow_length < 0:
         raise UsageError("shadow length must be >= 0")
+    opt = None
+    if args.shadow_length > 0:
+        probe = CuspParams(args.psi, args.omega)
+        try:
+            opt = optimal_depth(args.shadow_length, probe)
+        except ValueError as e:
+            raise UsageError(
+                f"{e}; change shadow_length or --omega") from None
     cap = args.depth_cap
     if cap is None:
         cap = max(args.depth_i, args.depth_k)
-        if args.shadow_length > 0:
-            probe = CuspParams(args.psi, args.omega, depth_cap=cap)
-            cap = max(cap, math.ceil(optimal_depth(args.shadow_length,
-                                                   probe)) + 1)
+        if opt is not None:
+            cap = max(cap, math.ceil(opt) + 1)
     params = CuspParams(args.psi, args.omega, depth_cap=cap)
     length, depth = geodesic_length_closed_form(
         args.shadow_length, args.depth_i, args.depth_k, params)
     results = {
         "length": length,
         "depth": depth,
-        "optimal_depth": (optimal_depth(args.shadow_length, params)
-                          if args.shadow_length > 0 else None),
+        "optimal_depth": opt,
         "level_bound": level_bound(params),
         "delta_constant": delta_constant(params),
     }
@@ -530,26 +535,30 @@ def cmd_clip_track(args):
     n = args.clip_depth
     if n > params.depth_cap:
         raise UsageError(f"clip depth must lie in [0, {params.depth_cap}]")
-    cx = _cusp_complex(rp, _ball(rp, args.radius), params)
+    ball = _ball(rp, args.radius)
+    cx = _cusp_complex(rp, ball, params)
     gn = clip(cx, n)
     if len(gn) < 2:
         raise UsageError(f"clip-track samples vertex pairs, but the clip at "
                          f"depth {n} keeps {len(gn)} of {len(cx)} vertices; "
                          f"raise --radius")
     back = {v: cx.ids[gn.keys[v]] for v in range(len(gn))}
+    sigmas = inversion_automorphisms(ball)  # the clip keeps every key
+    full = DistanceRows(cx.adj, [cx.lift(sigma) for sigma in sigmas])
+    clipped = DistanceRows(gn.adj, [gn.lift(sigma) for sigma in sigmas])
     rng = random.Random(args.seed)
     worst = 0.0
     total = 0.0
     pairs = 0
     for _ in range(args.budget):
         a, b = rng.sample(range(len(gn)), 2)
-        path_n = geodesic_path(gn.adj, a, b)
+        path_n = clipped.path(a, b)
         if path_n is None:
             continue
         beta = [back[v] for v in path_n]
-        gamma = deepen_replace(cx, beta, n)
-        alpha = geodesic_path(cx.adj, back[a], back[b])
-        h = path_hausdorff(cx, gamma, alpha)
+        gamma = deepen_replace(cx, full, beta, n)
+        alpha = full.path(back[a], back[b])
+        h = path_hausdorff(full, gamma, alpha)
         worst = max(worst, h)
         total += h
         pairs += 1
@@ -567,48 +576,34 @@ def cmd_clip_track(args):
                              f"{pairs} pairs at clip depth {n}")
 
 
+def _sweep(name, check, cases):
+    """Cases and worst margin of check(*case) over the cases; check returns
+    whether its estimate holds and the margin last, and a case where it
+    does not hold is an error."""
+    worst = math.inf
+    for case in cases:
+        *_, ok, margin = check(*case)
+        if not ok:
+            raise ValueError(f"{name} sweep fails at {case}")
+        worst = min(worst, margin)
+    return {"cases": len(cases), "worst_margin": worst}
+
+
 def cmd_hyp2_check(args):
     del args
-    worst_mid = math.inf
-    mid_cases = 0
-    for big_c in (0.5, 1.0, 2.0):
-        start = 2.0 * big_c + math.log(16.0)
-        for j in range(101):
-            ell = start + 0.1 * j
-            if not ideal_midpoint_check(ell, big_c):
-                raise ValueError(f"midpoint sweep fails at C={big_c} l={ell}")
-            worst_mid = min(worst_mid, math.log(math.cosh(ell / 2.0)) - big_c)
-            mid_cases += 1
-    worst_tri = math.inf
-    tri_cases = 0
-    for ui in range(1, 46):
-        u = 1.0 + 0.2 * ui
-        for ti in range(1, 16):
-            theta = math.pi / 2.0 * ti / 16.0
-            t, ok = right_triangle_gap(u, theta)
-            if not ok:
-                raise ValueError(f"triangle sweep fails at u={u} theta={theta}")
-            worst_tri = min(worst_tri,
-                            (t - u) - math.log(1.0 / (2.0 * math.sin(theta))))
-            tri_cases += 1
-    worst_iso = math.inf
-    iso_cases = 0
-    for j in range(1, 201):
-        ell = 0.1 * j
-        _, ok = ideal_isosceles_angle(ell)
-        if not ok:
-            raise ValueError(f"isosceles sweep fails at l={ell}")
-        s2 = 2.0 / (math.cosh(ell) + 1.0)
-        worst_iso = min(worst_iso, 4.0 * math.exp(-ell) - s2)
-        iso_cases += 1
+    starts = [(c, 2.0 * c + math.log(16.0)) for c in (0.5, 1.0, 2.0)]
     diameter = tangent_projection_diameter(1.0, -1.0, 1.0)
     if abs(diameter - 2.0) > 1e-6:
         raise ValueError(f"tangent projection diameter {diameter} != 2")
     results = {
         "passed": True,
-        "ideal_midpoint": {"cases": mid_cases, "worst_margin": worst_mid},
-        "right_triangle": {"cases": tri_cases, "worst_margin": worst_tri},
-        "ideal_isosceles": {"cases": iso_cases, "worst_margin": worst_iso},
+        "ideal_midpoint": _sweep("midpoint", ideal_midpoint_check, [
+            (start + 0.1 * j, c) for c, start in starts for j in range(101)]),
+        "right_triangle": _sweep("triangle", right_triangle_gap, [
+            (1.0 + 0.2 * ui, math.pi / 2.0 * ti / 16.0)
+            for ui in range(1, 46) for ti in range(1, 16)]),
+        "ideal_isosceles": _sweep("isosceles", ideal_isosceles_angle, [
+            (0.1 * j,) for j in range(1, 201)]),
         "tangent_diameter": diameter,
     }
     return results, {}, "hyp2-check: all sweeps pass"

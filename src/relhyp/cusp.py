@@ -168,49 +168,112 @@ def distance_row(adj, src):
     return best
 
 
-def geodesic_path(adj, src, dst):
-    """Tie-broken shortest vertex path from src to dst over src's full
-    distance row; None when dst is unreachable."""
-    row = distance_row(adj, src)
-    if row[dst] == math.inf:
-        return None
-    return _geodesic_path(adj, row, src, dst)
+class DistanceRows:
+    """The distance rows of one weighted graph, each built once, as
+    array('d') (the doubles of ``distance_row``'s list in a quarter of its
+    memory), with the tie-broken geodesics and one-sided Hausdorff gaps
+    read off them.  d(u, v) is always read from u's own row: float sums
+    along different search orders can differ from d(v, u) in the last
+    bits, and no result may depend on that.
 
+    Rows are shared across ``automorphisms``: vertex permutations p that
+    map every edge to an edge of the same length, such as the lifts of a
+    ball's generator inversions (``CuspComplex.lift``).  When v needs a row
+    and some p[v] has one, v's row is that row read through p; otherwise
+    ``distance_row`` computes it.  A mapped row is exact, bit for bit.
+    ``distance_row(adj, s)[u]`` is the least, over paths from s to u, of
+    the float sum of the edge lengths taken left to right from 0.0: adding
+    a nonnegative float never lowers a value and is monotone, so lazy
+    Dijkstra settles exactly that least value, whatever its search order.
+    p maps the paths from v to u onto the paths from p[v] to p[u] with the
+    same length sequences, so ``rows[p[v]][p[u]] == rows[v][u]``.
+    """
 
-def _geodesic_path(adj, dist, src, dst, parent=None):
-    """Walk back from dst along tight edges, smallest vertex id first.
-    Each step must strictly lower dist, so near-zero edges cannot cycle.
+    def __init__(self, adj, automorphisms=()):
+        self._adj = adj
+        self._automorphisms = automorphisms
+        self._rows = [None] * len(adj)
+        self._parents = [None] * len(adj)  # walk-back memo per source row
 
-    dist is a row from src, inf where unreached.  The step from a
-    vertex depends only on the row, so ``parent`` memoises it per row:
-    parent[v] is v's tight predecessor once a walk has left v, -1 before.
-    Without one, the walk starts a fresh memo."""
-    if parent is None:
-        parent = [-1] * len(adj)
-    path = [dst]
-    cur = dst
-    while cur != src:
-        best = parent[cur]
-        if best < 0:
-            dc = dist[cur]
-            for y, w in adj[cur]:
-                dy = dist[y]
-                if (dy < dc and abs(dy + w - dc) < 1e-9
-                        and (best < 0 or y < best)):
-                    best = y
+    def __getitem__(self, v):
+        row = self._rows[v]
+        if row is None:
+            # a shared library (about 0.17 MiB of RSS): only rows load it
+            from array import array
+            for p in self._automorphisms:
+                known = self._rows[p[v]]
+                if known is not None:
+                    row = array("d", map(known.__getitem__, p))
+                    break
+            else:
+                row = array("d", distance_row(self._adj, v))
+            self._rows[v] = row
+        return row
+
+    def path(self, src, dst):
+        """The tie-broken geodesic from src to dst, None when dst is
+        unreachable: walk back from dst along tight edges of src's row,
+        smallest vertex id first, each step strictly lowering the distance
+        so that near-zero edges cannot cycle.  A step depends on the row
+        and its vertex alone, so each source memoises its steps; the
+        smallest-id tie-break is not invariant under automorphisms."""
+        dist = self[src]
+        if dist[dst] == math.inf:
+            return None
+        parent = self._parents[src]
+        if parent is None:
+            from array import array
+            parent = self._parents[src] = array("i", [-1]) * len(dist)
+        adj = self._adj
+        path = [dst]
+        cur = dst
+        while cur != src:
+            best = parent[cur]
             if best < 0:
-                raise ValueError("no tight predecessor; disconnected?")
-            parent[cur] = best
-        path.append(best)
-        cur = best
-    path.reverse()
-    return path
+                dc = dist[cur]
+                for y, w in adj[cur]:
+                    dy = dist[y]
+                    if (dy < dc and abs(dy + w - dc) < 1e-9
+                            and (best < 0 or y < best)):
+                        best = y
+                if best < 0:
+                    raise ValueError("no tight predecessor; disconnected?")
+                parent[cur] = best
+            path.append(best)
+            cur = best
+        path.reverse()
+        return path
+
+    def gap(self, path, targets, worst):
+        """max(worst, the one-sided Hausdorff distance from path to the
+        nonempty set targets).  It skips, exactly, u in targets (gap 0) and
+        u with d(u, e) <= worst for a target e, which bounds u's gap; e is
+        read at both ends of path, or at some target for an end off it."""
+        rows = self._rows
+        anchor = next(iter(targets))
+        pick = itemgetter(*targets, anchor)  # always returns a tuple
+        x = path[0] if path[0] in targets else anchor
+        y = path[-1] if path[-1] in targets else anchor
+        for u in path:
+            if u in targets:
+                continue
+            du = rows[u]
+            if du is None:
+                du = self[u]
+            if du[x] <= worst or du[y] <= worst:
+                continue
+            worst = max(worst, min(pick(du)))
+        return worst
 
 
 def optimal_depth(shadow_length: float, params: CuspParams) -> float:
     if shadow_length <= 0:
         raise ValueError("shadow length must be positive")
-    return math.log(shadow_length / (2 * params.omega)) / math.log(params.psi)
+    ratio = shadow_length / (2 * params.omega)
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"shadow_length / (2 * omega) is {ratio}, not a "
+                         f"finite positive float")
+    return math.log(ratio) / math.log(params.psi)
 
 
 def geodesic_length_closed_form(shadow_length, i, k, params: CuspParams):
@@ -280,56 +343,13 @@ def delta_constant(params: CuspParams) -> float:
 
 def measure_thinness(adj, samples: int, seed: int,
                      automorphisms=()) -> float:
-    """Empirical triangle thinness of a weighted graph.
-
-    For sampled vertex triples, takes the three tie-broken geodesics (the
-    walks ``geodesic_path`` takes over full distance rows) and measures
-    the one-sided Hausdorff distance from each side to the union of the
-    other two; returns the worst value seen.  When the triple count is at
-    most ``samples`` the scan is exhaustive, otherwise it draws distinct
-    random triples.  Always a lower bound on the true constant.
-
-    Two skips leave the result exact.  A side vertex u that lies on one of
-    the other two sides has gap 0, and the worst value is never below 0.
-    Both endpoints x, y of a side lie on the other two sides, so the gap of
-    u is at most d(u, x) and d(u, y); once either is at most the worst
-    value, u cannot raise it.
-
-    Distance rows are never symmetrised: d(u, v) is read from u's own row
-    because floating-point sums along different search orders can differ
-    from d(v, u) in the last bits, and the result must not depend on that.
-
-    Rows are shared across ``automorphisms``: vertex permutations p that
-    map every edge to an edge of the same length, such as the lifts of a
-    ball's generator inversions (``CuspComplex.lift``).  When v needs a row
-    and some p[v] has one, v's row is that row read through p; otherwise
-    ``distance_row`` computes it.  A mapped row is exact, bit for bit.
-    ``distance_row(adj, s)[u]`` is the least, over paths from s to u, of
-    the float sum of the edge lengths taken left to right from 0.0: adding
-    a nonnegative float never lowers a value and is monotone, so lazy
-    Dijkstra settles exactly that least value, whatever its search order.
-    p maps the paths from v to u onto the paths from p[v] to p[u] with the
-    same length sequences, so ``rows[p[v]][p[u]] == rows[v][u]``.  This
-    reads the row of another source, never d(v, u) as d(u, v).
-    Walk-back memos are not shared: their smallest-id tie-break is not
-    invariant under p.
-
-    Rows are kept as array('d'): the doubles of ``distance_row``'s list in
-    a quarter of its memory.  Every source row carries an array('i')
-    walk-back memo (see ``_geodesic_path``).  Neither changes a value or a
-    path: under a fixed row the tight predecessor of v depends on v alone,
-    so a memoised step is the step a fresh walk would take.
+    """Empirical triangle thinness of a weighted graph: the worst one-sided
+    Hausdorff distance from a side of a sampled vertex triple's tie-broken
+    geodesic triangle to the union of the other two, over rows shared
+    across ``automorphisms`` (``DistanceRows``).  When the triple count is
+    at most ``samples`` the scan is exhaustive, otherwise it draws
+    distinct random triples.  Always a lower bound on the true constant.
     """
-    # a shared library (about 0.17 MiB of RSS), so only thinness loads it
-    from array import array
-
-    def row(v):
-        for p in automorphisms:
-            known = rows[p[v]]
-            if known is not None:
-                return array("d", map(known.__getitem__, p))
-        return array("d", distance_row(adj, v))
-
     n = len(adj)
     rng = random.Random(seed)
     total = n * (n - 1) * (n - 2) // 6
@@ -342,33 +362,15 @@ def measure_thinness(adj, samples: int, seed: int,
             t = tuple(sorted(rng.sample(range(n), 3)))
             chosen.add(t)
         triples = sorted(chosen)
-    rows = [None] * n  # rows[v]: distances from v, filled on first use
-    parents = [None] * n  # parents[v]: walk-back memo of rows[v]
+    rows = DistanceRows(adj, automorphisms)
     worst = 0.0
     for a, b, c in triples:
-        for src in (a, b):
-            if parents[src] is None:
-                if rows[src] is None:
-                    rows[src] = row(src)
-                parents[src] = array("i", [-1]) * n
-        paths = [_geodesic_path(adj, rows[src], src, dst, parents[src])
-                 for src, dst in ((a, b), (b, c), (a, c))]
+        paths = [rows.path(a, b), rows.path(b, c), rows.path(a, c)]
+        if None in paths:
+            raise ValueError("no tight predecessor; disconnected?")
         for side in range(3):
-            path = paths[side]
-            x, y = path[0], path[-1]
-            other = set(paths[(side + 1) % 3]) | set(paths[(side + 2) % 3])
-            # a lies on the other two sides of every side, so pick always
-            # returns a tuple
-            pick = itemgetter(*other, a)
-            for u in path:
-                if u in other:
-                    continue
-                du = rows[u]
-                if du is None:
-                    du = rows[u] = row(u)
-                if du[x] <= worst or du[y] <= worst:
-                    continue
-                worst = max(worst, min(pick(du)))
+            other = set(paths[side - 1]) | set(paths[side - 2])
+            worst = rows.gap(paths[side], other, worst)
     return worst
 
 
@@ -386,11 +388,12 @@ def clip(cx: CuspComplex, n: int) -> CuspComplex:
     return out
 
 
-def deepen_replace(cx: CuspComplex, beta, n: int):
+def deepen_replace(cx: CuspComplex, rows: DistanceRows, beta, n: int):
     """Replace each maximal depth-n stretch of a clipped path with the
     geodesic of the full complex between the stretch's endpoints.
 
-    beta uses full-complex vertex ids but must stay at depth <= n.
+    beta uses full-complex vertex ids but must stay at depth <= n; rows
+    are the full complex's.
     """
     for v in beta:
         if cx.depth[v] > n:
@@ -406,20 +409,13 @@ def deepen_replace(cx: CuspComplex, beta, n: int):
         while j < len(beta) and cx.depth[beta[j]] == n:
             j += 1
         first, last = beta[idx], beta[j - 1]
-        seg = geodesic_path(cx.adj, first, last)
+        seg = rows.path(first, last)
         gamma.extend(seg if not gamma or gamma[-1] != seg[0] else seg[1:])
         idx = j
     return gamma
 
 
-def path_hausdorff(cx: CuspComplex, path_a, path_b) -> float:
-    """Symmetric Hausdorff distance between two vertex paths."""
-    worst = 0.0
-    for one, two in ((path_a, path_b), (path_b, path_a)):
-        targets = set(two)
-        pick = itemgetter(*targets, two[0])  # always a tuple
-        for u in one:
-            if u not in targets:
-                worst = max(worst, min(pick(distance_row(cx.adj, u))))
-    return worst
-
+def path_hausdorff(rows: DistanceRows, path_a, path_b) -> float:
+    """Symmetric Hausdorff distance between two vertex paths of the graph
+    that rows measure."""
+    return rows.gap(path_b, set(path_a), rows.gap(path_a, set(path_b), 0.0))

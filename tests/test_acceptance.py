@@ -26,8 +26,8 @@ from relhyp.electric import (
 )
 from relhyp.fftp import build_fftp_automaton, neg_length_height
 from relhyp.cusp import (
-    CuspParams, build_cusp_complex, decompose_geodesic, delta_constant,
-    distance_row, geodesic_length_closed_form, geodesic_path, level_bound,
+    CuspParams, DistanceRows, build_cusp_complex, decompose_geodesic,
+    delta_constant, distance_row, geodesic_length_closed_form, level_bound,
     measure_thinness, optimal_depth,
 )
 from relhyp.hyp2 import (
@@ -232,11 +232,12 @@ def test_criterion_08_geodesic_decomposition(z_cusp):
     params, _, cx, _ = z_cusp
     rng = random.Random(8)
     bound = level_bound(params)
+    rows = DistanceRows(cx.adj)
     checked = 0
     for _ in range(300):
         u, v = rng.sample(range(len(cx)), 2)
         # the smallest-id tight walk back over u's full distance row
-        path = geodesic_path(cx.adj, u, v)
+        path = rows.path(u, v)
         depths = [cx.depth[x] for x in path]
         dec = decompose_geodesic(depths)
         assert dec, depths
@@ -274,10 +275,11 @@ def test_criterion_10_hyp2_sweeps():
     for big_c in (0.5, 1.0, 2.0):
         start = 2.0 * big_c + math.log(16.0)
         for j in range(101):
-            assert ideal_midpoint_check(start + 0.1 * j, big_c)
+            ok, _ = ideal_midpoint_check(start + 0.1 * j, big_c)
+            assert ok
     for ui in range(1, 46):
         for ti in range(1, 16):
-            _, ok = right_triangle_gap(1.0 + 0.2 * ui,
+            _, ok, _ = right_triangle_gap(1.0 + 0.2 * ui,
                                        math.pi / 2.0 * ti / 16.0)
             assert ok
     assert tangent_projection_diameter(1.0, -1.0, 1.0) \

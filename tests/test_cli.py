@@ -384,6 +384,20 @@ def test_cusp_distance_rejects_negative(capsys):
     assert "shadow length" in err
 
 
+# a subnormal --omega overflows shadow_length / (2 omega); a huge one
+# sends it to 0
+@pytest.mark.parametrize("omega", [
+    pytest.param("0." + "0" * 312 + "1", id="subnormal"),
+    pytest.param("1" + "0" * 308, id="huge"),
+])
+def test_cusp_distance_rejects_omega_out_of_scale(omega, capsys):
+    code, _, err = run_cli(["cusp-distance", "9", "0", "0", "--omega", omega],
+                           capsys)
+    assert code == 2
+    assert err.startswith("relhyp: error: shadow_length / (2 * omega) is ")
+    assert err.endswith("; change shadow_length or --omega\n")
+
+
 def test_thinness_command(zline, capsys):
     code, rep, _ = run_cli(
         ["thinness", zline, "--radius", "8", "--depth-cap", "3",
@@ -673,6 +687,21 @@ def test_thinness_report_does_not_depend_on_shared_rows(psi, zzp, capsys,
             "--psi", psi]
     assert main(argv) == 0
     shared = capsys.readouterr().out
+    monkeypatch.setattr("relhyp.cli.inversion_automorphisms", lambda ball: [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shared
+
+
+@pytest.mark.parametrize("psi", ["3", "9"])
+def test_clip_track_report_does_not_depend_on_shared_rows(psi, zzp, capsys,
+                                                          monkeypatch):
+    # both the full and the clipped complex share rows across the lifts,
+    # and at seed 0 some clipped path does not track its full geodesic
+    argv = ["clip-track", zzp, "1", "--radius", "4", "--depth-cap", "2",
+            "--psi", psi]
+    assert main(argv) == 0
+    shared = capsys.readouterr().out
+    assert json.loads(shared)["results"]["max_hausdorff"] > 0
     monkeypatch.setattr("relhyp.cli.inversion_automorphisms", lambda ball: [])
     assert main(argv) == 0
     assert capsys.readouterr().out == shared

@@ -12,11 +12,10 @@ import pytest
 
 from relhyp.cayley import build_ball, inversion_automorphisms
 from relhyp.cusp import (
-    CuspComplex, CuspParams, build_cusp_complex,
+    CuspComplex, CuspParams, DistanceRows, build_cusp_complex,
     build_cusped_cayley, clip, decompose_geodesic,
     deepen_replace, delta_constant, distance_row, geodesic_length_closed_form,
-    geodesic_path, level_bound, measure_thinness, optimal_depth,
-    path_hausdorff,
+    level_bound, measure_thinness, optimal_depth, path_hausdorff,
 )
 from relhyp.electric import ParabolicFamily, RelativePresentation
 
@@ -177,10 +176,11 @@ def test_geodesics_decompose_and_level_is_short(ball_z12):
     params = CuspParams(3.0, depth_cap=4)
     cx = build_cusp_complex(ball_z12, params)
     rng = random.Random(9)
-    assert geodesic_path([[], []], 0, 1) is None
+    assert DistanceRows([[], []]).path(0, 1) is None
+    rows = DistanceRows(cx.adj)
     for _ in range(60):
         s, t = rng.randrange(len(cx)), rng.randrange(len(cx))
-        path = geodesic_path(cx.adj, s, t)
+        path = rows.path(s, t)
         assert path == reference_walk_back(
             cx.adj, reference_dijkstra(cx.adj, s), s, t)
         depths = [cx.depth[v] for v in path]
@@ -206,6 +206,7 @@ def test_geodesic_path_descends_past_near_zero_edges(pres_z):
     params = CuspParams(1e4, depth_cap=4)
     cx = build_cusp_complex(build_ball(pres_z, 6), params)
     rng = random.Random(3)
+    rows = DistanceRows(cx.adj)
     hung = []
     previous = signal.signal(signal.SIGALRM, too_slow)
     try:
@@ -213,7 +214,7 @@ def test_geodesic_path_descends_past_near_zero_edges(pres_z):
             s, t = rng.sample(range(len(cx)), 2)
             try:   # a walk takes microseconds; a cycling one never ends
                 signal.setitimer(signal.ITIMER_REAL, 0.2)
-                path = geodesic_path(cx.adj, s, t)
+                path = rows.path(s, t)
             except TimeoutError:
                 hung.append((s, t))
                 continue
@@ -401,29 +402,66 @@ def test_dijkstra_matches_push_every_neighbour():
         n = rng.randrange(2, 30)
         adj = _random_adj(rng, n, rng.randrange(0, 3 * n),
                           components=1 + trial % 3)
+        rows = DistanceRows(adj)
         for src in range(n):
             want = reference_dijkstra(adj, src)
             assert distance_row(adj, src) == [
                 math.inf if d is None else d for d in want]
             dst = rng.randrange(n)
             if want[dst] is None:
-                assert geodesic_path(adj, src, dst) is None
+                assert rows.path(src, dst) is None
             else:
-                assert geodesic_path(adj, src, dst) == reference_walk_back(
+                assert rows.path(src, dst) == reference_walk_back(
                     adj, want, src, dst)
 
 
 def test_path_hausdorff_matches_full_rows(ball_z12):
     import random
     cx = build_cusp_complex(ball_z12, CuspParams(3.0, depth_cap=3))
+    rows = DistanceRows(cx.adj)
     rng = random.Random(8)
+    pairs = [(rng.sample(range(len(cx)), rng.randrange(1, 6)),
+              rng.sample(range(len(cx)), rng.randrange(1, 6)))
+             for _ in range(40)]
+    # pairs that share both ends, as clip-track compares them: a geodesic
+    # against a detour through a third vertex, where gap's skips read the
+    # shared ends
     for _ in range(40):
-        one = rng.sample(range(len(cx)), rng.randrange(1, 6))
-        two = rng.sample(range(len(cx)), rng.randrange(1, 6))
-        want = max(min(reference_dijkstra(cx.adj, u)[v] for v in b)
-                   for a, b in ((one, two), (two, one)) for u in a)
-        got = path_hausdorff(cx, one, two)
+        s, m, t = rng.sample(range(len(cx)), 3)
+        pairs.append((rows.path(s, m) + rows.path(m, t)[1:], rows.path(s, t)))
+    skips = 0
+    for one, two in pairs:
+        want = 0.0
+        for a, b in ((one, two), (two, one)):
+            ends = [e for e in (a[0], a[-1]) if e in b]
+            for u in a:
+                du = reference_dijkstra(cx.adj, u)
+                if u not in b and any(du[e] <= want for e in ends):
+                    skips += 1
+                want = max(want, min(du[v] for v in b))
+        got = path_hausdorff(rows, one, two)
         assert got == want and repr(got) == repr(want)
+    assert skips > 40  # the skips ran
+
+
+def test_clip_track_builds_each_row_once(tmp_path, monkeypatch, capsys):
+    import relhyp.cusp
+    from relhyp.cli import main
+    built = []
+
+    def counted(adj, src):
+        built.append((id(adj), src))
+        return distance_row(adj, src)
+
+    monkeypatch.setattr(relhyp.cusp, "distance_row", counted)
+    pres = tmp_path / "z2-rel-b.pres"
+    pres.write_text("[generators] a b\n[relators] abAB\n[parabolic P] b\n")
+    assert main(["clip-track", str(pres), "1", "--radius", "4",
+                 "--depth-cap", "2", "--budget", "40"]) == 0
+    capsys.readouterr()
+    # rows of the full and the clipped complex, none built twice
+    assert len({adj for adj, _ in built}) == 2
+    assert len(built) == len(set(built))
 
 
 def test_thinness_of_cusp_complex(pres_z):
@@ -504,21 +542,22 @@ def test_deepen_replace(ball_z12):
     cx = build_cusp_complex(ball_z12, params)
     chain = [ball_z12.evaluate((0,) * k) for k in range(10)]  # 0..9 in Z
     beta = [cx.ids[v, 1] for v in chain]
-    gamma = deepen_replace(cx, beta, 1)
+    rows = DistanceRows(cx.adj)
+    gamma = deepen_replace(cx, rows, beta, 1)
     assert gamma[0] == beta[0] and gamma[-1] == beta[-1]
     assert max(cx.depth[v] for v in gamma) == 2
     want = geodesic_length_closed_form(9.0, 1, 1, params)[0]
     assert path_length(cx, gamma) == pytest.approx(want, abs=1e-9)
     assert path_length(cx, gamma) < path_length(cx, beta)
-    h = path_hausdorff(cx, beta, gamma)
+    h = path_hausdorff(rows, beta, gamma)
     assert 0 < h < path_length(cx, beta)
 
     # stretches below the clip depth survive untouched
     beta2 = [cx.ids[chain[0], 0]] + beta
-    gamma2 = deepen_replace(cx, beta2, 1)
+    gamma2 = deepen_replace(cx, rows, beta2, 1)
     assert gamma2[0] == beta2[0] and cx.depth[gamma2[0]] == 0
 
     deep = cx.ids[chain[0], 2]
     with pytest.raises(ValueError):
-        deepen_replace(cx, [deep], 1)
+        deepen_replace(cx, rows, [deep], 1)
 

@@ -51,12 +51,31 @@ def _relative_imports_in_functions(path):
 
 def test_no_relative_import_inside_a_function():
     # package imports go at the top of the module; a function may still
-    # import from the standard library (measure_thinness defers array)
+    # import from the standard library (DistanceRows defers array)
     modules = sorted(SRC.glob("*.py"))
     assert modules
     found = {hit for path in modules
              for hit in _relative_imports_in_functions(path)}
     assert found == set()
+
+
+def _callers(path, name):
+    """The top-level function or class around each call of name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                yield f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+
+
+def test_distance_rows_come_from_one_place():
+    # every row, walk and gap goes through DistanceRows, which builds each
+    # row once and shares it across automorphisms
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _callers(path, "distance_row")]
+    assert found == ["cusp.py:DistanceRows"]
 
 
 def _unused_imports(path):
