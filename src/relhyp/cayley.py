@@ -2,11 +2,12 @@
 
 The ball stores, per element, the shortlex-minimal geodesic word and the
 full edge table between in-ball elements.  Elements are identified by
-:class:`WordProblemOracle`, a shortlex Knuth–Bendix completion of the
-presentation in the alphabet's symbol order (a A b B ...).  A complete
-system rewrites every word to the shortlex-least word for its element,
-which is the word the breadth-first ball keeps, so that normal form is
-the element's key.  When completion does not finish within its rule
+``WordProblemOracle.normal_form``, which rewrites with a shortlex
+Knuth–Bendix completion of the presentation in the alphabet's symbol
+order (a A b B ...).  A complete system rewrites every word to the
+shortlex-least word for its element, which is the word the breadth-first
+ball keeps, so that normal form is the element's key and every ball word
+is its own normal form.  When completion does not finish within its rule
 budget, ball construction aborts rather than guessing.
 """
 
@@ -17,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
-from .words import Presentation, Word, abelianization
+from .words import Presentation, Word
 
 
 class OracleBudgetError(RuntimeError):
@@ -28,7 +29,6 @@ class OracleBudgetError(RuntimeError):
 class OracleResult:
     status: str  # "trivial" | "nontrivial" | "unknown"
     certificate: tuple = ()  # (rule table, rewrite chain) for "trivial"
-    reason: str = ""
 
 
 def _enc(word: Word) -> str:
@@ -73,65 +73,37 @@ def replay_certificate(presentation: Presentation, word: Word,
     return tuple(map(ord, _apply(rules, _enc(word), chain, len(rules))))
 
 
-def _lattice_member(vectors, target) -> bool:
-    # integer column elimination; True when target lies in the Z-span
-    vecs = [list(v) for v in vectors if any(v)]
-    t = list(target)
-    n = len(t)
-    for col in range(n):
-        # gcd-reduce the column below the current row
-        while True:
-            pivots = [v for v in vecs if v[col] != 0]
-            if len(pivots) <= 1:
-                break
-            pivots.sort(key=lambda v: abs(v[col]))
-            small = pivots[0]
-            for v in pivots[1:]:
-                q = v[col] // small[col]
-                for j in range(n):
-                    v[j] -= q * small[j]
-        pivot = next((v for v in vecs if v[col] != 0), None)
-        if pivot is None:
-            continue
-        if t[col] % pivot[col] != 0:
-            return False
-        q = t[col] // pivot[col]
-        for j in range(n):
-            t[j] -= q * pivot[j]
-        vecs.remove(pivot)
-    return not any(t)
-
-
 class WordProblemOracle:
-    """Three-valued word problem by shortlex Knuth–Bendix completion.
+    """Normal forms by shortlex Knuth–Bendix completion.
 
     Completion runs once, at construction, and gives up rather than take
     the rule table past ``budget`` rules (Epstein et al., *Word Processing
     in Groups*, ch. 2; Sims, *Computation with Finitely Presented Groups*,
-    ch. 2).  ``complete`` says whether it finished.  ``rules``
-    holds every rule ever made as (lhs, rhs, proof), indexed by its id;
-    ids are never reused.  The axioms s s^-1 -> ε and relator -> ε have
-    proof None.  Every other rule's proof is a peak (w, left steps, right
-    steps), each step (position, earlier rule id), whose left steps take
-    w to the lhs and right steps to the rhs.  Words in rules are str, one
-    character chr(symbol) per symbol.
+    ch. 2).  ``complete`` says whether it finished, and ``active_rules``
+    how many rules it left active.  ``rules`` holds every rule ever made
+    as (lhs, rhs, proof), indexed by its id; ids are never reused.  The
+    axioms s s^-1 -> ε and relator -> ε have proof None.  Every other
+    rule's proof is a peak (w, left steps, right steps), each step
+    (position, earlier rule id), whose left steps take w to the lhs and
+    right steps to the rhs.  Words in rules are str, one character
+    chr(symbol) per symbol.
 
-    decide answers "trivial" when the word rewrites to ε, with the rule
-    table and the rewrite chain as certificate; "nontrivial" when its
-    abelianization lies outside the relator lattice or the system is
-    complete; "unknown" otherwise.
+    ``normal_form`` is the one way to rewrite a word: completion, decide
+    and build_ball all call it.  decide reads its verdict off the normal
+    form: "trivial" when it is ε, with the rule table and the rewrite
+    chain as certificate; "nontrivial" when it is nonempty and the system
+    is complete; "unknown" otherwise.
     """
 
     def __init__(self, presentation: Presentation, budget: int = 500):
         self.presentation = presentation
         self.budget = budget
-        self.rel_ab = [abelianization(presentation.alphabet, r)
-                       for r in presentation.relators]
         self.rules: list = []
         self._lhs: dict = {}   # active lhs -> rule id
         self._lens: list = []  # lengths of the active lhs, ascending
         self.complete = self._complete()
         self.rules = tuple(self.rules)
+        self.active_rules = len(self._lhs)
 
     def _complete(self) -> bool:
         # pending equations: (w, u, steps w -> u, v, steps w -> v)
@@ -143,7 +115,7 @@ class WordProblemOracle:
             lhs = _enc(word)
             self.rules.append((lhs, "", None))
             rid = len(self.rules) - 1
-            if self._rewrite(lhs)[0] == lhs:
+            if self.normal_form(lhs)[0] == lhs:
                 self._activate(rid, pending)
             else:
                 pending.append((lhs, lhs, [], "", [(0, rid)]))
@@ -176,8 +148,8 @@ class WordProblemOracle:
     def _settle(self, pending, w, u, left, v, right) -> bool:
         """Turn one equation into a rule unless both sides rewrite to the
         same word; False when that would exceed the budget."""
-        u, su = self._rewrite(u)
-        v, sv = self._rewrite(v)
+        u, su = self.normal_form(u)
+        v, sv = self.normal_form(v)
         if u == v:
             return True
         if (len(u), u) < (len(v), v):
@@ -199,15 +171,15 @@ class WordProblemOracle:
         self._lhs[lhs] = rid
         self._lens = sorted({len(x) for x in self._lhs})
 
-    def _rewrite(self, word: str, out: str = ""):
-        """Normal form of out + word under the active rules, with the
-        steps taken; out must already be irreducible.
+    def normal_form(self, word: str, prefix: str = ""):
+        """(normal form of prefix + word under the active rules, the steps
+        taken); prefix must already be irreducible.
 
         Every redex of an irreducible word plus one symbol ends at that
-        symbol, so only the suffixes of out are looked up.
+        symbol, so only the suffixes of the output are looked up.
         """
         lhs, lens = self._lhs, self._lens
-        steps = []
+        out, steps = prefix, []
         while word:
             out += word[0]
             word = word[1:]
@@ -224,20 +196,10 @@ class WordProblemOracle:
         return out, steps
 
     def decide(self, word: Word) -> OracleResult:
-        nf, steps = self._rewrite(_enc(word))
+        nf, steps = self.normal_form(_enc(word))
         if not nf:
             return OracleResult("trivial", (self.rules, tuple(steps)))
-        alphabet = self.presentation.alphabet
-        shown = alphabet.to_str(tuple(map(ord, nf)))
-        if not _lattice_member(self.rel_ab, abelianization(alphabet, word)):
-            return OracleResult("nontrivial", reason=(
-                f"abelianization outside relator lattice (reduced form {shown})"))
-        if self.complete:
-            return OracleResult("nontrivial", reason=(
-                f"complete rewriting system; reduced form {shown} is nonempty"))
-        return OracleResult("unknown", reason=(
-            f"reduced form {shown} is nonempty, and completion stopped at "
-            f"its budget of {self.budget} rules"))
+        return OracleResult("nontrivial" if self.complete else "unknown")
 
 
 class GroupBall:
@@ -306,7 +268,7 @@ def build_ball(presentation: Presentation, radius: int) -> GroupBall:
     if not oracle.complete:
         raise OracleBudgetError(
             f"Knuth-Bendix completion did not finish within its budget of "
-            f"{oracle.budget} rules ({len(oracle._lhs)} active)")
+            f"{oracle.budget} rules ({oracle.active_rules} active)")
     ball = GroupBall(presentation, radius)
     nsyms = len(presentation.alphabet.symbols)
     ball.words.append(())
@@ -319,7 +281,7 @@ def build_ball(presentation: Presentation, radius: int) -> GroupBall:
         for sym in range(nsyms):
             if row[sym] is not None:
                 continue
-            key = oracle._rewrite(chr(sym), ku)[0]
+            key = oracle.normal_form(chr(sym), ku)[0]
             target = index.get(key)
             if target is None and len(wu) < radius:
                 # fresh element one step further out

@@ -29,8 +29,7 @@ import time
 from . import __version__
 from .words import Alphabet, Presentation, free_reduce
 from .cayley import (
-    OracleBudgetError, build_ball, geodesic_words, inversion_automorphisms,
-    sphere_sizes,
+    build_ball, geodesic_words, inversion_automorphisms, sphere_sizes,
 )
 from .electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
@@ -809,7 +808,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"relhyp: error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OracleBudgetError, RuntimeError) as e:
+    except (ValueError, RuntimeError) as e:
         print(f"relhyp: error: {e}", file=sys.stderr)
         return 1
     report = {

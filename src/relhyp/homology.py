@@ -3,10 +3,11 @@
 Everything here is exact, with no floats.  Eliminations run on
 arbitrary-precision integer rows; Fractions carry the rational data
 around them (filling ratios, kernel vectors, solutions).  Linking
-matrices carry their symmetry convention as data: the skew convention
-is the default, the classical symmetric one is allowed, both are
-validated and reported.  The double-indexed meridian rows in
-the source sub-lemma are read as u_i*alpha_i + v_i*sum_j k_ij*alpha_j.
+matrices carry their symmetry convention as data and are validated
+against it: the skew convention is the default and the one dehn-fill
+builds; the classical symmetric one is allowed.  No report carries the
+convention.  The double-indexed meridian rows in the source sub-lemma
+are read as u_i*alpha_i + v_i*sum_j k_ij*alpha_j.
 """
 
 from __future__ import annotations

@@ -125,11 +125,3 @@ def relator_forms(relators) -> tuple:
                     seen.add(f)
                     forms.append(f)
     return tuple(forms)
-
-
-def abelianization(alphabet: Alphabet, word: Word) -> tuple:
-    """Exponent-sum vector over the generators."""
-    vec = [0] * len(alphabet.generators)
-    for sym in word:
-        vec[sym >> 1] += -1 if sym & 1 else 1
-    return tuple(vec)

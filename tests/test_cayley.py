@@ -15,7 +15,7 @@ from relhyp.cayley import (
 from relhyp.words import Alphabet, Presentation, free_reduce
 
 from oracle_tools import (
-    d5_eval, lengths_by_enumeration, reference_dijkstra, s3_eval,
+    d5_eval, lengths_by_enumeration, reference_dijkstra, s3_eval, z2_eval,
     z2freez3_eval, z3freez3_eval, z3xz_eval, zfreez2_eval, zfreez3_eval,
 )
 
@@ -42,8 +42,7 @@ def test_oracle_free(pres_f2):
     o = WordProblemOracle(pres_f2)
     ab = pres_f2.alphabet
     assert o.decide(ab.parse("abBA")).status == "trivial"
-    r = o.decide(ab.parse("ab"))
-    assert r.status == "nontrivial" and "reduced" in r.reason
+    assert o.decide(ab.parse("ab")).status == "nontrivial"
 
 
 def test_oracle_free_abelian_certificates(pres_z2):
@@ -54,8 +53,7 @@ def test_oracle_free_abelian_certificates(pres_z2):
         r = o.decide(w)
         assert r.status == "trivial", text
         assert replay_certificate(pres_z2, w, r.certificate) == ()
-    r = o.decide(ab.parse("ab"))
-    assert r.status == "nontrivial" and "abelianization" in r.reason
+    assert o.decide(ab.parse("ab")).status == "nontrivial"
     assert o.decide(pres_z2.alphabet.parse("abAB")).status == "trivial"
 
 
@@ -68,12 +66,16 @@ def test_oracle_bounded_search():
     r = o.decide(alpha.parse("aaabbb"))
     assert r.status == "trivial"
     assert replay_certificate(p, alpha.parse("aaabbb"), r.certificate) == ()
-    # abAB is nonempty in the normal form of a complete system
-    r = o.decide(alpha.parse("abAB"))
-    assert r.status == "nontrivial" and "complete" in r.reason
-    # five rules do not even hold the six axioms
+    # abAB has a nonempty normal form under a complete system
+    assert o.decide(alpha.parse("abAB")).status == "nontrivial"
+    # a budget of five rules is below the six axioms, so completion stops
+    # at its first derived rule; a nonempty normal form then proves
+    # nothing, even for a, whose exponent sum lies outside the relator
+    # lattice
     tiny = WordProblemOracle(p, budget=5)
+    assert not tiny.complete
     assert tiny.decide(alpha.parse("abAB")).status == "unknown"
+    assert tiny.decide(alpha.parse("a")).status == "unknown"
 
 
 def test_ball_counts_z2(pres_z2):
@@ -107,8 +109,8 @@ def test_ball_with_torsion_matches_normal_forms(relators, evaluate, radius,
     # exponent vectors, and zero exponent sums do not make a word trivial
     gens = sorted({c.lower() for r in relators for c in r} | {"a", "b"})
     alpha = Alphabet(gens)
-    ball = build_ball(Presentation(alpha, tuple(map(alpha.parse, relators))),
-                      radius)
+    pres = Presentation(alpha, tuple(map(alpha.parse, relators)))
+    ball = build_ball(pres, radius)
     letters = "".join(g + g.upper() for g in gens)
     length = lengths_by_enumeration(evaluate, radius, letters)
     elements = [evaluate(alpha.to_str(w)) for w in ball.words]
@@ -122,6 +124,11 @@ def test_ball_with_torsion_matches_normal_forms(relators, evaluate, radius,
         for sym in ball.symbol_moves():
             g = evaluate(alpha.to_str(ball.words[v] + (sym,)))
             assert row[sym] == index.get(g)
+    # every ball word is its own normal form, the element's key
+    oracle = WordProblemOracle(pres)
+    for w in ball.words:
+        key = "".join(map(chr, w))
+        assert oracle.normal_form(key) == (key, [])
 
 
 def test_ball_zero_radius(pres_z2):
@@ -196,14 +203,13 @@ def test_distance(pres_z2):
 
 
 def test_distance_matches_group_metric(pres_z2):
-    from relhyp.words import abelianization
     b = build_ball(pres_z2, 4)
     ab = pres_z2.alphabet
     for g in range(len(b)):
         for h in range(len(b)):
             d = distance(b, g, h)
-            vg = abelianization(ab, b.words[g])
-            vh = abelianization(ab, b.words[h])
+            vg = z2_eval(ab.to_str(b.words[g]))
+            vh = z2_eval(ab.to_str(b.words[h]))
             true = abs(vg[0] - vh[0]) + abs(vg[1] - vh[1])
             if d is not None:
                 assert d == true

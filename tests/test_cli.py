@@ -216,6 +216,16 @@ def test_geodesics_out_of_ball_is_computational_error(zline, capsys):
     assert "leaves the radius-2 ball" in err
 
 
+def test_oracle_budget_is_computational_error(tmp_path, capsys):
+    # the Heisenberg group has no finite complete shortlex system
+    p = tmp_path / "heis.pres"
+    p.write_text("[generators] a b c\n[relators] abABC acAC bcBC\n")
+    code, rep, err = run_cli(["ball", str(p), "--radius", "1"], capsys)
+    assert code == 1 and rep is None
+    assert err.startswith("relhyp: error: ")
+    assert "budget of 500 rules" in err
+
+
 def test_fftp_automaton_z_three_live_states(zline, capsys):
     code, rep, _ = run_cli(["fftp-automaton", zline, "--delta", "2"], capsys)
     assert code == 0

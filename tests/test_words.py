@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relhyp.words import (
-    Alphabet, Presentation, abelianization, cyclic_permute,
+    Alphabet, Presentation, cyclic_permute,
     free_reduce, relator_forms, word_inverse,
 )
 
@@ -87,11 +87,6 @@ def test_relator_forms():
     assert AB.parse("baBA") in forms  # inverse
     assert len(forms) == 8
     assert len(set(forms)) == len(forms)
-
-
-def test_abelianization():
-    assert abelianization(AB, AB.parse("abAbb")) == (0, 3)
-    assert abelianization(AB, ()) == (0, 0)
 
 
 def test_alphabet_validation():
