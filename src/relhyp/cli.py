@@ -33,10 +33,10 @@ from .cayley import (
 )
 from .electric import (
     ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
-    electric_area_upper, electric_geodesic, electric_length,
+    electric_area_upper, electric_geodesic_tree, electric_length,
 )
 from .automata import live_states, minimize, prefix_closed
-from .fftp import build_fftp_automaton, neg_electric_height, neg_length_height
+from .fftp import build_fftp_automaton, neg_electric_height
 from .cusp import (
     CuspParams, DistanceRows, build_cusp_complex, build_cusped_cayley, clip,
     deepen_replace, delta_constant, geodesic_length_closed_form, level_bound,
@@ -187,12 +187,7 @@ def parse_presentation(text: str) -> RelativePresentation:
                     ln, col)
             claimed[tok] = name
             idx.append(alphabet.index(tok))
-        syms = set()
-        for g in idx:
-            syms |= {g, g ^ 1}
-        # a relator living entirely on the family's letters belongs to it
-        fam_rels = tuple(r for r in relators if set(r) <= syms)
-        fams.append(ParabolicFamily(name, tuple(idx), fam_rels))
+        fams.append(ParabolicFamily(name, tuple(idx)))
 
     base = Presentation(alphabet, tuple(relators))
     return RelativePresentation(base, tuple(fams))
@@ -403,7 +398,7 @@ def cmd_geodesics(args):
         "truncated": count > args.budget,
     }
     if rp.families:
-        xi = electric_geodesic(ball, rp, v)
+        xi = electric_geodesic_tree(ball, rp, 0)[v][1]
         results["electric_length"] = electric_length(rp, word)
         results["electric_distance"] = electric_length(rp, xi)
         results["electric_geodesic"] = ab.to_str(xi)
@@ -415,9 +410,7 @@ def cmd_geodesics(args):
 def cmd_fftp_automaton(args):
     rp = _rp_from_args(args)
     ball = _ball(rp, args.radius, args.delta + 1)
-    h = neg_electric_height(rp) if rp.families else neg_length_height(
-        rp.base.alphabet)
-    dfa = build_fftp_automaton(ball, args.delta, h)
+    dfa = build_fftp_automaton(ball, args.delta, neg_electric_height(rp))
     small = minimize(dfa)
     live = live_states(small)
     results = {
@@ -622,23 +615,12 @@ def cmd_dehn_fill(args):
                          f"(use * for unfilled), got {len(fillings)}")
     fm = filling_matrix(k, fillings)
     nullity, basis = filling_nullity_certificate(fm.rows)
-    filled = [f for f in fillings if f is not None]
-    trailing_unfilled = all(f is not None for f in fillings[:len(filled)])
-    h1 = None
-    if trailing_unfilled:
-        rank_bound, torsion = h1_presentation(k, filled)
-        # fm is also the filling matrix of the prefix h1 fills, so its
-        # nullity must meet the rank identity
-        if rank_bound - (k.n - len(filled)) != nullity:
-            raise AssertionError("rank identity violated; inconsistent input?")
-        h1 = {
-            "rank_lower_bound": rank_bound,
-            "torsion": list(torsion),
-            "kernel_rank": kernel_rank(rank_bound, k.n - len(filled)),
-            # lambda and mu of each filled torus, over the alphas and
-            # one e per filled torus
-            "presentation_shape": [k.n + len(filled), 2 * len(filled)],
-        }
+    nf = len(fm.filled)
+    rank_bound, torsion = h1_presentation(k, fillings)
+    # fm is the filling matrix of the set h1 fills, so its nullity must
+    # meet the rank identity
+    if rank_bound - (k.n - nf) != nullity:
+        raise AssertionError("rank identity violated; inconsistent input?")
     results = {
         "components": k.n,
         "filled": list(fm.filled),
@@ -647,12 +629,18 @@ def cmd_dehn_fill(args):
         "filling_matrix": [[str(x) for x in row] for row in fm.rows],
         "nullity": nullity,
         "kernel_basis": [list(v) for v in basis],
-        "h1": h1,
+        "h1": {
+            "rank_lower_bound": rank_bound,
+            "torsion": list(torsion),
+            "kernel_rank": kernel_rank(rank_bound, k.n - nf),
+            # lambda and mu of each filled torus, over the alphas and
+            # one e per filled torus
+            "presentation_shape": [k.n + nf, 2 * nf],
+        },
     }
     inputs = {"linking_matrix": [list(r) for r in rows],
               "slopes": [None if f is None else [f.u, f.v] for f in fillings]}
-    note = "" if h1 is not None else " (h1 skipped: fill a prefix of components)"
-    return results, inputs, f"dehn-fill: nullity {nullity}{note}"
+    return results, inputs, f"dehn-fill: nullity {nullity}"
 
 
 def cmd_cocycle_check(args):

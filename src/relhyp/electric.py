@@ -3,7 +3,9 @@
 Parabolic letters are free: the electric length of a word counts only the
 letters outside every parabolic family, parabolic edges have weight zero
 for electric geodesics, and the electric area of a loop counts only the
-non-parabolic relator insertions needed to contract it.
+non-parabolic relator insertions needed to contract it.  A family's
+relators are the base relators written in its letters alone; every other
+relator is non-parabolic.
 
 Cosets are tracked per family.  Inside a ball the cosets of a family are
 the connected components of the subgraph of edges labelled by that
@@ -28,7 +30,6 @@ from .words import Presentation, Word, free_reduce, relator_forms, word_inverse
 class ParabolicFamily:
     name: str
     generators: tuple  # generator symbol indices (even) into the alphabet
-    relators: tuple = ()
 
     def symbols(self):
         out = set()
@@ -55,34 +56,29 @@ class RelativePresentation:
                 if g in seen:
                     raise ValueError(f"generator {g} in two parabolic families")
                 seen.add(g)
-            syms = fam.symbols()
-            for r in fam.relators:
-                if r not in self.base.relators:
-                    raise ValueError(f"family relator {r} missing from the presentation")
-                if not set(r) <= syms:
-                    raise ValueError(f"family relator {r} uses outside letters")
-        # symbol -> family index (None for free letters), and family index
-        # -> its ball as grown so far; not fields, so equality, hashing and
+        # symbol -> family index (None for free letters); relator -> the
+        # family whose letters it uses alone, which makes it that family's
+        # relator (None for a non-parabolic relator); family index -> its
+        # ball as grown so far.  Not fields, so equality, hashing and
         # serialization see only base and families
         table = [None] * len(self.base.alphabet.symbols)
         for i, fam in enumerate(self.families):
             for sym in fam.symbols():
                 table[sym] = i
+        owners = []
+        for r in self.base.relators:
+            fams = {table[sym] for sym in r}
+            owners.append(fams.pop() if len(fams) == 1 else None)
         object.__setattr__(self, "_symbol_family", tuple(table))
+        object.__setattr__(self, "_relator_family", tuple(owners))
         object.__setattr__(self, "_family_balls", {})
 
     def family_of_symbol(self, sym: int):
         return self._symbol_family[sym]
 
-    def parabolic_relators(self):
-        out = set()
-        for fam in self.families:
-            out |= set(fam.relators)
-        return out
-
     def nonparabolic_relators(self):
-        par = self.parabolic_relators()
-        return tuple(r for r in self.base.relators if r not in par)
+        return tuple(r for r, fi in zip(self.base.relators,
+                                        self._relator_family) if fi is None)
 
 
 def electric_length(rp: RelativePresentation, word: Word) -> int:
@@ -145,11 +141,12 @@ def _family_ball(rp: RelativePresentation, fi: int, radius: int) -> GroupBall:
     is P.  Outside letters are self-loops; a shortlex-least word never
     contains a letter equal to 1, so words and family edges are those of
     P's own Cayley ball."""
-    fam = rp.families[fi]
     alphabet = rp.base.alphabet
+    own = tuple(r for r, f in zip(rp.base.relators, rp._relator_family)
+                if f == fi)
     killed = tuple((g,) for g in alphabet.generator_indices()
-                   if g not in fam.generators)
-    return build_ball(Presentation(alphabet, fam.relators + killed), radius)
+                   if g not in rp.families[fi].generators)
+    return build_ball(Presentation(alphabet, own + killed), radius)
 
 
 def _family_step(rp: RelativePresentation, fi: int, v: int, sym: int) -> int:
@@ -169,8 +166,9 @@ def _family_step(rp: RelativePresentation, fi: int, v: int, sym: int) -> int:
 
 
 def _reduce_runs(rp: RelativePresentation, word: Word):
-    """Replace each maximal single-family run by its shortlex word in the
-    family ball.
+    """Replace each maximal single-family run by its normal form, the
+    run's shortlex word in the family ball (``_canonical_splice`` of the
+    run alone).
 
     Returns (reduced word, changed); changed lists (start, stop,
     replacement) for every run whose word changed, with start and stop
@@ -182,10 +180,7 @@ def _reduce_runs(rp: RelativePresentation, word: Word):
     for fi, run in groupby(word, rp._symbol_family.__getitem__):
         seg = tuple(run)
         if fi is not None:
-            v = 0
-            for sym in seg:
-                v = _family_step(rp, fi, v, sym)
-            rep = rp._family_balls[fi].words[v]
+            rep = _canonical_splice(rp, (), seg, ())
             if rep != seg:
                 changed.append((len(out), len(out) + len(seg), rep))
                 seg = rep
@@ -227,13 +222,6 @@ def electric_geodesic_tree(ball: GroupBall, rp: RelativePresentation,
                 nw = word + (sym,)
                 heappush(heap, (edist + _edge_weight(rp, sym), len(nw), nw, t))
     return words
-
-
-def electric_geodesic(ball, rp: RelativePresentation, target: int) -> Word:
-    tree = electric_geodesic_tree(ball, rp, 0)
-    if tree[target] is None:
-        raise ValueError("target not reachable inside the ball")
-    return tree[target][1]
 
 
 def _first_nongeodesic_segment(ball, rp, word, k):
@@ -352,8 +340,11 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     word, meeting in the middle.  Intermediate words are capped at
     len(w) + 2 * max non-parabolic relator length, which is the honest
     approximation boundary: derivations needing longer intermediates are
-    not found.  Returns the area, or None when nothing is found within
-    n_max insertions and the node budget.
+    not found.
+
+    Returns the area A when A <= n_max and the node budget suffices, and
+    None otherwise: the two searches first meet at the level where their
+    depths sum to A, and a search that ends before meeting found nothing.
     """
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
@@ -371,12 +362,12 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
         if best is not None and depth[0] + depth[1] >= best:
             return best
         if depth[0] + depth[1] >= n_max:
-            return best if best is not None and best <= n_max else None
+            return None
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         if not frontier[side]:
             side = 1 - side
         if not frontier[side]:
-            return best
+            return None
         other = 1 - side
         depth[side] += 1
         nxt = []

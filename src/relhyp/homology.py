@@ -261,7 +261,6 @@ class FillingMatrix:
     rows: tuple          # tuples of Fractions, one per filled component
     filled: tuple        # indices (0-based) of the filled components
     unreduced: tuple     # indices of rows left in u_i*e_i form (v_i = 0)
-    n: int
 
 
 def filling_matrix(k: LinkingMatrix, fillings) -> FillingMatrix:
@@ -285,7 +284,7 @@ def filling_matrix(k: LinkingMatrix, fillings) -> FillingMatrix:
             row = [Fraction(x) for x in k.row(i)]
             row[i] = Fraction(f.u, f.v)
         rows.append(tuple(row))
-    return FillingMatrix(tuple(rows), tuple(filled), tuple(unreduced), k.n)
+    return FillingMatrix(tuple(rows), tuple(filled), tuple(unreduced))
 
 
 def _primitive(vec):
@@ -478,7 +477,9 @@ def _solve_exact(mat, rhs):
 
 def h1_presentation(k: LinkingMatrix, fillings):
     """Free-rank lower bound and torsion of the filled manifold's first
-    homology, as (rank_bound, torsion).
+    homology, as (rank_bound, torsion).  fillings is read per component,
+    as filling_matrix reads it: None, or an omitted trailing entry, leaves
+    a component unfilled.
 
     Filling torus i glues in two relations, in the basis (alpha_1..alpha_n,
     e_1..e_nf):
@@ -487,17 +488,18 @@ def h1_presentation(k: LinkingMatrix, fillings):
     e_i occurs only in lambda_i, with coefficient 1, so row operations
     against e_i's row clear the rest of lambda_i's column: each lambda_i
     splits off a unit factor, and (p_i, q_i) never reach an invariant.
-    What is left is the n x nf meridian block
-    M[j][i] = v_i*k_ij + [i == j]*u_i.  Smith forms are unique, so the
-    free rank is n minus M's nonzero diagonal entries and the torsion is
-    M's entries above 1.
+    What is left is the n x nf meridian block, one column per filled
+    component i: M[j][i] = v_i*k_ij + [i == j]*u_i.  Smith forms are
+    unique, so the free rank is n minus M's nonzero diagonal entries and
+    the torsion is M's entries above 1.
     """
     n = k.n
-    nf = len(fillings)
-    if nf > n:
+    if len(fillings) > n:
         raise ValueError("more fillings than components")
+    filled = [(i, f) for i, f in enumerate(fillings) if f is not None]
+    nf = len(filled)
     meridians = [[f.v * k.entries[i][j] + (f.u if i == j else 0)
-                  for i, f in enumerate(fillings)] for j in range(n)]
+                  for i, f in filled] for j in range(n)]
     _smith(meridians, nf, [], [])
     diag = [meridians[i][i] for i in range(nf)]
     rank_bound = n - sum(1 for x in diag if x != 0)

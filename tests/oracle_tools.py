@@ -825,6 +825,20 @@ def _reference_family_of_symbol(rp, sym):
     return None
 
 
+def _reference_family_relators(rp, fi):
+    """The base relators whose every letter is a generator of family fi
+    or its inverse."""
+    gens = set(rp.families[fi].generators)
+    return tuple(r for r in rp.base.relators if {sym & ~1 for sym in r} <= gens)
+
+
+def _reference_nonparabolic_relators(rp):
+    owned = set()
+    for fi in range(len(rp.families)):
+        owned |= set(_reference_family_relators(rp, fi))
+    return tuple(r for r in rp.base.relators if r not in owned)
+
+
 def _reference_family_ball(rp, fi, radius):
     from relhyp.cayley import build_ball
     from relhyp.words import Presentation
@@ -833,7 +847,8 @@ def _reference_family_ball(rp, fi, radius):
     # the family's group is the quotient that kills every other generator
     killed = tuple((g,) for g in alphabet.generator_indices()
                    if g not in fam.generators)
-    return build_ball(Presentation(alphabet, fam.relators + killed), radius)
+    return build_ball(Presentation(
+        alphabet, _reference_family_relators(rp, fi) + killed), radius)
 
 
 def _reference_reduce_runs(rp, word, cache):
@@ -880,7 +895,7 @@ def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
     insertions and the node budget.
     """
     from relhyp.words import relator_forms
-    forms = relator_forms(rp.nonparabolic_relators())
+    forms = relator_forms(_reference_nonparabolic_relators(rp))
     if not forms:
         raise ValueError("no non-parabolic relators to insert")
     cache: dict = {}

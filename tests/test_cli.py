@@ -125,7 +125,7 @@ def test_family_relators_assigned_by_support():
     rp = parse_presentation(
         "[generators] a b c\n[relators] abAB bcBC\n[parabolic P] b c\n")
     # bcBC lives on the family's letters, abAB does not
-    assert rp.families[0].relators == (rp.base.relators[1],)
+    assert rp._relator_family == (None, 0)
     assert rp.nonparabolic_relators() == (rp.base.relators[0],)
 
 
@@ -522,12 +522,17 @@ def test_dehn_fill_partial_and_gaps(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["unreduced"] == [0]
     assert rep["results"]["h1"]["presentation_shape"] == [3, 2]
-    # a gap in the filled set skips the H1 block but keeps the certificate
+    # a gap in the filled set reports the H1 block of the relabelled
+    # prefix case: swapping the components negates the skew entry
     s.write_text("*\n1/0\n")
     code, rep, _ = run_cli(["dehn-fill", str(k), str(s)], capsys)
     assert code == 0
-    assert rep["results"]["h1"] is None
     assert rep["results"]["nullity"] == 0
+    k.write_text("2 2\n0 -1\n1 0\n")
+    s.write_text("1/0\n*\n")
+    code, prefix, _ = run_cli(["dehn-fill", str(k), str(s)], capsys)
+    assert code == 0
+    assert rep["results"]["h1"] == prefix["results"]["h1"]
 
 
 def test_dehn_fill_rank_deficient_link(tmp_path, capsys):

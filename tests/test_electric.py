@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhyp.cayley import build_ball, least_costs, sphere_sizes
+from relhyp.cli import parse_presentation
 from relhyp.electric import (
     ParabolicFamily, RelativePresentation, _canonical_splice, _family_ball,
     _first_nongeodesic_segment, bcp_scan, coset_reduce, coset_table,
-    electric_area_exact, electric_area_upper, electric_geodesic,
+    electric_area_exact, electric_area_upper, electric_geodesic_tree,
     electric_length, penetrations,
 )
 from relhyp.words import (
@@ -66,15 +67,13 @@ def ball_f2_8(pres_f2):
     return build_ball(pres_f2, 8)
 
 
-def test_relative_presentation_validation(pres_z2, pres_f2):
+def test_relative_presentation_validation(pres_z2):
     b = pres_z2.alphabet.index("b")
     with pytest.raises(ValueError):
         RelativePresentation(pres_z2, (ParabolicFamily("P", (b + 1,)),))
     with pytest.raises(ValueError):
         RelativePresentation(pres_z2, (ParabolicFamily("P", (b,)),
                                        ParabolicFamily("Q", (b,))))
-    with pytest.raises(ValueError):
-        RelativePresentation(pres_f2, (ParabolicFamily("P", (b,), ((b, b),)),))
     rp = RelativePresentation(pres_z2, (ParabolicFamily("P", (b,)),))
     assert rp.nonparabolic_relators() == pres_z2.relators
 
@@ -167,10 +166,11 @@ def test_electric_distance_is_x_displacement(ball_z2_6, rp_z2):
 
 def test_electric_geodesic_frozen(ball_z2_6, rp_z2):
     alpha = rp_z2.base.alphabet
+    tree = electric_geodesic_tree(ball_z2_6, rp_z2, 0)
     v = ball_z2_6.evaluate(alpha.parse("bbbbb"))
-    assert electric_geodesic(ball_z2_6, rp_z2, v) == alpha.parse("bbbbb")
+    assert tree[v] == (0, alpha.parse("bbbbb"))
     v = ball_z2_6.evaluate(alpha.parse("ab"))
-    w = electric_geodesic(ball_z2_6, rp_z2, v)
+    w = tree[v][1]
     assert electric_length(rp_z2, w) == 1
     assert ball_z2_6.evaluate(w) == v
 
@@ -406,25 +406,57 @@ def test_bcp_scan_walks_each_vertex_once(bcp_cases, monkeypatch):
 # re-normalise whole words until nothing changes
 
 def _relative(gens, relators, families):
+    # no family relator is declared: each is derived from the generators
     alpha = Alphabet(list(gens))
     pres = Presentation(alpha, tuple(alpha.parse(r) for r in relators))
     return RelativePresentation(pres, tuple(
-        ParabolicFamily(name, tuple(alpha.index(g) for g in fam_gens),
-                        tuple(alpha.parse(r) for r in fam_rels))
-        for name, fam_gens, fam_rels in families))
+        ParabolicFamily(name, tuple(alpha.index(g) for g in fam_gens))
+        for name, fam_gens in families))
 
 
 RELATIVE_CASES = {
-    "z2-rel-b": lambda: _relative("ab", ["abAB"], [("P", "b", [])]),
-    "f2-rel-b": lambda: _relative("ab", [], [("P", "b", [])]),
+    "z2-rel-b": lambda: _relative("ab", ["abAB"], [("P", "b")]),
+    "f2-rel-b": lambda: _relative("ab", [], [("P", "b")]),
+    # bcBC spans both families, so it is non-parabolic
     "z3-rel-b-c": lambda: _relative("abc", ["abAB", "acAC", "bcBC"],
-                                    [("P", "b", []), ("Q", "c", [])]),
+                                    [("P", "b"), ("Q", "c")]),
     # the first case whose family has a relator: its ball grows mid-syllable
     "z3-rel-bc": lambda: _relative("abc", ["abAB", "acAC", "bcBC"],
-                                   [("P", "bc", ["bcBC"])]),
+                                   [("P", "bc")]),
     # the paper's first example, Z * Z^2 relative to Z^2
-    "zfz2-rel-z2": lambda: _relative("abc", ["bcBC"], [("P", "bc", ["bcBC"])]),
+    "zfz2-rel-z2": lambda: _relative("abc", ["bcBC"], [("P", "bc")]),
 }
+
+
+def test_family_relators_are_derived_from_the_generators():
+    # <a, b | b^3, [a, b]> rel <b>, built with no relator declared, agrees
+    # with the same group parsed from a file
+    built = _relative("ab", ["bbb", "abAB"], [("P", "b")])
+    parsed = parse_presentation(
+        "[generators] a b\n[relators] bbb abAB\n[parabolic P] b\n")
+    assert built == parsed
+    alpha = built.base.alphabet
+    for rp in (built, parsed):
+        assert rp.nonparabolic_relators() == (alpha.parse("abAB"),)
+        assert electric_area_exact(rp, alpha.parse("bbb"), 4) == 0
+        assert coset_reduce(rp, alpha.parse("bbbb")) == alpha.parse("b")
+        # the family's group is Z/3
+        assert sphere_sizes(_family_ball(rp, 0, 3)) == [1, 2, 0, 0]
+
+
+def test_relator_spanning_two_families_is_nonparabolic():
+    rp = RELATIVE_CASES["z3-rel-b-c"]()
+    alpha = rp.base.alphabet
+    assert rp.nonparabolic_relators() == tuple(
+        alpha.parse(r) for r in ("abAB", "acAC", "bcBC"))
+    # b and c commute only through bcBC, an insertion of area 1
+    assert electric_area_exact(rp, alpha.parse("bcBC"), 4) == 1
+    # each family's group is Z: its ball has no relator
+    for fi in (0, 1):
+        assert sphere_sizes(_family_ball(rp, fi, 3)) == [1, 2, 2, 2]
+    # in Z^3 rel <b, c>, bcBC is the family's own relator
+    assert electric_area_exact(RELATIVE_CASES["z3-rel-bc"](),
+                               alpha.parse("bcBC"), 4) == 0
 
 
 def _random_word(rng, nsym, max_len):
@@ -529,6 +561,25 @@ def test_electric_area_exact_matches_reference(case):
                 budget_bites += want != full
     assert outcomes == {True, False}
     assert budget_bites > 0
+
+
+@pytest.mark.parametrize("case", ["z2-rel-b", "z3-rel-b-c", "z3-rel-bc"])
+def test_electric_area_exact_contract(case):
+    # the area A for every n_max >= A and None for every n_max < A: the
+    # first meeting of the two searches already has the least total
+    rp = RELATIVE_CASES[case]()
+    rng = random.Random(12)
+    areas = set()
+    for _ in range(30):
+        loop = _random_loop(rng, rp, 5)
+        area = reference_electric_area_exact(rp, loop, 4)
+        if area is None:
+            continue
+        areas.add(area)
+        for n_max in range(area + 3):
+            got = electric_area_exact(rp, loop, n_max)
+            assert got == (area if n_max >= area else None), (loop, n_max)
+    assert {1, 2, 3} <= areas
 
 
 def test_electric_area_exact_needs_nonparabolic_relators():

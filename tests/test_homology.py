@@ -583,3 +583,34 @@ def test_h1_presentation_matches_reference():
                 rank_cases += bound > n - nf
     assert torsion_cases >= 20
     assert rank_cases >= 20
+
+
+def test_h1_with_gaps_matches_the_relabelled_prefix():
+    """A filled set with gaps, or with omitted trailing entries, has the
+    H1 of the same link relabelled so that its filled components come
+    first: checked against reference_snf of the relabelled presentation,
+    and against the rank identity with the gapped filling matrix."""
+    rng = random.Random(13)
+    gapped = 0
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        k = LinkingMatrix(n, tuple(map(tuple, _random_skew(rng, n))))
+        fills = [None if rng.random() < 0.4 else _random_slope(rng)
+                 for _ in range(n)]
+        if rng.random() < 0.3:
+            fills = fills[:rng.randint(0, n)]
+        filled = [i for i, f in enumerate(fills) if f is not None]
+        order = filled + [i for i in range(n) if i not in filled]
+        relabelled = LinkingMatrix(n, tuple(
+            tuple(k.entries[i][j] for j in order) for i in order))
+        prefix = [fills[i] for i in filled]
+        got = h1_presentation(k, fills)
+        assert got == h1_presentation(relabelled, prefix)
+        _, d, _ = reference_snf(reference_h1_presentation(relabelled, prefix))
+        diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+        assert got == (n + len(prefix) - sum(1 for x in diag if x),
+                       tuple(x for x in diag if x > 1))
+        nullity, _ = filling_nullity_certificate(filling_matrix(k, fills).rows)
+        assert got[0] - (n - len(prefix)) == nullity
+        gapped += filled != list(range(len(filled)))
+    assert gapped >= 50

@@ -257,11 +257,11 @@ def _passed_parameters(paths):
 # reason given
 SET_BY_TESTS = {
     "WordProblemOracle(budget)": "the rule budget waits for its flag "
-                                 "(ROADMAP item 1)",
+                                 "(ROADMAP item 2)",
     "electric_area_exact(node_budget)": "the search-node budget waits for "
-                                        "its flag (ROADMAP item 1)",
+                                        "its flag (ROADMAP item 2)",
     "build_fftp_automaton(state_cap)": "the state cap waits for its flag "
-                                       "(ROADMAP item 1)",
+                                       "(ROADMAP item 2)",
     "main(argv)": "the console script calls main() to read sys.argv; "
                   "tests and the benchmark pass argv",
     "surgery_solve(requested)": "the free choice of -alpha . x_j in the "
