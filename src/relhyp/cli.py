@@ -434,8 +434,10 @@ def cmd_electric_area(args):
     rp = _rp_from_args(args, families=True)
     word = _parse_word(rp, args.word)
     ball = _ball(rp, args.radius, max(len(word), 4))
-    exact = electric_area_exact(rp, word, args.budget)
+    # the upper bound checks that the word is a loop in the ball, so a
+    # bad word fails before the exact search runs
     upper = electric_area_upper(ball, rp, word, k=2)
+    exact = electric_area_exact(rp, word, args.budget)
     bound, moves = (upper if upper is not None else (None, None))
     results = {
         "word": args.word,
@@ -648,7 +650,7 @@ def cmd_cocycle_check(args):
     ball = _ball(rp, args.radius)
     table = parse_cocycle_file(_load(args.cocycle), rp, ball)
     n = len(ball)
-    sigma = CocycleTable(table, coverage=len(table) / (n * n))
+    sigma = CocycleTable(table)
     ok, witness = cocycle_check(sigma, ball)
     coboundary, _ = is_coboundary_table(sigma, ball)
     spread = weakly_bounded_report(sigma, ball)
@@ -657,7 +659,7 @@ def cmd_cocycle_check(args):
         "cocycle_identity": ok,
         "violation": (None if witness is None else
                       [ab.to_str(ball.words[v]) or "1" for v in witness]),
-        "coverage": sigma.coverage,
+        "coverage": len(table) / (n * n),
         "coboundary": coboundary,
         "spread_constant": spread.constant,
         "spread_right": {ab.symbols[s]: m for s, m in sorted(spread.right.items())},

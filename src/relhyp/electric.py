@@ -42,7 +42,7 @@ class ParabolicFamily:
 @dataclass(frozen=True)
 class RelativePresentation:
     base: Presentation
-    families: tuple = ()
+    families: tuple
 
     def __post_init__(self):
         gen_idx = set(self.base.alphabet.generator_indices())
@@ -111,15 +111,14 @@ Penetration = namedtuple("Penetration", "family coset enter leave")
 
 
 def penetrations(ball: GroupBall, rp: RelativePresentation, word: Word,
-                 table=None) -> list:
+                 table) -> list:
     """Maximal coset visits along the prefix path, per family, in time order.
 
-    Every prefix time sits in exactly one coset of each family, so the
-    visits of a family are the runs of its coset sequence; the trivial
-    coset at t=0 always contributes.
+    table is the ball's ``coset_table``.  Every prefix time sits in
+    exactly one coset of each family, so the visits of a family are the
+    runs of its coset sequence; the trivial coset at t=0 always
+    contributes.
     """
-    if table is None:
-        table = coset_table(ball, rp)
     verts = ball.prefix_vertices(word)
     out = []
     for fi in range(len(rp.families)):
@@ -329,22 +328,26 @@ def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
 
 def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                         node_budget: int = 500_000):
-    """Least number of non-parabolic relator insertions contracting the loop.
+    """Fewest non-parabolic relator insertions found contracting the loop:
+    an upper bound on its electric area, not always the area.
 
     Parabolic relator moves and free reductions cost nothing: every word
     the search holds is in free-product normal form, and each insertion is
     reduced only at its seam, from the insertion point until the inserted
-    form stops interacting with the rest of the word.  Inserting a relator
-    form is an undirected move (the forms are closed under inversion), so
-    the search runs bidirectionally, from the loop and from the empty
-    word, meeting in the middle.  Intermediate words are capped at
-    len(w) + 2 * max non-parabolic relator length, which is the honest
-    approximation boundary: derivations needing longer intermediates are
-    not found.
+    form stops interacting with the rest of the word.  The forms are
+    closed under inversion, and the search runs from both ends, from the
+    loop and from the empty word, meeting in the middle.  Intermediate
+    words are capped at len(w) + 2 * max non-parabolic relator length:
+    derivations needing longer intermediates are not found.
 
-    Returns the area A when A <= n_max and the node budget suffices, and
-    None otherwise: the two searches first meet at the level where their
-    depths sum to A, and a search that ends before meeting found nothing.
+    Each meeting is a derivation, so a result bounds the area from above,
+    but it can exceed the area, and None can come at an n_max at or above
+    it: an insertion that cancels completely and then reduces its
+    neighbours (z g z^-1 -> empty) is not undone by one insertion, so the
+    search from the empty word does not build every word the search from
+    the loop reaches.  A run at n_max is the run at any larger n_max cut
+    off where the depth sum reaches n_max, so a result that is not None
+    holds at every larger n_max.
     """
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
@@ -394,11 +397,11 @@ def electric_area_upper(ball, rp: RelativePresentation, word: Word, k: int):
 
     Alternates coset reduction with electric length reduction: the minimal
     non-geodesic segment beta (el <= k) is replaced by an electric geodesic
-    xi, paying the exact area of the inserted loop beta xi^-1 (el < 2k);
-    the terminal k-local geodesic loop pays its exact area.  Each exact
-    area is an ``electric_area_exact`` search with n_max 16.  Returns
-    (bound, moves) where the move list replays to the bound; None when one
-    of the small exact searches gives up.
+    xi, paying the area found for the inserted loop beta xi^-1 (el < 2k);
+    the terminal k-local geodesic loop pays the area found for it.  Each
+    area is an ``electric_area_exact`` search with n_max 16, itself an
+    upper bound.  Returns (bound, moves) where the move list replays to
+    the bound; None when one of the small exact searches gives up.
     """
     v_end = ball.evaluate(word)
     if v_end is None:

@@ -19,9 +19,8 @@ class CocycleTable:
     """Cocycle backed by a dict on vertex pairs; missing pairs are
     undefined (None)."""
 
-    def __init__(self, table: dict, coverage: float = 1.0):
+    def __init__(self, table: dict):
         self.table = dict(table)
-        self.coverage = coverage
 
     def __call__(self, g, h):
         return self.table.get((g, h))
@@ -84,13 +83,12 @@ def section_to_cocycle(rho, ball: GroupBall) -> CocycleTable:
     integers with rho(identity) = 0."""
     if rho(0) != 0:
         raise ValueError("section must vanish at the identity")
-    n = len(ball)
     table = {}
     for g, row in enumerate(_product_table(ball)):
         for h, gh in enumerate(row):
             if gh is not None:
                 table[g, h] = rho(g) + rho(h) - rho(gh)
-    return CocycleTable(table, coverage=len(table) / (n * n))
+    return CocycleTable(table)
 
 
 def is_coboundary_table(tau, ball: GroupBall):
@@ -159,8 +157,7 @@ class SpreadReport:
     right: dict     # symbol -> max |sigma(g, x)|
     left: dict      # symbol -> max |sigma(x, g)|
     constant: int   # overall max
-    declared_c: object = None
-    within_declared: bool = None
+    within_declared: bool  # None without a declared constant
 
 
 def weakly_bounded_report(sigma, ball: GroupBall,
@@ -186,7 +183,7 @@ def weakly_bounded_report(sigma, ball: GroupBall,
         left[s] = l_best
     constant = max(list(right.values()) + list(left.values()) + [0])
     within = None if declared_c is None else constant <= declared_c
-    return SpreadReport(right, left, constant, declared_c, within)
+    return SpreadReport(right, left, constant, within)
 
 
 def spread_trend(reports):

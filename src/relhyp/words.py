@@ -94,7 +94,7 @@ def cyclic_permute(word: Word, t: int) -> Word:
 @dataclass(frozen=True)
 class Presentation:
     alphabet: Alphabet
-    relators: tuple = ()
+    relators: tuple
     # relators are stored freely reduced and must be nonempty words
 
     def __post_init__(self):

@@ -882,17 +882,19 @@ def reference_canonicalize(rp, word, cache):
 
 
 def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
-    """Least number of non-parabolic relator insertions contracting the loop.
+    """Fewest non-parabolic relator insertions found contracting the loop:
+    an upper bound on its electric area, not always the area.
 
     Parabolic relator moves and free reductions cost nothing and happen
-    inside the canonicalization step.  Inserting a relator form is an
-    undirected move (the forms are closed under inversion), so the search
-    runs bidirectionally, from the loop and from the empty word, meeting in
-    the middle.  Intermediate words are capped at len(w) + 2 * max
-    non-parabolic relator length, which is the honest approximation
-    boundary: derivations needing longer intermediates are not found.
-    Returns the area, or None when nothing is found within n_max
-    insertions and the node budget.
+    inside the canonicalization step.  The search runs from the loop and
+    from the empty word, meeting in the middle.  Intermediate words are
+    capped at len(w) + 2 * max non-parabolic relator length: derivations
+    needing longer intermediates are not found.  An insertion that
+    cancels completely is not undone by one insertion, so the search from
+    the empty word does not build every word the other side reaches, and
+    the result can exceed the area, or be None at an n_max at or above
+    it.  Returns None when nothing is found within n_max insertions and
+    the node budget.
     """
     from relhyp.words import relator_forms
     forms = relator_forms(_reference_nonparabolic_relators(rp))

@@ -297,6 +297,18 @@ def test_electric_area_command(zzp, capsys):
     assert r["electric_length"] == 2
 
 
+def test_electric_area_checks_the_loop_before_it_searches(zzp, capsys,
+                                                          monkeypatch):
+    # abA is not a loop; the exact search must not run on it
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact search ran on a word that is no loop")
+
+    monkeypatch.setattr("relhyp.cli.electric_area_exact", no_search)
+    code, _, err = run_cli(["electric-area", zzp, "abA"], capsys)
+    assert code == 1
+    assert "needs a loop" in err
+
+
 def test_electric_area_help_names_radius_default(capsys):
     assert main(["electric-area", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())

@@ -88,7 +88,7 @@ def test_electric_length(rp_z2):
 def test_penetrations_frozen_z2(ball_z2_6, rp_z2):
     # babA crosses the coset of the b-axis, the x=1 coset, and comes back
     w = rp_z2.base.alphabet.parse("babA")
-    pens = penetrations(ball_z2_6, rp_z2, w)
+    pens = penetrations(ball_z2_6, rp_z2, w, coset_table(ball_z2_6, rp_z2))
     assert [(p.enter, p.leave) for p in pens] == [(0, 1), (2, 3), (4, 4)]
     assert pens[0].coset == pens[2].coset == 0
     assert pens[1].coset != 0
@@ -96,7 +96,7 @@ def test_penetrations_frozen_z2(ball_z2_6, rp_z2):
 
 def test_penetrations_frozen_f2(ball_f2_8, rp_f2):
     w = rp_f2.base.alphabet.parse("ab")
-    pens = penetrations(ball_f2_8, rp_f2, w)
+    pens = penetrations(ball_f2_8, rp_f2, w, coset_table(ball_f2_8, rp_f2))
     assert len(pens) == 2
     assert [(p.enter, p.leave) for p in pens] == [(0, 0), (1, 2)]
 
@@ -120,7 +120,8 @@ def _z2_coset_runs(word, alpha):
 @given(st.lists(st.integers(0, 3), max_size=8))
 def test_penetration_count_matches_lattice_runs(ball_z2_8_shared, rp_z2_shared, syms):
     w = tuple(syms)
-    pens = penetrations(ball_z2_8_shared, rp_z2_shared, w)
+    pens = penetrations(ball_z2_8_shared, rp_z2_shared, w,
+                        coset_table(ball_z2_8_shared, rp_z2_shared))
     assert len(pens) == _z2_coset_runs(w, rp_z2_shared.base.alphabet)
 
 
@@ -565,8 +566,10 @@ def test_electric_area_exact_matches_reference(case):
 
 @pytest.mark.parametrize("case", ["z2-rel-b", "z3-rel-b-c", "z3-rel-bc"])
 def test_electric_area_exact_contract(case):
-    # the area A for every n_max >= A and None for every n_max < A: the
-    # first meeting of the two searches already has the least total
+    # on these loops the search finds the area A for every n_max >= A and
+    # nothing for every n_max < A; that is not true of every loop (see
+    # the derivations below), because the search from the empty word
+    # cannot undo an insertion that cancels completely
     rp = RELATIVE_CASES[case]()
     rng = random.Random(12)
     areas = set()
@@ -580,6 +583,47 @@ def test_electric_area_exact_contract(case):
             got = electric_area_exact(rp, loop, n_max)
             assert got == (area if n_max >= area else None), (loop, n_max)
     assert {1, 2, 3} <= areas
+
+
+# loops with a derivation of len(steps) insertions (form, position in the
+# current normal form) that the search misses: each has an insertion that
+# cancels completely and then reduces its neighbours
+DERIVATIONS = {
+    "z3-rel-b-c": (RELATIVE_CASES["z3-rel-b-c"], "cccaCCAC",
+                   [("acAC", 1), ("cACa", 3)]),
+    "z-times-z3-rel-b": (lambda: _relative("ab", ["bbb", "abAB"],
+                                           [("P", "b")]), "aaaabAAABA",
+                         [("baBA", 1), ("aBAb", 3), ("aBAb", 4)]),
+    "z3-rel-bc": (RELATIVE_CASES["z3-rel-bc"], "BaCBBAbcbb",
+                  [("BabA", 1), ("BabA", 2), ("CacA", 3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVATIONS))
+def test_derivations_contract_their_loops(case):
+    make, loop, steps = DERIVATIONS[case]
+    rp = make()
+    alpha = rp.base.alphabet
+    cache = {}
+    cur = reference_canonicalize(rp, alpha.parse(loop), cache)
+    forms = relator_forms(rp.nonparabolic_relators())
+    for form, pos in steps:
+        assert cur and alpha.parse(form) in forms, (form, pos)
+        cur = reference_canonicalize(
+            rp, cur[:pos] + alpha.parse(form) + cur[pos:], cache)
+    assert cur == ()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP: electric_area_exact is not exact")
+@pytest.mark.parametrize("case", sorted(DERIVATIONS))
+def test_electric_area_exact_finds_the_derivations(case):
+    make, loop, steps = DERIVATIONS[case]
+    rp = make()
+    word = rp.base.alphabet.parse(loop)
+    for n_max in (len(steps), 8):
+        area = electric_area_exact(rp, word, n_max)
+        assert area is not None and area <= len(steps), (n_max, area)
 
 
 def test_electric_area_exact_needs_nonparabolic_relators():

@@ -1,8 +1,8 @@
 """Import hygiene of the package: no module imports another module's
 private names, every imported name is used, every public function,
 class and method has a user outside its own unit tests, no two classes
-share a public method name, and some user passes every defaulted
-parameter."""
+share a public method name, and every defaulted parameter has a user
+that passes it and a user that leaves it out."""
 
 import argparse
 import ast
@@ -231,10 +231,11 @@ def _defaulted_parameters(path):
                 yield name, arg.arg, None
 
 
-def _passed_parameters(paths):
-    """Callable name -> set of keywords and positional indices that some
-    call passes; "*" when a call spreads a sequence or a mapping."""
-    passed = {}
+def _calls(paths):
+    """Callable name -> one set per call of the keywords and positional
+    indices it passes; "*" when the call spreads a sequence or a
+    mapping, which may pass any parameter."""
+    calls = {}
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for call in ast.walk(tree):
@@ -245,12 +246,23 @@ def _passed_parameters(paths):
                 func.attr if isinstance(func, ast.Attribute) else None
             if name is None:
                 continue
-            got = passed.setdefault(name, set())
-            for i, arg in enumerate(call.args):
-                got.add("*" if isinstance(arg, ast.Starred) else i)
-            for kw in call.keywords:
-                got.add("*" if kw.arg is None else kw.arg)
-    return passed
+            got = {"*" if isinstance(arg, ast.Starred) else i
+                   for i, arg in enumerate(call.args)}
+            got |= {"*" if kw.arg is None else kw.arg for kw in call.keywords}
+            calls.setdefault(name, []).append(got)
+    return calls
+
+
+def _default_passes():
+    """name(param) -> one flag per call of package code or an acceptance
+    criterion, for every defaulted parameter of the package: whether
+    that call passes the parameter."""
+    modules = sorted(SRC.glob("*.py"))
+    calls = _calls(modules + [TESTS / "test_acceptance.py"])
+    return {f"{name}({param})": [bool(call & {param, index, "*"})
+                                 for call in calls.get(name, ())]
+            for path in modules
+            for name, param, index in _defaulted_parameters(path)}
 
 
 # defaulted parameters that only unit tests set, each kept for the one
@@ -277,11 +289,16 @@ def test_every_defaulted_parameter_is_set():
     # a default that no user overrides is a constant spelled as a
     # parameter: package code, a subcommand's cmd_<name> or an acceptance
     # criterion must pass each one; a unit test is not a user
-    modules = sorted(SRC.glob("*.py"))
-    passed = _passed_parameters(modules + [TESTS / "test_acceptance.py"])
-    never = [f"{name}({param})"
-             for path in modules
-             for name, param, index in _defaulted_parameters(path)
-             if not passed.get(name, set()) & {param, index, "*"}]
+    never = [name for name, passes in _default_passes().items()
+             if not any(passes)]
     # a kept default that gains a user leaves SET_BY_TESTS
     assert sorted(never) == sorted(SET_BY_TESTS)
+
+
+def test_every_default_is_relied_on():
+    # the mirror case: a default that every user overrides is a required
+    # parameter spelled with a default, so some call of package code or
+    # an acceptance criterion must leave each one out
+    always = [name for name, passes in _default_passes().items()
+              if passes and all(passes)]
+    assert always == []
