@@ -39,8 +39,8 @@ from .automata import live_states, minimize, prefix_closed
 from .fftp import build_fftp_automaton, neg_electric_height
 from .cusp import (
     CuspParams, DistanceRows, build_cusp_complex, build_cusped_cayley, clip,
-    deepen_replace, delta_constant, geodesic_length_closed_form, level_bound,
-    measure_thinness, optimal_depth, path_hausdorff,
+    delta_constant, geodesic_length_closed_form, level_bound, measure_thinness,
+    optimal_depth, path_hausdorff,
 )
 from .hyp2 import (
     ideal_isosceles_angle, ideal_midpoint_check, right_triangle_gap,
@@ -79,9 +79,9 @@ def _integer(text: str):
 
 
 def _decimal(text: str) -> float:
-    """argparse type of shadow_length, --psi and --omega: a finite float
-    spelled [+-]?[0-9]*.?[0-9]* with at least one digit.  float() would
-    also take nan, inf, exponents, underscores, other scripts' digits and
+    """argparse type of shadow_length: a finite float spelled
+    [+-]?[0-9]*.?[0-9]* with at least one digit.  float() would also take
+    nan, inf, exponents, underscores, other scripts' digits and
     surrounding whitespace."""
     unsigned = text[1:] if text[:1] in "+-" else text
     digits = unsigned.replace(".", "", 1)
@@ -90,6 +90,18 @@ def _decimal(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a finite decimal, got {text!r}")
     return value
+
+
+def _decimal_above(low: float):
+    """argparse type of --psi (low 1) and --omega (low 0): a _decimal
+    above low, the range CuspParams takes."""
+    def read(text: str) -> float:
+        value = _decimal(text)
+        if not value > low:
+            raise argparse.ArgumentTypeError(
+                f"expected a decimal above {low:g}, got {text!r}")
+        return value
+    return read
 
 
 def parse_presentation(text: str) -> RelativePresentation:
@@ -408,6 +420,11 @@ def cmd_geodesics(args):
 
 
 def cmd_fftp_automaton(args):
+    if args.delta < 1:
+        raise UsageError("--delta must be at least 1")
+    if args.radius is not None and args.radius < args.delta + 1:
+        raise UsageError(f"--radius must be at least --delta + 1 = "
+                         f"{args.delta + 1}")
     rp = _rp_from_args(args)
     ball = _ball(rp, args.radius, args.delta + 1)
     dfa = build_fftp_automaton(ball, args.delta, neg_electric_height(rp))
@@ -483,6 +500,9 @@ def cmd_cusp_distance(args):
         cap = max(args.depth_i, args.depth_k)
         if opt is not None:
             cap = max(cap, math.ceil(opt) + 1)
+    elif max(args.depth_i, args.depth_k) > cap:
+        raise UsageError(f"depth_i and depth_k must lie in [0, {cap}], "
+                         f"the --depth-cap")
     params = CuspParams(args.psi, args.omega, depth_cap=cap)
     length, depth = geodesic_length_closed_form(
         args.shadow_length, args.depth_i, args.depth_k, params)
@@ -550,9 +570,8 @@ def cmd_clip_track(args):
         if path_n is None:
             continue
         beta = [back[v] for v in path_n]
-        gamma = deepen_replace(cx, full, beta, n)
         alpha = full.path(back[a], back[b])
-        h = path_hausdorff(full, gamma, alpha)
+        h = path_hausdorff(full, beta, alpha)
         worst = max(worst, h)
         total += h
         pairs += 1
@@ -711,9 +730,9 @@ def _subcommand(sub, name, summary, radius=None, cusp=False, seed=None,
                        help=(f"ball radius (default: {radius})" if derived
                              else f"ball radius (default {radius})"))
     if cusp:
-        p.add_argument("--psi", type=_decimal, default=3.0,
+        p.add_argument("--psi", type=_decimal_above(1), default=3.0,
                        help="horizontal shrink factor per depth (default 3)")
-        p.add_argument("--omega", type=_decimal, default=None,
+        p.add_argument("--omega", type=_decimal_above(0), default=None,
                        help="vertical scale (default 1/psi)")
         p.add_argument("--depth-cap", type=_count, default=None,
                        help="maximum depth of the complex")

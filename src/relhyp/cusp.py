@@ -388,33 +388,6 @@ def clip(cx: CuspComplex, n: int) -> CuspComplex:
     return out
 
 
-def deepen_replace(cx: CuspComplex, rows: DistanceRows, beta, n: int):
-    """Replace each maximal depth-n stretch of a clipped path with the
-    geodesic of the full complex between the stretch's endpoints.
-
-    beta uses full-complex vertex ids but must stay at depth <= n; rows
-    are the full complex's.
-    """
-    for v in beta:
-        if cx.depth[v] > n:
-            raise ValueError("path leaves the clipped complex")
-    gamma = []
-    idx = 0
-    while idx < len(beta):
-        if cx.depth[beta[idx]] < n:
-            gamma.append(beta[idx])
-            idx += 1
-            continue
-        j = idx
-        while j < len(beta) and cx.depth[beta[j]] == n:
-            j += 1
-        first, last = beta[idx], beta[j - 1]
-        seg = rows.path(first, last)
-        gamma.extend(seg if not gamma or gamma[-1] != seg[0] else seg[1:])
-        idx = j
-    return gamma
-
-
 def path_hausdorff(rows: DistanceRows, path_a, path_b) -> float:
     """Symmetric Hausdorff distance between two vertex paths of the graph
     that rows measure."""

@@ -38,9 +38,6 @@ class Alphabet:
         self.symbols = tuple(symbols)
         self._index = {s: i for i, s in enumerate(symbols)}
 
-    def __len__(self):
-        return len(self.symbols)
-
     def __eq__(self, other):
         return isinstance(other, Alphabet) and self.symbols == other.symbols
 

@@ -698,6 +698,54 @@ def test_decimals_read_finite_ascii(argv, name, x, zline, capsys):
     assert f"argument {name}: expected a finite decimal, got {x!r}" in err
 
 
+# a decimal or depth outside the range CuspParams takes, on each command
+# that reads it
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["cusp-distance", "9", "0", "0", "--psi", "1"],
+                 "argument --psi: expected a decimal above 1, got '1'",
+                 id="cusp-distance-psi"),
+    pytest.param(["thinness", "{p}", "--psi", "0.5"],
+                 "argument --psi: expected a decimal above 1, got '0.5'",
+                 id="thinness-psi"),
+    pytest.param(["clip-track", "{p}", "0", "--psi", "-3"],
+                 "argument --psi: expected a decimal above 1, got '-3'",
+                 id="clip-track-psi"),
+    pytest.param(["cusp-distance", "9", "0", "0", "--omega", "0"],
+                 "argument --omega: expected a decimal above 0, got '0'",
+                 id="cusp-distance-omega"),
+    pytest.param(["thinness", "{p}", "--omega", "-.5"],
+                 "argument --omega: expected a decimal above 0, got '-.5'",
+                 id="thinness-omega"),
+    pytest.param(["clip-track", "{p}", "0", "--omega", "0.0"],
+                 "argument --omega: expected a decimal above 0, got '0.0'",
+                 id="clip-track-omega"),
+    pytest.param(["cusp-distance", "9", "3", "0", "--depth-cap", "1"],
+                 "depth_i and depth_k must lie in [0, 1], the --depth-cap",
+                 id="cusp-distance-depth"),
+])
+def test_cusp_flags_out_of_range_are_usage_errors(argv, message, zline,
+                                                  capsys):
+    code, _, err = run_cli([a.format(p=zline) for a in argv], capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--delta", "0"], "--delta must be at least 1", id="delta"),
+    pytest.param(["--delta", "2", "--radius", "2"],
+                 "--radius must be at least --delta + 1 = 3", id="radius"),
+])
+def test_fftp_flags_out_of_range_are_usage_errors(argv, message, zline,
+                                                  capsys):
+    code, _, err = run_cli(["fftp-automaton", zline] + argv, capsys)
+    assert code == 2
+    assert message in err
+    # the edge of each range is legal
+    code, _, _ = run_cli(["fftp-automaton", zline, "--delta", "1",
+                          "--radius", "2"], capsys)
+    assert code == 0
+
+
 def test_decimals_keep_their_values(capsys):
     code, rep, _ = run_cli(["cusp-distance", "9.", "0", "0", "--psi", "+3.0",
                             "--omega", ".5"], capsys)

@@ -13,9 +13,9 @@ import pytest
 from relhyp.cayley import build_ball, inversion_automorphisms
 from relhyp.cusp import (
     CuspComplex, CuspParams, DistanceRows, build_cusp_complex,
-    build_cusped_cayley, clip, decompose_geodesic,
-    deepen_replace, delta_constant, distance_row, geodesic_length_closed_form,
-    level_bound, measure_thinness, optimal_depth, path_hausdorff,
+    build_cusped_cayley, clip, decompose_geodesic, delta_constant,
+    distance_row, geodesic_length_closed_form, level_bound, measure_thinness,
+    optimal_depth, path_hausdorff,
 )
 from relhyp.electric import ParabolicFamily, RelativePresentation
 
@@ -464,6 +464,61 @@ def test_clip_track_builds_each_row_once(tmp_path, monkeypatch, capsys):
     assert len(built) == len(set(built))
 
 
+# Z, where the full geodesic dips below the clip depth by whole vertical
+# edges, and Z^2 rel <b>, where cusps hang only below the b-cosets
+@pytest.mark.parametrize("text, radius, depth_cap, pin", [
+    pytest.param("[generators] a\n", 8, 3, 2 / 3 * math.log(3), id="z"),
+    pytest.param("[generators] a b\n[relators] abAB\n[parabolic P] b\n",
+                 4, 2, None, id="z2-rel-b"),
+])
+def test_clip_track_matches_reference_hausdorff(text, radius, depth_cap, pin,
+                                                tmp_path, capsys):
+    # beta (the clipped geodesic, in full ids), alpha (the full geodesic)
+    # and H(beta, alpha) rebuilt from push-every-neighbour rows, as the
+    # command samples its pairs at seed 0
+    import json
+    import random
+    from relhyp.cli import main, parse_presentation
+    pres = tmp_path / "g.pres"
+    pres.write_text(text)
+    assert main(["clip-track", str(pres), "1", "--radius", str(radius),
+                 "--depth-cap", str(depth_cap)]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]
+
+    rp = parse_presentation(text)
+    ball = build_ball(rp.base, radius)
+    params = CuspParams(3.0, depth_cap=depth_cap)
+    cx = (build_cusped_cayley(ball, rp, params) if rp.families
+          else build_cusp_complex(ball, params))
+    gn = clip(cx, 1)
+    back = [cx.ids[key] for key in gn.keys]
+    full_rows = {}
+
+    def row(u):
+        if u not in full_rows:
+            full_rows[u] = reference_dijkstra(cx.adj, u)
+        return full_rows[u]
+
+    rng = random.Random(0)
+    hs = []
+    for _ in range(20):
+        a, b = rng.sample(range(len(gn)), 2)
+        clipped_row = reference_dijkstra(gn.adj, a)
+        beta = [back[v]
+                for v in reference_walk_back(gn.adj, clipped_row, a, b)]
+        alpha = reference_walk_back(cx.adj, row(back[a]), back[a], back[b])
+        hs.append(max(min(row(u)[v] for v in two)
+                      for one, two in ((beta, alpha), (alpha, beta))
+                      for u in one))
+    assert got["pairs"] == len(hs) == 20
+    assert got["max_hausdorff"] == max(hs)
+    assert got["mean_hausdorff"] == sum(hs) / len(hs)
+    if pin is not None:
+        # alpha reaches depth 3, two vertical edges below beta: 2 omega ln psi
+        assert got["max_hausdorff"] > 0
+        assert got["max_hausdorff"] == pytest.approx(pin, abs=1e-12)
+
+
 def test_thinness_of_cusp_complex(pres_z):
     ball = build_ball(pres_z, 8)
     params = CuspParams(3.0, depth_cap=3)
@@ -535,29 +590,3 @@ def test_clip(pres_z):
     assert len(same) == len(cx) and same.n_edges() == cx.n_edges()
     c0 = clip(cx, 0)
     assert len(c0) == len(ball) and max(c0.depth) == 0
-
-
-def test_deepen_replace(ball_z12):
-    params = CuspParams(3.0, depth_cap=2)
-    cx = build_cusp_complex(ball_z12, params)
-    chain = [ball_z12.evaluate((0,) * k) for k in range(10)]  # 0..9 in Z
-    beta = [cx.ids[v, 1] for v in chain]
-    rows = DistanceRows(cx.adj)
-    gamma = deepen_replace(cx, rows, beta, 1)
-    assert gamma[0] == beta[0] and gamma[-1] == beta[-1]
-    assert max(cx.depth[v] for v in gamma) == 2
-    want = geodesic_length_closed_form(9.0, 1, 1, params)[0]
-    assert path_length(cx, gamma) == pytest.approx(want, abs=1e-9)
-    assert path_length(cx, gamma) < path_length(cx, beta)
-    h = path_hausdorff(rows, beta, gamma)
-    assert 0 < h < path_length(cx, beta)
-
-    # stretches below the clip depth survive untouched
-    beta2 = [cx.ids[chain[0], 0]] + beta
-    gamma2 = deepen_replace(cx, rows, beta2, 1)
-    assert gamma2[0] == beta2[0] and cx.depth[gamma2[0]] == 0
-
-    deep = cx.ids[chain[0], 2]
-    with pytest.raises(ValueError):
-        deepen_replace(cx, rows, [deep], 1)
-
