@@ -32,8 +32,9 @@ from .cayley import (
     build_ball, geodesic_words, inversion_automorphisms, sphere_sizes,
 )
 from .electric import (
-    ParabolicFamily, RelativePresentation, bcp_scan, electric_area_exact,
-    electric_area_upper, electric_geodesic_tree, electric_length,
+    ParabolicFamily, RelativePresentation, area_lower, bcp_scan,
+    electric_area_exact, electric_area_upper, electric_geodesic_tree,
+    electric_length,
 )
 from .automata import live_states, minimize, prefix_closed
 from .fftp import build_fftp_automaton, neg_electric_height
@@ -454,7 +455,13 @@ def cmd_electric_area(args):
     # the upper bound checks that the word is a loop in the ball, so a
     # bad word fails before the exact search runs
     upper = electric_area_upper(ball, rp, word, k=2)
+    runs = dict(rp.area_runs)  # the upper bound's may answer the loop
     exact = electric_area_exact(rp, word, args.budget)
+    lower = area_lower(rp, word)
+    search = ("skipped, lower bound above --budget"
+              if lower is not None and lower > args.budget
+              else "run" if rp.area_runs != runs
+              else "read from the stored run" if exact != 0 else "not needed")
     bound, moves = (upper if upper is not None else (None, None))
     results = {
         "word": args.word,
@@ -466,6 +473,7 @@ def cmd_electric_area(args):
     }
     inputs = _inputs(rp, ball.radius, word=args.word, budget=args.budget)
     return results, inputs, (f"electric-area: exact={exact} upper={bound} "
+                             f"lower={lower} (search {search}) "
                              f"for {args.word!r}")
 
 

@@ -59,8 +59,8 @@ class RelativePresentation:
         # symbol -> family index (None for free letters); relator -> the
         # family whose letters it uses alone, which makes it that family's
         # relator (None for a non-parabolic relator); family index -> its
-        # ball as grown so far.  Not fields, so equality, hashing and
-        # serialization see only base and families
+        # ball as grown so far; electric_area_exact's runs.  Not fields, so
+        # equality, hashing and serialization see only base and families
         table = [None] * len(self.base.alphabet.symbols)
         for i, fam in enumerate(self.families):
             for sym in fam.symbols():
@@ -72,6 +72,7 @@ class RelativePresentation:
         object.__setattr__(self, "_symbol_family", tuple(table))
         object.__setattr__(self, "_relator_family", tuple(owners))
         object.__setattr__(self, "_family_balls", {})
+        object.__setattr__(self, "area_runs", {})
 
     def family_of_symbol(self, sym: int):
         return self._symbol_family[sym]
@@ -326,6 +327,51 @@ def _canonical_splice(rp: RelativePresentation, left: Word, middle: Word,
     return tuple(out)
 
 
+def area_lower(rp: RelativePresentation, word: Word):
+    """Signed-area lower bound on the electric area of a loop (Gersten,
+    Topology 37 (1998)): ceil(sum |A_ij(w)| / c), with c the largest
+    sum |A_ij(r)| over the non-parabolic forms r.  A_ij(w), over the
+    planes i < j not inside one family, sums e times the exponent sum
+    of x_i before each letter x_j^e.  None when a relator has a nonzero
+    exponent sum in some generator, or when c is 0.
+
+    Inserting r adds A(r): r is closed, so the letters after it see the
+    same coordinates, and its own see x_i shifted by a constant, which
+    adds that constant times r's exponent sum in x_j, 0.  A cancelling
+    pair adds e x_i - e x_i.  A parabolic run and its replacement are
+    equal in the family's group, whose relators have exponent sum 0, so
+    their exponent sums agree; a counted plane has at most one generator
+    in the family, so both lack x_j or both keep x_i constant, and they
+    add the same.  So T insertions give sum |A_ij(w)| <= T c.  When every
+    form moves one plane by 1, each insertion changes sum A_ij by 1, T
+    has its parity, and a nonempty normal form (T >= 1) lifts 0 to 2.
+    """
+    gens = rp.base.alphabet.generator_indices()
+    if any(r.count(g) != r.count(g ^ 1) for r in rp.base.relators
+           for g in gens):
+        return None
+    fam = rp._symbol_family
+    planes = [(i, j) for i in gens for j in gens
+              if i < j and (fam[i] is None or fam[i] != fam[j])]
+
+    def moved(w):
+        x, area = [0] * len(fam), [0] * len(planes)
+        for sym in w:
+            g, e = sym & ~1, 1 - 2 * (sym & 1)
+            area = [a + e * x[i] * (j == g) for a, (i, j) in zip(area, planes)]
+            x[g] += e
+        return sum(map(abs, area))
+
+    moves = {moved(f) for f in relator_forms(rp.nonparabolic_relators())}
+    c = max(moves, default=0)
+    if not c:
+        return None
+    bound = -(-moved(word) // c)
+    if bound or moves != {1}:
+        return bound
+    return 2 if _canonical_splice(rp, (), tuple(word), ()) else 0
+
+
 def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                         node_budget: int = 500_000):
     """Fewest non-parabolic relator insertions found contracting the loop:
@@ -345,9 +391,19 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     it: an insertion that cancels completely and then reduces its
     neighbours (z g z^-1 -> empty) is not undone by one insertion, so the
     search from the empty word does not build every word the search from
-    the loop reaches.  A run at n_max is the run at any larger n_max cut
-    off where the depth sum reaches n_max, so a result that is not None
-    holds at every larger n_max.
+    the loop reaches.
+
+    Three cuts leave every result unchanged.  A meeting is at least the
+    area, so one that totals ``area_lower`` is final, even where the
+    node budget would run out later.  Totals are <= n_max, so a lower
+    bound above n_max returns None unsearched.  And rp keeps each run
+    by (normal form, node_budget) as (result, reach, capped): reach is
+    the depth sum of the last level started, capped whether the run
+    stopped as reach hit n_max.  n only enters at level starts, so the
+    run at n is any longer run cut at the first level start past n; a
+    run returns in the level of its first meeting, so the answer at n is
+    the result if reach <= n, else None, and a result holds at every
+    larger n.  Only a capped run asked past its reach runs again.
     """
     forms = relator_forms(rp.nonparabolic_relators())
     if not forms:
@@ -355,6 +411,19 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     start = _canonical_splice(rp, (), tuple(word), ())
     if not start:
         return 0
+    lower = area_lower(rp, start)
+    if lower is not None and lower > n_max:
+        return None
+    run = rp.area_runs.get((start, node_budget))
+    if run is None or run[2] and n_max > run[1]:
+        run = rp.area_runs[start, node_budget] = _area_search(
+            rp, start, forms, lower, n_max, node_budget)
+    result, reach, _ = run
+    return result if reach <= n_max else None
+
+
+def _area_search(rp, start, forms, lower, n_max, node_budget):
+    """(result, reach, capped) of one ``electric_area_exact`` search."""
     cap = len(start) + 2 * max(len(f) for f in forms)
     dist = [{start: 0}, {(): 0}]
     frontier = [[start], [()]]
@@ -362,15 +431,16 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
     best = None
     nodes = 0
     while True:
-        if best is not None and depth[0] + depth[1] >= best:
-            return best
-        if depth[0] + depth[1] >= n_max:
-            return None
+        reach = sum(depth)
+        if best is not None and reach >= best:
+            return best, reach, False
+        if reach >= n_max:
+            return None, reach, True
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         if not frontier[side]:
             side = 1 - side
         if not frontier[side]:
-            return None
+            return None, reach, False
         other = 1 - side
         depth[side] += 1
         nxt = []
@@ -379,7 +449,7 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                 for form in forms:
                     nodes += 1
                     if nodes > node_budget:
-                        return best
+                        return best, sum(depth), False
                     cand = _canonical_splice(rp, cur[:pos], form, cur[pos:])
                     if len(cand) > cap or cand in dist[side]:
                         continue
@@ -389,6 +459,8 @@ def electric_area_exact(rp: RelativePresentation, word: Word, n_max: int,
                         total = depth[side] + dist[other][cand]
                         if best is None or total < best:
                             best = total
+                            if best == lower:
+                                return best, sum(depth), False
         frontier[side] = nxt
 
 

@@ -871,17 +871,24 @@ def _reference_reduce_runs(rp, word, cache):
 
 def reference_canonicalize(rp, word, cache):
     """Normal form in the free product of the parabolics with the remaining
-    free letters: free reduction alternated with parabolic run reduction."""
+    free letters: free reduction alternated with parabolic run reduction.
+    cache keeps the family balls under their indices and every normal
+    form under its word."""
     from relhyp.words import free_reduce
-    cur = free_reduce(tuple(word))
+    word = tuple(word)
+    if word in cache:
+        return cache[word]
+    cur = free_reduce(word)
     while True:
         nxt = free_reduce(_reference_reduce_runs(rp, cur, cache)[0])
         if nxt == cur:
+            cache[word] = cur
             return cur
         cur = nxt
 
 
-def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
+def reference_electric_area_exact(rp, word, n_max, node_budget=500_000,
+                                  cache=None):
     """Fewest non-parabolic relator insertions found contracting the loop:
     an upper bound on its electric area, not always the area.
 
@@ -894,13 +901,14 @@ def reference_electric_area_exact(rp, word, n_max, node_budget=500_000):
     the empty word does not build every word the other side reaches, and
     the result can exceed the area, or be None at an n_max at or above
     it.  Returns None when nothing is found within n_max insertions and
-    the node budget.
+    the node budget.  cache is a ``reference_canonicalize`` cache, which
+    calls on one rp may share.
     """
     from relhyp.words import relator_forms
     forms = relator_forms(_reference_nonparabolic_relators(rp))
     if not forms:
         raise ValueError("no non-parabolic relators to insert")
-    cache: dict = {}
+    cache = {} if cache is None else cache
     start = reference_canonicalize(rp, word, cache)
     if not start:
         return 0

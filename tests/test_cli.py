@@ -309,6 +309,56 @@ def test_electric_area_checks_the_loop_before_it_searches(zzp, capsys,
     assert "needs a loop" in err
 
 
+def test_electric_area_without_nonparabolic_relators_fails_first(tmp_path,
+                                                                  capsys):
+    # the empty loop has area 0, but F2 rel <b> has nothing to insert,
+    # and that error comes first
+    p = tmp_path / "f2p.pres"
+    p.write_text("[generators] a b\n[parabolic P] b\n")
+    code, _, err = run_cli(["electric-area", str(p), "1"], capsys)
+    assert code == 1
+    assert "no non-parabolic relators to insert" in err
+
+
+@pytest.mark.parametrize("word, exact, upper, lower, search", [
+    ("abbbbABBBB", 4, 4, 4, "read from the stored run"),
+    ("abbbbbABBBBB", 5, 5, 5, "read from the stored run"),
+    ("aabbbAABBB", 6, 6, 6, "run"),
+    ("aaabbbAAABBB", None, 9, 9, "skipped, lower bound above --budget"),
+])
+def test_electric_area_pinned_at_budget_8(word, exact, upper, lower, search,
+                                          zzp, capsys, monkeypatch):
+    import relhyp.electric as electric
+    splice = electric._canonical_splice
+    splices = []
+    searched = []
+
+    def counted(*args):
+        splices.append(None)
+        return splice(*args)
+
+    def exact_search(rp, w, n_max):
+        before = len(splices)
+        got = electric.electric_area_exact(rp, w, n_max)
+        searched.append(len(splices) - before)
+        return got
+
+    monkeypatch.setattr(electric, "_canonical_splice", counted)
+    monkeypatch.setattr("relhyp.cli.electric_area_exact", exact_search)
+    code, rep, err = run_cli(["electric-area", zzp, word, "--budget", "8"],
+                             capsys)
+    assert code == 0
+    r = rep["results"]
+    assert (r["area_exact"], r["area_upper"]) == (exact, upper)
+    assert f"lower={lower} (search {search})" in err
+    # a stored or skipped search splices only to find the normal form
+    # and to bound it; a run splices once per search node
+    if search == "run":
+        assert searched[0] > 1000
+    else:
+        assert searched[0] <= 2
+
+
 def test_electric_area_help_names_radius_default(capsys):
     assert main(["electric-area", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())

@@ -15,9 +15,9 @@ from relhyp.cayley import build_ball, least_costs, sphere_sizes
 from relhyp.cli import parse_presentation
 from relhyp.electric import (
     ParabolicFamily, RelativePresentation, _canonical_splice, _family_ball,
-    _first_nongeodesic_segment, bcp_scan, coset_reduce, coset_table,
-    electric_area_exact, electric_area_upper, electric_geodesic_tree,
-    electric_length, penetrations,
+    _first_nongeodesic_segment, area_lower, bcp_scan, coset_reduce,
+    coset_table, electric_area_exact, electric_area_upper,
+    electric_geodesic_tree, electric_length, penetrations,
 )
 from relhyp.words import (
     Alphabet, Presentation, free_reduce, relator_forms, word_inverse,
@@ -632,3 +632,77 @@ def test_electric_area_exact_needs_nonparabolic_relators():
     for area in (electric_area_exact, reference_electric_area_exact):
         with pytest.raises(ValueError):
             area(rp, word, 3)
+
+
+@pytest.mark.parametrize("case", ["z3-rel-b-c", "z3-rel-bc"])
+def test_area_lower_certifies_the_derivations(case):
+    # the signed-area bound meets the pinned derivation, so each is the
+    # area, though the search misses it
+    make, loop, steps = DERIVATIONS[case]
+    rp = make()
+    word = rp.base.alphabet.parse(loop)
+    assert area_lower(rp, word) == len(steps)
+    # the bound reads the loop's normal form the same
+    assert area_lower(rp, _canonical_splice(rp, (), word, ())) == len(steps)
+
+
+def test_area_lower_refuses_what_it_cannot_bound():
+    # bbb has exponent sum 3, so loops need not close up in Z^2
+    make, loop, _ = DERIVATIONS["z-times-z3-rel-b"]
+    rp = make()
+    assert area_lower(rp, rp.base.alphabet.parse(loop)) is None
+    # no non-parabolic forms: bcBC is the family's own relator
+    for case, loop in (("f2-rel-b", "abAB"), ("zfz2-rel-z2", "bcBC")):
+        rp = RELATIVE_CASES[case]()
+        assert area_lower(rp, rp.base.alphabet.parse(loop)) is None
+
+
+def test_area_lower_on_z2_rel_b(rp_z2):
+    alpha = rp_z2.base.alphabet
+    for m in range(1, 5):
+        a, b = alpha.parse("a") * m, alpha.parse("b") * m
+        loop = a + b + word_inverse(a) + word_inverse(b)
+        assert area_lower(rp_z2, loop) == m * m, m
+    for n in range(1, 7):
+        assert area_lower(rp_z2, _commutator(alpha, n)) == n, n
+    # signed areas 1 and -1 cancel: the parity step lifts 0 to 2, the area
+    loop = alpha.parse("abABaBAb")
+    assert area_lower(rp_z2, loop) == 2
+    assert electric_area_exact(rp_z2, loop, 2) == 2
+    assert area_lower(rp_z2, alpha.parse("abBA")) == 0
+
+
+def _form_product(rng, rp, count):
+    # a product of conjugated non-parabolic forms: a loop of area <= count
+    forms = relator_forms(rp.nonparabolic_relators())
+    nsym = len(rp.base.alphabet.symbols)
+    word = ()
+    for _ in range(count):
+        g = _random_word(rng, nsym, 1)
+        word += g + rng.choice(forms) + word_inverse(g)
+    return free_reduce(word)
+
+
+@pytest.mark.parametrize("case", ["z2-rel-b", "z3-rel-b-c", "z3-rel-bc"])
+def test_stored_search_matches_reference(case):
+    # one rp answers every call, so later calls read runs that earlier
+    # calls stored at other n_max; each answer must be the one a fresh
+    # uncut search gives
+    rp = RELATIVE_CASES[case]()
+    rng = random.Random(32)
+    calls = [(loop, n_max, budget)
+             for loop in (_form_product(rng, rp, rng.randint(1, 3))
+                          for _ in range(5))
+             for n_max in range(9) for budget in (50, 400, None)]
+    rng.shuffle(calls)
+    cache = {}
+    outcomes = set()
+    for loop, n_max, budget in calls:
+        # None: the default node budget
+        kw = {} if budget is None else {"node_budget": budget}
+        got = electric_area_exact(rp, loop, n_max, **kw)
+        want = reference_electric_area_exact(rp, loop, n_max, cache=cache,
+                                             **kw)
+        assert got == want, (loop, n_max, budget)
+        outcomes.add(want)
+    assert outcomes == {None, 1, 2, 3}
